@@ -40,6 +40,7 @@ from .maxwell import (
     p_g1,
     u_a1,
     u_h1,
+    unit_cut_time_bound,
 )
 from .oracle import (
     BvpSolution,

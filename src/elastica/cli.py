@@ -14,10 +14,9 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .elliptic import EllipticDomainError, EllipticDivergenceError, ellint_K
+from .elliptic import ellint_K
 from .expmap import State, classify, elastic_energy_closed, exp_map, sample_elastica
 from .maxwell import (
     DEFAULT_TOL,
@@ -29,9 +28,10 @@ from .maxwell import (
     p_g1,
     u_a1,
     u_h1,
+    unit_cut_time_bound,
 )
 from .oracle import IntegratorConfig, attainable, bvp_shoot, integrate_extremal
-from .phase import Covector, UnsupportedStratumError, energy, stratify
+from .phase import Covector, stratify
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -40,9 +40,30 @@ EXIT_IO = 4
 EXIT_UNATTAINABLE = 5
 
 
+def _count(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite tolerance > 0."""
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return tol
+
+
 def _env_tol() -> float:
     raw = os.environ.get("ELASTICA_TOL")
-    return float(raw) if raw else DEFAULT_TOL
+    if not raw:
+        return DEFAULT_TOL
+    try:
+        return _tolerance(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"ELASTICA_TOL {exc}") from None
 
 
 def _emit(text: str, path: str | None):
@@ -63,6 +84,15 @@ def _csv_doc(header, rows) -> str:
     w.writerow(header)
     w.writerows(rows)
     return buf.getvalue()
+
+
+def _emit_record(doc: dict, args):
+    """One record as a JSON object, or as a CSV header and value row."""
+    if args.format == "csv":
+        keys = list(doc)
+        _emit(_csv_doc(keys, [[doc[k] for k in keys]]), args.output)
+    else:
+        _emit(_json_doc(doc), args.output)
 
 
 def _fin(x: float):
@@ -89,11 +119,7 @@ def cmd_exp(args) -> int:
         "elastica_class": classify(lam).value,
         "energy": elastic_energy_closed(lam, args.t),
     }
-    if args.format == "csv":
-        keys = list(doc)
-        _emit(_csv_doc(keys, [[doc[k] for k in keys]]), args.output)
-    else:
-        _emit(_json_doc(doc), args.output)
+    _emit_record(doc, args)
     return EXIT_OK
 
 
@@ -109,11 +135,7 @@ def cmd_oracle_exp(args) -> int:
         "energy": J,
         "step": args.step,
     }
-    if args.format == "csv":
-        keys = list(doc)
-        _emit(_csv_doc(keys, [[doc[k] for k in keys]]), args.output)
-    else:
-        _emit(_json_doc(doc), args.output)
+    _emit_record(doc, args)
     return EXIT_OK
 
 
@@ -132,11 +154,7 @@ def cmd_constants(args) -> int:
         "kstar_residual": h1(math.pi - u_a1(kstar), kstar),
         "ustar_identity_residual": ustar - (math.pi - u_a1(kstar)),
     }
-    if args.format == "csv":
-        keys = list(doc)
-        _emit(_csv_doc(keys, [[doc[k] for k in keys]]), args.output)
-    else:
-        _emit(_json_doc(doc), args.output)
+    _emit_record(doc, args)
     return EXIT_OK
 
 
@@ -160,18 +178,7 @@ def _sweep_value(curve: str, k: float, family: str) -> float:
         return u_a1(k)
     if curve == "uh1":
         return u_h1(k)
-    # cut-time bound at r = 1 for the requested family
-    if family == "n2":
-        return 2.0 * k * ellint_K(k)
-    k0 = float(find_k0())
-    p1 = 2.0 * ellint_K(k) if k <= k0 else p1_roots(k, 1)
-    return 2.0 * p1
-
-
-def _sweep_row(args_tuple):
-    curve, k, family = args_tuple
-    v = _sweep_value(curve, k, family)
-    return (k, v, v / ellint_K(k))
+    return unit_cut_time_bound(k, rotating=family == "n2")
 
 
 def cmd_sweep(args) -> int:
@@ -185,12 +192,8 @@ def cmd_sweep(args) -> int:
         return EXIT_DOMAIN
     n = args.n
     ks = [args.kmin + (args.kmax - args.kmin) * i / (n - 1) for i in range(n)] if n > 1 else [args.kmin]
-    payload = [(args.curve, k, args.family) for k in ks]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_row, payload, chunksize=8))
-    else:
-        rows = [_sweep_row(p) for p in payload]
+    values = [(k, _sweep_value(args.curve, k, args.family)) for k in ks]
+    rows = [(k, v, v / ellint_K(k)) for k, v in values]
     if args.format == "json":
         doc = [{"k": r[0], "value": r[1], "value_over_K": r[2]} for r in rows]
         _emit(_json_doc(doc), args.output)
@@ -370,14 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curve", choices=["p11", "pg1", "ua1", "uh1", "cutbound"])
     p.add_argument("--kmin", type=float, required=True)
     p.add_argument("--kmax", type=float, required=True)
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--n", type=_count, default=50)
     p.add_argument(
         "--family",
         choices=["n1", "n2"],
         default="n1",
         help="stratum family for the cutbound curve (r = 1)",
     )
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     _add_output_flags(p, formats=("csv", "json"))
     p.set_defaults(func=cmd_sweep)
 
@@ -393,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maxwell", help="Maxwell strata membership and cut-time bound")
     _add_covector_flags(p)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     _add_output_flags(p, formats=("json",))
     p.set_defaults(func=cmd_maxwell)
 
@@ -402,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--starts", type=int, default=200)
+    p.add_argument("--starts", type=_count, default=200)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     _add_output_flags(p)
     p.set_defaults(func=cmd_bvp)
@@ -416,10 +418,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EllipticDomainError, EllipticDivergenceError, UnsupportedStratumError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DOMAIN
-    except ValueError as exc:
+    except ValueError as exc:  # includes the elliptic and stratum domain errors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
     except OSError as exc:

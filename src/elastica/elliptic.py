@@ -80,8 +80,9 @@ def _as_k(k) -> float:
 def _agm_scale(k: float):
     """AGM scale for modulus k in (0, 1).
 
-    Returns (a, b, c, n) tuples with a[0] = 1, b[0] = k', c[0] = k and
-    c[i] = (a[i-1] - b[i-1]) / 2, truncated at the first |c[n]| < AGM_TOL.
+    Returns (a, b, c, n, K, E): tuples with a[0] = 1, b[0] = k', c[0] = k and
+    c[i] = (a[i-1] - b[i-1]) / 2, truncated at the first |c[n]| < AGM_TOL,
+    then the complete integrals K(k) and E(k).
     """
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     a = [1.0]
@@ -96,7 +97,10 @@ def _agm_scale(k: float):
         c.append(cn)
         if abs(cn) < AGM_TOL:
             break
-    return tuple(a), tuple(b), tuple(c), len(a) - 1
+    n = len(a) - 1
+    K = math.pi / (2.0 * a[n])
+    E = K * (1.0 - sum(2.0 ** (i - 1) * c[i] * c[i] for i in range(n + 1)))
+    return tuple(a), tuple(b), tuple(c), n, K, E
 
 
 def ellint_K(k) -> float:
@@ -106,8 +110,7 @@ def ellint_K(k) -> float:
         raise EllipticDivergenceError("K(k) diverges as k -> 1")
     if kf == 0.0:
         return math.pi / 2.0
-    a, _, _, n = _agm_scale(kf)
-    return math.pi / (2.0 * a[n])
+    return _agm_scale(kf)[4]
 
 
 def ellint_E(k) -> float:
@@ -117,9 +120,7 @@ def ellint_E(k) -> float:
         return math.pi / 2.0
     if kf == 1.0:
         return 1.0
-    a, _, c, n = _agm_scale(kf)
-    s = sum(2.0 ** (i - 1) * c[i] * c[i] for i in range(n + 1))
-    return math.pi / (2.0 * a[n]) * (1.0 - s)
+    return _agm_scale(kf)[5]
 
 
 def _reduce_phase(phi: float):
@@ -137,7 +138,7 @@ def _incomplete_agm(phi: float, k: float):
     sign = 1.0
     if phi < 0.0:
         sign, phi = -1.0, -phi
-    a, b, c, n = _agm_scale(k)
+    a, b, c, n, K, E = _agm_scale(k)
     phi_i = phi
     zeta = 0.0
     for i in range(1, n + 1):
@@ -145,9 +146,6 @@ def _incomplete_agm(phi: float, k: float):
         d += 2.0 * math.pi * math.floor((phi_i - d) / (2.0 * math.pi) + 0.5)
         phi_i = phi_i + d
         zeta += c[i] * math.sin(phi_i)
-    K = math.pi / (2.0 * a[n])
-    s = sum(2.0 ** (i - 1) * c[i] * c[i] for i in range(n + 1))
-    E = K * (1.0 - s)
     F = phi_i / (2.0**n * a[n])
     return sign * F, sign * (zeta + E / K * F)
 
@@ -195,11 +193,7 @@ def jacobi(u: float, k) -> JacobiValues:
         t = math.tanh(u)
         s = 1.0 / math.cosh(u)
         return JacobiValues(t, s, s, math.atan(math.sinh(u)), t)
-    a, _, c, n = _agm_scale(kf)
-    K = math.pi / (2.0 * a[n])
-    s_sum = sum(2.0 ** (i - 1) * c[i] * c[i] for i in range(n + 1))
-    E = K * (1.0 - s_sum)
-
+    a, _, c, n, K, E = _agm_scale(kf)
     m = math.floor(u / (2.0 * K) + 0.5)
     u_red = u - 2.0 * K * m
 

@@ -175,9 +175,9 @@ def _prepare(lam: Covector) -> Callable[[float], tuple]:
 
 
 def exp_map(lam: Covector, t: float) -> State:
-    """Endpoint of the elastica of lam at arc length t >= 0."""
-    if t < 0.0:
-        raise ValueError("exp_map needs t >= 0")
+    """Endpoint of the elastica of lam at a finite arc length t >= 0."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"exp_map needs finite t >= 0, got {t}")
     return State(*_prepare(lam)(t))
 
 
@@ -185,8 +185,8 @@ def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
     """n uniformly spaced endpoint samples over [0, t1], endpoints included."""
     if n < 2:
         raise ValueError("need at least two samples")
-    if t1 <= 0.0:
-        raise ValueError("need t1 > 0")
+    if not 0.0 < t1 < math.inf:
+        raise ValueError(f"need finite t1 > 0, got {t1}")
     at = _prepare(lam)
     step = t1 / (n - 1)
     return [State(*at(i * step)) for i in range(n)]
@@ -226,8 +226,8 @@ def elastic_energy_closed(lam: Covector, t: float) -> float:
     square integrates through the epsilon function (oscillating/rotating)
     or tanh (separatrix); zero exactly on the line strata.
     """
-    if t < 0.0:
-        raise ValueError("elastic energy needs t >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"elastic energy needs finite t >= 0, got {t}")
     s, lam_p, _ = _normal_form(lam)
     if s in (Stratum.N4, Stratum.N5, Stratum.N7):
         return 0.0

@@ -31,11 +31,13 @@ from .elliptic import (
 )
 from .phase import (
     ROTATING,
+    SEPARATRIX,
     Covector,
     Stratum,
     stratify,
     to_elliptic,
 )
+from .symmetry import _arc_coords
 
 DEFAULT_TOL = 1e-9
 BRENT_XTOL = 1e-15
@@ -45,6 +47,9 @@ K0_SNAP = 1e-12  # within this distance of k0, lattice roots are exact
 _ROOT_SCAN_MAX = 8  # lattice indices examined when locating first Maxwell times
 
 K_RECT = 1.0 / math.sqrt(2.0)
+
+# separatrix, equilibria and the frozen case: no Maxwell point at any time
+_NEVER_MEETS = SEPARATRIX + (Stratum.N4, Stratum.N5, Stratum.N7)
 
 
 class PoleError(ZeroDivisionError):
@@ -331,17 +336,11 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
     tolerance contract: lattice conditions compare p to the nearest lattice
     point, function conditions compare residuals against tol.
     """
-    if t <= 0.0:
-        raise ValueError("in_maxwell needs t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"in_maxwell needs finite t > 0, got {t}")
     s = stratify(lam)
     out: set[MaxwellStratum] = set()
-    if s in (
-        Stratum.N3_PLUS,
-        Stratum.N3_MINUS,
-        Stratum.N4,
-        Stratum.N5,
-        Stratum.N7,
-    ):
+    if s in _NEVER_MEETS:
         return out
     if s in (Stratum.N6_PLUS, Stratum.N6_MINUS):
         n = _lattice_index(lam.c * t, 2.0 * math.pi, tol)
@@ -353,12 +352,11 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
     ec = to_elliptic(lam)
     k = float(ec.k)
     K = ellint_K(k)
-    sr = math.sqrt(ec.r)
+    mc = _arc_coords(ec, t)
+    p = mc.p
+    jt = jacobi(mc.tau, k)
 
     if s is Stratum.N1:
-        p = sr * t / 2.0
-        tau = sr * ec.phi + p
-        jt = jacobi(tau, k)
         jp = jacobi(p, k)
         n_even = _lattice_index(p, 2.0 * K, tol)
         on_even = n_even is not None and n_even != 0
@@ -387,9 +385,6 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
         return out
 
     # rotating strata
-    p = sr * t / (2.0 * k)
-    tau = sr * ec.psi + p
-    jt = jacobi(tau, k)
     jp = jacobi(p, k)
     n = _lattice_index(p, K, tol)
     on_lattice = n is not None and n != 0
@@ -410,31 +405,27 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
 
 
 def _first_times_oscillating(k: float, u0: float, sr: float, tol: float):
-    """First Maxwell times (max1, max2, max3+, max3-) for an N1 covector."""
+    """First Maxwell times (max1, max2, max3+, max3-) and p_1^1 for an N1 covector."""
     K = ellint_K(k)
     k0 = float(find_k0())
     j0 = jacobi(u0, k)
 
     t_max1 = 4.0 * K / sr if abs(j0.cn) > tol else math.inf
 
-    t_max2 = math.inf
+    t_max2 = t_max3p = math.inf
     for n in range(1, _ROOT_SCAN_MAX + 1):
         pn = p1_roots(k, n)
-        if abs(jacobi(u0 + pn, k).sn) > tol:
+        if n == 1:
+            p1 = pn
+        jn = jacobi(u0 + pn, k)
+        if t_max2 == math.inf and abs(jn.sn) > tol:
             t_max2 = 2.0 * pn / sr
+        if t_max3p == math.inf and abs(jn.cn) <= tol:
+            t_max3p = 2.0 * pn / sr
+        if t_max2 < math.inf and t_max3p < math.inf:
             break
-
-    candidates = []
-    if abs(k - k0) <= tol:
-        candidates.append(4.0 * K / sr)
-    if abs(j0.sn) <= tol:
-        candidates.append(4.0 * K / sr)
-    for n in range(1, _ROOT_SCAN_MAX + 1):
-        pn = p1_roots(k, n)
-        if abs(jacobi(u0 + pn, k).cn) <= tol:
-            candidates.append(2.0 * pn / sr)
-            break
-    t_max3p = min(candidates) if candidates else math.inf
+    if abs(k - k0) <= tol or abs(j0.sn) <= tol:
+        t_max3p = min(t_max3p, 4.0 * K / sr)
 
     t_max3m = math.inf
     kstar, _ = find_kstar()
@@ -446,7 +437,21 @@ def _first_times_oscillating(k: float, u0: float, sr: float, tol: float):
             if abs(jacobi(u0 + pg, k).sn ** 2 - rhs) <= tol:
                 t_max3m = 2.0 * pg / sr
 
-    return t_max1, t_max2, t_max3p, t_max3m
+    return t_max1, t_max2, t_max3p, t_max3m, p1
+
+
+def unit_cut_time_bound(k, rotating: bool, p1: float | None = None) -> float:
+    """Cut-time bound at r = 1: 2 min(2K, p_1^1) oscillating, 2kK rotating.
+
+    cut_time_bound divides it by sqrt(r).  p1 is p_1^1 if already solved.
+    """
+    kf = float(k)
+    K = ellint_K(kf)
+    if rotating:
+        return 2.0 * kf * K
+    if kf <= float(find_k0()):
+        return 2.0 * (2.0 * K)
+    return 2.0 * (p1_roots(kf, 1) if p1 is None else p1)
 
 
 def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
@@ -457,13 +462,7 @@ def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
     case.  Scales like time under the dilation symmetry.
     """
     s = stratify(lam)
-    if s in (
-        Stratum.N3_PLUS,
-        Stratum.N3_MINUS,
-        Stratum.N4,
-        Stratum.N5,
-        Stratum.N7,
-    ):
+    if s in _NEVER_MEETS:
         return MaxwellReport(s, math.inf, math.inf, math.inf, math.inf, math.inf)
     if s in (Stratum.N6_PLUS, Stratum.N6_MINUS):
         T = 2.0 * math.pi / abs(lam.c)
@@ -472,11 +471,10 @@ def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
     ec = to_elliptic(lam)
     k = float(ec.k)
     sr = math.sqrt(ec.r)
-    K = ellint_K(k)
 
     if s in ROTATING:
         v0 = sr * ec.psi
-        bound = 2.0 * k * K / sr
+        bound = unit_cut_time_bound(k, rotating=True) / sr
         jv = jacobi(v0, k)
         on_lattice = abs(jv.sn * jv.cn) <= tol
         t1 = math.inf if on_lattice else bound
@@ -484,17 +482,16 @@ def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
         return MaxwellReport(s, t1, math.inf, t3p, math.inf, bound)
 
     u0 = sr * ec.phi
-    k0 = float(find_k0())
-    p1 = 2.0 * K if k <= k0 else p1_roots(k, 1)
-    bound = 2.0 * p1 / sr
-    t1, t2, t3p, t3m = _first_times_oscillating(k, u0, sr, tol)
-    jb = jacobi(u0 + p1, k)
+    t1, t2, t3p, t3m, p1 = _first_times_oscillating(k, u0, sr, tol)
+    unit = unit_cut_time_bound(k, rotating=False, p1=p1)
+    # at r = 1 the bound time t has half-length p = t / 2
+    jb = jacobi(u0 + unit / 2.0, k)
     return MaxwellReport(
         s,
         t1,
         t2,
         t3p,
         t3m,
-        bound,
+        unit / sr,
         tau_degenerate=abs(jb.cn * jb.sn) <= tol,
     )

@@ -55,8 +55,8 @@ def integrate_extremal(
     State is (beta, c, x, y, theta) plus the running cost J = (1/2) int c^2;
     r is conserved exactly.  Returns (endpoint State, endpoint Covector, J).
     """
-    if t < 0.0:
-        raise ValueError("integration time must be >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"integration time must be finite and >= 0, got {t}")
     cfg = cfg or IntegratorConfig()
     n_full = int(t / cfg.step)
     if n_full + 1 > cfg.max_steps:

@@ -45,7 +45,7 @@ def wrap_angle(a: float) -> float:
 class Covector:
     """Initial vertical state (beta, c, r) of the generalized pendulum.
 
-    beta is normalized to (-pi, pi]; r must be nonnegative.
+    beta is normalized to (-pi, pi]; all three must be finite and r nonnegative.
     """
 
     beta: float
@@ -53,6 +53,8 @@ class Covector:
     r: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.beta, self.c, self.r))):
+            raise ValueError(f"covector must be finite, got {self}")
         if self.r < 0.0:
             raise ValueError(f"pendulum constant r must be >= 0, got {self.r}")
         object.__setattr__(self, "beta", wrap_angle(self.beta))

@@ -26,6 +26,7 @@ from .phase import (
     ROTATING,
     SEPARATRIX,
     Covector,
+    EllipticCoords,
     Stratum,
     flow_vertical,
     stratify,
@@ -140,17 +141,19 @@ def m3_branch(q: State, tol: float = 1e-9) -> str | None:
     return None
 
 
-def maxwell_coords(lam: Covector, t: float) -> MaxwellCoords:
-    """(tau, p) of the arc [0, t] of lam's extremal; needs lam in N1/N2/N3."""
-    s = stratify(lam)
-    ec = to_elliptic(lam)
+def _arc_coords(ec: EllipticCoords, t: float) -> MaxwellCoords:
+    """(tau, p) of the arc [0, t] of the extremal with elliptic coordinates ec."""
     sr = math.sqrt(ec.r)
-    if s in ROTATING:
-        k = float(ec.k)
-        p = sr * t / (2.0 * k)
+    if ec.stratum in ROTATING:
+        p = sr * t / (2.0 * float(ec.k))
         return MaxwellCoords(tau=sr * ec.psi + p, p=p)
     p = sr * t / 2.0
     return MaxwellCoords(tau=sr * ec.phi + p, p=p)
+
+
+def maxwell_coords(lam: Covector, t: float) -> MaxwellCoords:
+    """(tau, p) of the arc [0, t] of lam's extremal; needs lam in N1/N2/N3."""
+    return _arc_coords(to_elliptic(lam), t)
 
 
 def is_fixed_covector(i, lam: Covector, t: float, tol: float = 1e-9) -> bool:
@@ -170,13 +173,7 @@ def is_fixed_covector(i, lam: Covector, t: float, tol: float = 1e-9) -> bool:
         return False
     ec = to_elliptic(lam)
     k = float(ec.k)
-    sr = math.sqrt(ec.r)
-    if s in ROTATING:
-        mc = MaxwellCoords(
-            tau=sr * ec.psi + sr * t / (2.0 * k), p=sr * t / (2.0 * k)
-        )
-    else:
-        mc = MaxwellCoords(tau=sr * ec.phi + sr * t / 2.0, p=sr * t / 2.0)
+    mc = _arc_coords(ec, t)
     if s is Stratum.N1:
         jv = jacobi(mc.tau, k)
         if i is Reflection.CHORD_CENTER:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,10 +13,14 @@ import pytest
 
 from elastica.cli import main
 from elastica.elliptic import ellint_K
-from elastica.maxwell import find_k0
+from elastica.maxwell import cut_time_bound, find_k0
+from elastica.phase import to_elliptic
+
+from conftest import n1, n2
 
 GOLDEN = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, capsys):
@@ -125,7 +130,7 @@ class TestSweep:
         k0 = float(find_k0())
         code, out = run_cli(
             ["sweep", "p11", "--kmin", str(k0 - 0.02), "--kmax", str(k0 + 0.02),
-             "--n", "5", "--jobs", "1"],
+             "--n", "5"],
             capsys,
         )
         rows = list(csv.reader(io.StringIO(out)))[1:]
@@ -137,7 +142,7 @@ class TestSweep:
     def test_cutbound_rotating_family(self, capsys):
         code, out = run_cli(
             ["sweep", "cutbound", "--family", "n2", "--kmin", "0.3",
-             "--kmax", "0.6", "--n", "2", "--jobs", "1"],
+             "--kmax", "0.6", "--n", "2"],
             capsys,
         )
         rows = list(csv.reader(io.StringIO(out)))[1:]
@@ -152,18 +157,29 @@ class TestSweep:
     def test_json_format(self, capsys):
         code, out = run_cli(
             ["sweep", "ua1", "--kmin", "0.75", "--kmax", "0.9", "--n", "3",
-             "--jobs", "1", "--format", "json"],
+             "--format", "json"],
             capsys,
         )
         doc = json.loads(out)
         assert len(doc) == 3
         assert set(doc[0]) == {"k", "value", "value_over_K"}
 
-    def test_worker_pool_matches_serial(self, capsys):
-        args = ["sweep", "p11", "--kmin", "0.2", "--kmax", "0.8", "--n", "6"]
-        _, serial = run_cli([*args, "--jobs", "1"], capsys)
-        _, parallel = run_cli([*args, "--jobs", "2"], capsys)
-        assert serial == parallel
+    @pytest.mark.parametrize(
+        "family, lam",
+        [("n1", n1(0.5, 0.3, 1.0)), ("n1", n1(0.95, 0.3, 1.0)), ("n2", n2(0.6, 0.3, 1.0))],
+        ids=["n1_below_k0", "n1_above_k0", "n2"],
+    )
+    def test_cutbound_is_cut_time_bound_at_unit_r(self, family, lam, capsys):
+        # the covector's own modulus, so both sides evaluate the same k
+        k = float(to_elliptic(lam).k)
+        code, out = run_cli(
+            ["sweep", "cutbound", "--family", family, "--kmin", repr(k),
+             "--kmax", repr(k), "--n", "1"],
+            capsys,
+        )
+        assert code == 0
+        (row,) = list(csv.reader(io.StringIO(out)))[1:]
+        assert float(row[1]) == cut_time_bound(lam).bound
 
 
 class TestElastica:
@@ -259,6 +275,92 @@ class TestBvp:
         assert code == 5
 
 
+_MAXWELL_FULL_TURN = ["maxwell", "--beta", "0.3", "--c", "1", "--r", "0",
+                      "--t", "6.283185307179586"]
+
+
+class TestInvalidInput:
+    """Out-of-range counts, tolerances and non-finite numbers exit 2 or 3."""
+
+    @pytest.mark.parametrize(
+        "argv, env_tol, expected",
+        [
+            pytest.param(["sweep", "p11", "--kmin", "0.2", "--kmax", "0.8", "--n", "0"],
+                         None, 2, id="sweep-n-0"),
+            pytest.param(["sweep", "p11", "--kmin", "0.2", "--kmax", "0.8", "--n", "-3"],
+                         None, 2, id="sweep-n-negative"),
+            pytest.param(["sweep", "p11", "--kmin", "0.2", "--kmax", "0.8", "--jobs", "2"],
+                         None, 2, id="sweep-jobs-removed"),
+            pytest.param(["bvp", "--x", "1", "--y", "0", "--theta", "0", "--t1", "1",
+                          "--starts", "0"], None, 2, id="bvp-starts-0"),
+            pytest.param([*_MAXWELL_FULL_TURN, "--tol", "-1"], None, 2, id="tol-negative"),
+            pytest.param([*_MAXWELL_FULL_TURN, "--tol", "0"], None, 2, id="tol-zero"),
+            pytest.param([*_MAXWELL_FULL_TURN, "--tol", "nan"], None, 2, id="tol-nan"),
+            pytest.param([*_MAXWELL_FULL_TURN, "--tol", "inf"], None, 2, id="tol-inf"),
+            pytest.param(_MAXWELL_FULL_TURN, "-1", 3, id="env-tol-negative"),
+            pytest.param(_MAXWELL_FULL_TURN, "0", 3, id="env-tol-zero"),
+            pytest.param(_MAXWELL_FULL_TURN, "nan", 3, id="env-tol-nan"),
+            pytest.param(_MAXWELL_FULL_TURN, "inf", 3, id="env-tol-inf"),
+            pytest.param(["exp", "--beta", "0", "--c", "0", "--r", "nan", "--t", "1"],
+                         None, 3, id="exp-r-nan"),
+            pytest.param(["exp", "--beta", "0", "--c", "0", "--r", "inf", "--t", "1"],
+                         None, 3, id="exp-r-inf"),
+            pytest.param(["exp", "--beta", "nan", "--c", "1", "--r", "1", "--t", "1"],
+                         None, 3, id="exp-beta-nan"),
+            pytest.param(["exp", "--beta", "0", "--c=-inf", "--r", "1", "--t", "1"],
+                         None, 3, id="exp-c-inf"),
+            pytest.param(["exp", "--beta", "0", "--c", "1", "--r", "1", "--t", "nan"],
+                         None, 3, id="exp-t-nan"),
+            pytest.param(["exp", "--beta", "0", "--c", "1", "--r", "1", "--t", "inf"],
+                         None, 3, id="exp-t-inf"),
+            pytest.param(["oracle-exp", "--beta", "0", "--c", "1", "--r", "1", "--t", "inf"],
+                         None, 3, id="oracle-exp-t-inf"),
+            pytest.param(["maxwell", "--beta", "0", "--c", "1", "--r", "1", "--t", "inf"],
+                         None, 3, id="maxwell-t-inf"),
+            pytest.param(["elastica", "--beta", "0", "--c", "1", "--r", "1", "--t1", "nan"],
+                         None, 3, id="elastica-t1-nan"),
+        ],
+    )
+    def test_rejected(self, argv, env_tol, expected, capsys, monkeypatch):
+        if env_tol is None:
+            monkeypatch.delenv("ELASTICA_TOL", raising=False)
+        else:
+            monkeypatch.setenv("ELASTICA_TOL", env_tol)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected a flag
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == expected
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "error:" in captured.err
+
+
+def _readme_cli_examples():
+    """The `elastica ...` lines of the README's CLI code block, as argv lists."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("elastica ")
+    ]
+
+
+class TestReadme:
+    def test_cli_block_is_found(self):
+        assert len(_readme_cli_examples()) >= 8
+
+    @pytest.mark.parametrize(
+        "argv", _readme_cli_examples(), ids=lambda argv: " ".join(argv[:2])
+    )
+    def test_cli_example_runs(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("ELASTICA_TOL", raising=False)
+        assert main(argv) == 0, capsys.readouterr().err
+
+
 class TestGolden:
     """Byte-stable outputs for fixed flags (schema and precision freeze)."""
 
@@ -277,7 +379,7 @@ class TestGolden:
     def test_sweep_ua1(self, capsys):
         _, out = run_cli(
             ["sweep", "ua1", "--kmin", "0.7071067811865475", "--kmax", "0.99",
-             "--n", "5", "--jobs", "1"],
+             "--n", "5"],
             capsys,
         )
         assert out.encode() == (GOLDEN / "sweep_ua1.csv").read_bytes()

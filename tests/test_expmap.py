@@ -46,6 +46,20 @@ class TestExpMap:
         with pytest.raises(ValueError):
             exp_map(Covector(0.0, 1.0, 1.0), -0.5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            exp_map,
+            elastic_energy_closed,
+            lambda lam, t: sample_elastica(lam, t, 4),
+        ],
+        ids=["exp_map", "elastic_energy_closed", "sample_elastica"],
+    )
+    def test_non_finite_time_rejected(self, call, t):
+        with pytest.raises(ValueError, match="finite"):
+            call(Covector(0.0, 1.0, 1.0), t)
+
     def test_oracle_equivalence_spot_checks(self, cell_covectors):
         for lam in cell_covectors.values():
             for t in (0.5, 2.0):

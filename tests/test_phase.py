@@ -46,6 +46,23 @@ def random_covectors(n, seed=0, r_max=8.0):
     ]
 
 
+class TestCovector:
+    @pytest.mark.parametrize(
+        "beta, c, r",
+        [
+            (math.nan, 1.0, 1.0),
+            (math.inf, 1.0, 1.0),
+            (0.0, math.nan, 1.0),
+            (0.0, -math.inf, 1.0),
+            (0.0, 0.0, math.nan),
+            (0.0, 0.0, math.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, beta, c, r):
+        with pytest.raises(ValueError, match="finite"):
+            Covector(beta, c, r)
+
+
 class TestEnergy:
     def test_stable_equilibrium(self):
         assert energy(Covector(0.0, 0.0, 1.0)) == -1.0
