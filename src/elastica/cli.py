@@ -30,7 +30,13 @@ from .maxwell import (
     u_h1,
     unit_cut_time_bound,
 )
-from .oracle import IntegratorConfig, attainable, bvp_shoot, integrate_extremal
+from .oracle import (
+    IntegratorConfig,
+    MaxStepsExceeded,
+    attainable,
+    bvp_shoot,
+    integrate_extremal,
+)
 from .phase import Covector, stratify
 
 EXIT_OK = 0
@@ -40,12 +46,16 @@ EXIT_IO = 4
 EXIT_UNATTAINABLE = 5
 
 
-def _count(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _count(minimum: int):
+    """argparse type: an integer >= minimum."""
+
+    def count(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {n}")
+        return n
+
+    return count
 
 
 def _tolerance(text: str) -> float:
@@ -373,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curve", choices=["p11", "pg1", "ua1", "uh1", "cutbound"])
     p.add_argument("--kmin", type=float, required=True)
     p.add_argument("--kmax", type=float, required=True)
-    p.add_argument("--n", type=_count, default=50)
+    p.add_argument("--n", type=_count(1), default=50)
     p.add_argument(
         "--family",
         choices=["n1", "n2"],
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("elastica", help="sample an elastica as SVG or CSV")
     _add_covector_flags(p)
     p.add_argument("--t1", type=float, default=1.0, help="total arc length")
-    p.add_argument("--n", type=int, default=400, help="sample count (>= 2)")
+    p.add_argument("--n", type=_count(2), default=400, help="sample count (>= 2)")
     p.add_argument("--gallery", default=None, metavar="DIR",
                    help="emit one SVG per qualitative class into DIR and exit")
     _add_output_flags(p, formats=("svg", "csv"))
@@ -404,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--starts", type=_count, default=200)
+    p.add_argument("--starts", type=_count(1), default=200)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     _add_output_flags(p)
     p.set_defaults(func=cmd_bvp)
@@ -418,7 +428,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # includes the elliptic and stratum domain errors
+    except (ValueError, MaxStepsExceeded) as exc:
+        # ValueError includes the elliptic and stratum domain errors; a
+        # horizon beyond the integrator's step budget is a domain error too
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
     except OSError as exc:

@@ -6,6 +6,9 @@ elliptic integrals are recomputed by adaptive Simpson quadrature, and the
 boundary-value problem is solved by multi-start damped Newton iteration on
 the forward map.  These routines exist to cross-validate the analytic
 modules and to invert the endpoint map.
+
+numpy (the Newton step's least squares) and the worker pool are imported by
+the BVP solver on first use, so importing the package loads neither.
 """
 
 from __future__ import annotations
@@ -13,10 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .expmap import State, elastic_energy_closed, exp_map, wrap_angle
 from .maxwell import MaxwellReport, cut_time_bound
@@ -178,10 +178,13 @@ def attainable(q1: State, t1: float, tol: float = 1e-12) -> bool:
     """Exact-time attainability from the identity: open disk plus one boundary point.
 
     True iff x^2 + y^2 < t1^2, or (x, y, theta) is the straight-line endpoint
-    (t1, 0, 0) (compared at relative tolerance tol).
+    (t1, 0, 0) (compared at relative tolerance tol).  A non-finite target or
+    time raises ValueError.
     """
-    if t1 <= 0.0:
-        raise ValueError("attainable needs t1 > 0")
+    if not 0.0 < t1 < math.inf:
+        raise ValueError(f"attainable needs finite t1 > 0, got {t1}")
+    if not all(map(math.isfinite, (q1.x, q1.y, q1.theta))):
+        raise ValueError(f"attainable needs a finite target, got {q1}")
     if q1.x * q1.x + q1.y * q1.y < t1 * t1:
         return True
     scale = max(1.0, t1)
@@ -220,17 +223,18 @@ def start_grid() -> list[Covector]:
 
 
 def _residual(vec, q1: State, t1: float):
+    """Endpoint miss (dx, dy, dtheta) of the covector vec = (beta, c, r) at t1."""
     beta, c, r = vec
     q = exp_map(Covector(beta, c, max(r, 0.0)), t1)
-    return np.array(
-        [q.x - q1.x, q.y - q1.y, wrap_angle(q.theta - q1.theta)], dtype=float
-    )
+    return (q.x - q1.x, q.y - q1.y, wrap_angle(q.theta - q1.theta))
 
 
 def _newton_from(start: Covector, q1: State, t1: float):
     """Damped Newton iteration from one start; None unless converged."""
+    import numpy as np
+
     v = np.array([start.beta, start.c, start.r], dtype=float)
-    res = _residual(v, q1, t1)
+    res = np.array(_residual(v, q1, t1))
     best = float(np.max(np.abs(res)))
     for _ in range(BVP_MAX_ITER):
         if best < BVP_RESIDUAL_TOL:
@@ -245,7 +249,7 @@ def _newton_from(start: Covector, q1: State, t1: float):
             if j == 2 and vm[2] < 0.0:
                 vm[2] = 0.0
                 h = (vp[2] - vm[2]) / 2.0 or FD_STEP
-            jac[:, j] = (_residual(vp, q1, t1) - _residual(vm, q1, t1)) / (2.0 * h)
+            jac[:, j] = np.subtract(_residual(vp, q1, t1), _residual(vm, q1, t1)) / (2.0 * h)
         try:
             step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         except np.linalg.LinAlgError:
@@ -257,7 +261,7 @@ def _newton_from(start: Covector, q1: State, t1: float):
         for _ in range(25):
             cand = v + scale * step
             cand[2] = max(cand[2], 0.0)
-            cand_res = _residual(cand, q1, t1)
+            cand_res = np.array(_residual(cand, q1, t1))
             cand_norm = float(np.max(np.abs(cand_res)))
             if math.isfinite(cand_norm) and cand_norm < best:
                 v, res, best = cand, cand_res, cand_norm
@@ -288,11 +292,18 @@ def bvp_shoot(
     frozen covector, collapsing the degenerate (beta, r) freedom.
 
     Returns an empty list (with a logged diagnostic) when no start converges.
+    A non-finite target or time, or starts < 1, raises ValueError.
     """
+    import numpy as np
+
+    if starts < 1:
+        raise ValueError(f"bvp_shoot needs starts >= 1, got {starts}")
     if not attainable(q1, t1):
         raise ValueError("target is outside the exact-time attainable set")
-    grid = start_grid()[: max(1, starts)]
+    grid = start_grid()[:starts]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         payload = [(s, (q1.x, q1.y, q1.theta), t1) for s in grid]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(_solve_one, payload, chunksize=4))

@@ -315,10 +315,20 @@ class TestInvalidInput:
                          None, 3, id="exp-t-inf"),
             pytest.param(["oracle-exp", "--beta", "0", "--c", "1", "--r", "1", "--t", "inf"],
                          None, 3, id="oracle-exp-t-inf"),
+            pytest.param(["oracle-exp", "--beta", "0", "--c", "1", "--r", "1", "--t", "1e9"],
+                         None, 3, id="oracle-exp-max-steps"),
             pytest.param(["maxwell", "--beta", "0", "--c", "1", "--r", "1", "--t", "inf"],
                          None, 3, id="maxwell-t-inf"),
             pytest.param(["elastica", "--beta", "0", "--c", "1", "--r", "1", "--t1", "nan"],
                          None, 3, id="elastica-t1-nan"),
+            pytest.param(["elastica", "--beta", "0", "--c", "1", "--r", "1", "--n", "1"],
+                         None, 2, id="elastica-n-1"),
+            pytest.param(["bvp", "--x", "0.5", "--y", "0", "--theta", "nan", "--t1", "1",
+                          "--starts", "2", "--jobs", "1"], None, 3, id="bvp-theta-nan"),
+            pytest.param(["bvp", "--x", "nan", "--y", "0", "--theta", "0", "--t1", "1",
+                          "--starts", "2", "--jobs", "1"], None, 3, id="bvp-x-nan"),
+            pytest.param(["bvp", "--x", "0.5", "--y", "0", "--theta", "0", "--t1", "inf",
+                          "--starts", "2", "--jobs", "1"], None, 3, id="bvp-t1-inf"),
         ],
     )
     def test_rejected(self, argv, env_tol, expected, capsys, monkeypatch):
@@ -416,3 +426,13 @@ class TestEntryPoint:
     )
     def test_script_on_path(self):
         _assert_version_runs(os.environ)
+
+    def test_cold_import_loads_neither_scipy_nor_numpy(self):
+        # numpy is imported by the BVP solver on first use; scipy is test-only
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, elastica.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

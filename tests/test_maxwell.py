@@ -1,11 +1,15 @@
 import math
+import random
 
 import pytest
 
 from elastica.elliptic import ellint_E, ellint_F_inc, ellint_K, jacobi
 from elastica.expmap import elastic_energy_closed, exp_map
 from elastica.maxwell import (
+    BRENT_RTOL,
+    BRENT_XTOL,
     MaxwellStratum,
+    _brentq,
     a1,
     compat_n1,
     cut_time_bound,
@@ -110,6 +114,56 @@ class TestAmplitudeAuxiliaries:
     def test_compat_margin(self):
         assert compat_n1(math.pi / 2.0, 1.0) == pytest.approx(1.0)
         assert compat_n1(0.0, 0.9) == pytest.approx(-1.0)
+
+
+class TestBrent:
+    """The in-house Brent against scipy's brentq, of which it is a port."""
+
+    @staticmethod
+    def brackets():
+        """The f1 and h1 brackets that p1_roots and u_h1 solve, at seeded moduli."""
+        rng = random.Random(5)
+        k0 = float(find_k0())
+        kstar = float(find_kstar()[0])
+        out = []
+        for _ in range(150):
+            k = rng.uniform(0.02, 0.995)
+            K = ellint_K(k)
+            lo = 2.0 * K * rng.randint(1, 6) - (0.0 if k < k0 else K)
+            out.append((lambda p, k=k: f1(p, k), lo, lo + K))
+        for _ in range(80):
+            k = rng.uniform(kstar, 0.995)
+            lo, hi = (math.pi / 2.0, math.pi - u_a1(k)) if k < k0 else (u_a1(k), math.pi / 2.0)
+            out.append((lambda u, k=k: h1(u, k), lo, hi))
+        return out
+
+    def test_bit_identical_to_scipy(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        for f, lo, hi in self.brackets():
+            ours = _brentq(f, lo, hi, BRENT_XTOL, BRENT_RTOL)
+            ref = brentq(f, lo, hi, xtol=BRENT_XTOL, rtol=BRENT_RTOL)
+            assert ours.hex() == ref.hex(), (lo, hi)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x: math.nan if x > 0.9 else x - 0.75,  # at the bracket's end
+            lambda x: math.nan if 0.3 < x < 0.9 else x - 0.75,  # at the first step
+        ],
+        ids=["endpoint", "iterate"],
+    )
+    def test_nan_value_raises(self, f):
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(f, 0.0, 1.0, BRENT_XTOL, BRENT_RTOL)
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 2.0, BRENT_XTOL, BRENT_RTOL)
+
+    def test_no_convergence_raises(self):
+        # a step function forces bisection, which needs ~150 halvings here
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            _brentq(lambda x: -1.0 if x < math.pi else 1.0, -1e30, 1e30, BRENT_XTOL, BRENT_RTOL)
 
 
 class TestConstants:

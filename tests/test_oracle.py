@@ -98,6 +98,22 @@ class TestAttainable:
     def test_exterior(self):
         assert not attainable(State(1.2, 0.3, 0.0), 1.0)
 
+    @pytest.mark.parametrize(
+        "q1, t1",
+        [
+            (State(0.5, 0.0, math.nan), 1.0),
+            (State(math.nan, 0.0, 0.0), 1.0),
+            (State(0.5, math.inf, 0.0), 1.0),
+            (State(0.5, 0.0, 0.0), math.inf),
+            (State(0.5, 0.0, 0.0), math.nan),
+        ],
+    )
+    def test_non_finite_rejected(self, q1, t1):
+        with pytest.raises(ValueError):
+            attainable(q1, t1)
+        with pytest.raises(ValueError):
+            bvp_shoot(q1, t1, starts=1)
+
 
 class TestShooting:
     def test_line_target(self):
@@ -126,6 +142,11 @@ class TestShooting:
     def test_unattainable_rejected(self):
         with pytest.raises(ValueError):
             bvp_shoot(State(2.0, 0.0, 0.0), 1.0)
+
+    @pytest.mark.parametrize("starts", [0, -1])
+    def test_starts_below_one_rejected(self, starts):
+        with pytest.raises(ValueError, match="starts"):
+            bvp_shoot(State(0.5, 0.0, 0.0), 1.0, starts=starts)
 
     def test_past_maxwell_point_second_solution_is_cheaper(self):
         # past the cut-time bound the shot trajectory is never the best one
