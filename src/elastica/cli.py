@@ -105,6 +105,14 @@ def _emit_record(doc: dict, args):
         _emit(_json_doc(doc), args.output)
 
 
+def _emit_table(keys, rows, args):
+    """Rows of values as a JSON list of objects, or as a CSV header and rows."""
+    if args.format == "csv":
+        _emit(_csv_doc(keys, rows), args.output)
+    else:
+        _emit(_json_doc([dict(zip(keys, row)) for row in rows]), args.output)
+
+
 def _fin(x: float):
     """JSON-safe number: infinities become the string 'inf'."""
     return x if math.isfinite(x) else "inf"
@@ -204,11 +212,7 @@ def cmd_sweep(args) -> int:
     ks = [args.kmin + (args.kmax - args.kmin) * i / (n - 1) for i in range(n)] if n > 1 else [args.kmin]
     values = [(k, _sweep_value(args.curve, k, args.family)) for k in ks]
     rows = [(k, v, v / ellint_K(k)) for k, v in values]
-    if args.format == "json":
-        doc = [{"k": r[0], "value": r[1], "value_over_K": r[2]} for r in rows]
-        _emit(_json_doc(doc), args.output)
-    else:
-        _emit(_csv_doc(["k", "value", "value_over_K"], rows), args.output)
+    _emit_table(["k", "value", "value_over_K"], rows, args)
     return EXIT_OK
 
 
@@ -319,23 +323,12 @@ def cmd_bvp(args) -> int:
         )
         return EXIT_UNATTAINABLE
     sols = bvp_shoot(q1, args.t1, starts=args.starts, jobs=args.jobs)
+    keys = ["beta", "c", "r", "energy", "residual", "cut_time_bound", "optimal_candidate"]
     rows = [
-        {
-            "beta": s.lam.beta,
-            "c": s.lam.c,
-            "r": s.lam.r,
-            "energy": s.energy,
-            "residual": s.residual,
-            "cut_time_bound": _fin(s.report.bound),
-            "optimal_candidate": s.optimal_candidate,
-        }
+        (s.lam.beta, s.lam.c, s.lam.r, s.energy, s.residual, _fin(s.report.bound), s.optimal_candidate)
         for s in sols
     ]
-    if args.format == "csv":
-        keys = ["beta", "c", "r", "energy", "residual", "cut_time_bound", "optimal_candidate"]
-        _emit(_csv_doc(keys, [[row[k] for k in keys] for row in rows]), args.output)
-    else:
-        _emit(_json_doc(rows), args.output)
+    _emit_table(keys, rows, args)
     return EXIT_OK
 
 
@@ -415,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--starts", type=_count(1), default=200)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_count(1), default=os.cpu_count() or 1)
     _add_output_flags(p)
     p.set_defaults(func=cmd_bvp)
 

@@ -68,6 +68,11 @@ class JacobiValues:
     eps: float
 
 
+def sech(u: float) -> float:
+    """1/cosh u, underflowing to zero instead of overflowing for |u| >= 709."""
+    return 0.0 if abs(u) >= 709.0 else 1.0 / math.cosh(u)
+
+
 def _as_k(k) -> float:
     """Accept a Modulus or a bare float and return the float modulus."""
     kf = float(k)
@@ -191,8 +196,10 @@ def jacobi(u: float, k) -> JacobiValues:
         return JacobiValues(math.sin(u), math.cos(u), 1.0, u, u)
     if kf == 1.0:
         t = math.tanh(u)
-        s = 1.0 / math.cosh(u)
-        return JacobiValues(t, s, s, math.atan(math.sinh(u)), t)
+        s = sech(u)
+        # sech is 0 only for |u| >= 709, where am has saturated at +-pi/2
+        am = math.atan(math.sinh(u)) if s else math.copysign(math.pi / 2.0, u)
+        return JacobiValues(t, s, s, am, t)
     a, _, c, n, K, E = _agm_scale(kf)
     m = math.floor(u / (2.0 * K) + 0.5)
     u_red = u - 2.0 * K * m

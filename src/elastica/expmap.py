@@ -1,13 +1,14 @@
 """Closed-form exponential mapping: covector -> endpoint of its elastica.
 
 The endpoint (x_t, y_t, theta_t) of the unit-speed curve driven by the
-pendulum solution is expressed through Jacobi functions on the oscillating
-stratum, through the reciprocal-modulus transform of the *same* expressions
-on the rotating strata (one code path, no second transcription), through
-hyperbolic functions on the separatrix, and through circular/linear motion
-in the degenerate cases.  Minus branches are obtained from plus branches by
-the phase-space inversion (beta, c) -> (-beta, -c), which acts on endpoints
-as (theta, x, y) -> (-theta, x, -y).
+pendulum solution, together with its bending energy J_t, is expressed
+through Jacobi functions on the oscillating stratum, through the
+reciprocal-modulus transform of the *same* expressions on the rotating
+strata (one code path, no second transcription), through hyperbolic
+functions on the separatrix, and through circular/linear motion in the
+degenerate cases.  Minus branches are obtained from plus branches by the
+phase-space inversion (beta, c) -> (-beta, -c), which acts on endpoints as
+(theta, x, y) -> (-theta, x, -y) and leaves J unchanged.
 
 The tangent angle always satisfies theta_t = beta_t - beta_0.
 """
@@ -19,10 +20,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .elliptic import JacobiValues, jacobi, jacobi_recip_modulus
+from .elliptic import JacobiValues, jacobi, jacobi_recip_modulus, sech
 from .phase import (
+    CIRCULAR,
     ROTATING,
     SEPARATRIX,
+    STRAIGHT,
     Covector,
     Stratum,
     stratify,
@@ -31,11 +34,6 @@ from .phase import (
 )
 
 CLASS_K_TOL = 1e-9
-
-
-def _sech(u: float) -> float:
-    """1/cosh with underflow to zero instead of overflow for |u| > ~710."""
-    return 1.0 / math.cosh(u) if abs(u) < 709.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -65,10 +63,10 @@ class ElasticaClass(Enum):
 def _endpoint_oscillating(
     k: float, sr: float, t: float, j0: JacobiValues, jt: JacobiValues
 ):
-    """Endpoint from the oscillating-stratum quadratures.
+    """Endpoint and bending energy from the oscillating-stratum quadratures.
 
     Written for algebraic modulus k; fed with reciprocal-modulus Jacobi
-    values (and k > 1) it yields the rotating-stratum endpoint as well.
+    values (and k > 1) it yields the rotating-stratum values as well.
     """
     dE = jt.eps - j0.eps
     k2 = k * k
@@ -84,37 +82,37 @@ def _endpoint_oscillating(
     y = (2.0 * k / sr) * (2.0 * j0.dn * j0.dn - 1.0) * (j0.cn - jt.cn) - (
         2.0 * k / sr
     ) * j0.sn * j0.dn * (2.0 * dE - sr * t)
-    return x, y, theta
+    return x, y, theta, 2.0 * sr * (dE - (1.0 - k2) * sr * t)
 
 
-def _normal_form(lam: Covector, tol=None):
+def _normal_form(lam: Covector):
     """Classify lam and reduce minus branches to plus via the inversion i.
 
     Returns (stratum, plus-branch covector, invert flag).
     """
-    s = stratify(lam, tol)
+    s = stratify(lam)
     if s in (Stratum.N2_MINUS, Stratum.N3_MINUS):
         return s, Covector(-lam.beta, -lam.c, lam.r), True
     return s, lam, False
 
 
 def _prepare(lam: Covector) -> Callable[[float], tuple]:
-    """Precompute the per-covector data; return t -> (x, y, theta)."""
+    """Precompute the per-covector data; return t -> (x, y, theta, J)."""
     s, lam_p, inverted = _normal_form(lam)
 
-    if s in (Stratum.N4, Stratum.N5, Stratum.N7):
+    if s in STRAIGHT:
 
         def line(t: float):
-            return t, 0.0, 0.0
+            return t, 0.0, 0.0, 0.0
 
         return line
 
-    if s in (Stratum.N6_PLUS, Stratum.N6_MINUS):
+    if s in CIRCULAR:
         c = lam.c
 
         def circle(t: float):
             ct = c * t
-            return math.sin(ct) / c, (1.0 - math.cos(ct)) / c, ct
+            return math.sin(ct) / c, (1.0 - math.cos(ct)) / c, ct, 0.5 * c * c * t
 
         return circle
 
@@ -140,20 +138,20 @@ def _prepare(lam: Covector) -> Callable[[float], tuple]:
 
         def rotating(t: float):
             jt = jacobi_recip_modulus(u0 + sr * t, k)
-            x, y, theta = _endpoint_oscillating(k_alg, sr, t, j0, jt)
-            return (x, -y, -theta) if inverted else (x, y, theta)
+            x, y, theta, J = _endpoint_oscillating(k_alg, sr, t, j0, jt)
+            return (x, -y, -theta, J) if inverted else (x, y, theta, J)
 
         return rotating
 
     # separatrix: hyperbolic closed forms (numerically stable at k = 1)
     u0 = sr * ec.phi
     th0 = math.tanh(u0)
-    se0 = _sech(u0)
+    se0 = sech(u0)
 
     def critical(t: float):
         ut = u0 + sr * t
         tht = math.tanh(ut)
-        sett = _sech(ut)
+        sett = sech(ut)
         dth = tht - th0
         dse = se0 - sett
         x = (
@@ -169,7 +167,8 @@ def _prepare(lam: Covector) -> Callable[[float], tuple]:
         theta = 2.0 * math.atan2(
             tht * se0 - th0 * sett, se0 * sett + th0 * tht
         )
-        return (x, -y, -theta) if inverted else (x, y, theta)
+        J = 2.0 * sr * dth
+        return (x, -y, -theta, J) if inverted else (x, y, theta, J)
 
     return critical
 
@@ -178,7 +177,8 @@ def exp_map(lam: Covector, t: float) -> State:
     """Endpoint of the elastica of lam at a finite arc length t >= 0."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"exp_map needs finite t >= 0, got {t}")
-    return State(*_prepare(lam)(t))
+    x, y, theta, _ = _prepare(lam)(t)
+    return State(x, y, theta)
 
 
 def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
@@ -189,7 +189,7 @@ def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
         raise ValueError(f"need finite t1 > 0, got {t1}")
     at = _prepare(lam)
     step = t1 / (n - 1)
-    return [State(*at(i * step)) for i in range(n)]
+    return [State(*at(i * step)[:3]) for i in range(n)]
 
 
 def classify(lam: Covector, tol: float = CLASS_K_TOL) -> ElasticaClass:
@@ -197,9 +197,9 @@ def classify(lam: Covector, tol: float = CLASS_K_TOL) -> ElasticaClass:
     from .maxwell import find_k0  # deferred import: avoids a module cycle
 
     s = stratify(lam)
-    if s in (Stratum.N4, Stratum.N5, Stratum.N7):
+    if s in STRAIGHT:
         return ElasticaClass.LINE
-    if s in (Stratum.N6_PLUS, Stratum.N6_MINUS):
+    if s in CIRCULAR:
         return ElasticaClass.CIRCLE
     if s in SEPARATRIX:
         return ElasticaClass.CRITICAL
@@ -222,29 +222,12 @@ def classify(lam: Covector, tol: float = CLASS_K_TOL) -> ElasticaClass:
 def elastic_energy_closed(lam: Covector, t: float) -> float:
     """Bending energy (1/2) integral of curvature^2 over [0, t], in closed form.
 
-    The curvature along the extremal is the pendulum velocity c_s, whose
-    square integrates through the epsilon function (oscillating/rotating)
-    or tanh (separatrix); zero exactly on the line strata.
+    The curvature along the extremal is the pendulum velocity c_s; its
+    square integrates through the epsilon function (oscillating, and
+    rotating by the reciprocal-modulus transform) or tanh (separatrix), and
+    is zero exactly on the line strata.  Computed by the same per-stratum
+    preparation as the endpoint.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"elastic energy needs finite t >= 0, got {t}")
-    s, lam_p, _ = _normal_form(lam)
-    if s in (Stratum.N4, Stratum.N5, Stratum.N7):
-        return 0.0
-    if s in (Stratum.N6_PLUS, Stratum.N6_MINUS):
-        return 0.5 * lam.c * lam.c * t
-    ec = to_elliptic(lam_p)
-    r = ec.r
-    sr = math.sqrt(r)
-    if s is Stratum.N1:
-        k = float(ec.k)
-        u0 = sr * ec.phi
-        dE = jacobi(u0 + sr * t, k).eps - jacobi(u0, k).eps
-        return 2.0 * sr * (dE - (1.0 - k * k) * sr * t)
-    if s in ROTATING:
-        k = float(ec.k)
-        v0 = sr * ec.psi
-        dE = jacobi(v0 + sr * t / k, k).eps - jacobi(v0, k).eps
-        return 2.0 * sr / k * dE
-    u0 = sr * ec.phi
-    return 2.0 * sr * (math.tanh(u0 + sr * t) - math.tanh(u0))
+    return _prepare(lam)(t)[3]

@@ -28,8 +28,10 @@ from .elliptic import (
     jacobi,
 )
 from .phase import (
+    CIRCULAR,
     ROTATING,
     SEPARATRIX,
+    STRAIGHT,
     Covector,
     Stratum,
     stratify,
@@ -48,7 +50,7 @@ _ROOT_SCAN_MAX = 8  # lattice indices examined when locating first Maxwell times
 K_RECT = 1.0 / math.sqrt(2.0)
 
 # separatrix, equilibria and the frozen case: no Maxwell point at any time
-_NEVER_MEETS = SEPARATRIX + (Stratum.N4, Stratum.N5, Stratum.N7)
+_NEVER_MEETS = SEPARATRIX + STRAIGHT
 
 
 class PoleError(ZeroDivisionError):
@@ -417,7 +419,7 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
     out: set[MaxwellStratum] = set()
     if s in _NEVER_MEETS:
         return out
-    if s in (Stratum.N6_PLUS, Stratum.N6_MINUS):
+    if s in CIRCULAR:
         n = _lattice_index(lam.c * t, 2.0 * math.pi, tol)
         if n is not None and n != 0:
             out.add(MaxwellStratum.MAX1)
@@ -448,15 +450,9 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
             or (on_even and abs(jt.sn) <= tol)
         ):
             out.add(MaxwellStratum.MAX3_PLUS)
-        sn2p = jp.sn * jp.sn
-        if sn2p > 0.0:
-            rhs = (2.0 * k * k * sn2p - 1.0) / (k * k * sn2p)
-            if (
-                -tol <= rhs <= 1.0 + tol
-                and abs(g1_n1(p, k)) <= tol
-                and abs(jt.sn * jt.sn - rhs) <= tol
-            ):
-                out.add(MaxwellStratum.MAX3_MINUS)
+        rhs = _chord_sn2(k, jp.sn * jp.sn, tol)
+        if rhs is not None and abs(g1_n1(p, k)) <= tol and abs(jt.sn * jt.sn - rhs) <= tol:
+            out.add(MaxwellStratum.MAX3_MINUS)
         return out
 
     # rotating strata
@@ -467,16 +463,24 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
         out.add(MaxwellStratum.MAX1)
     if on_lattice and abs(jt.sn * jt.cn) <= tol:
         out.add(MaxwellStratum.MAX3_PLUS)
-    sn2p = jp.sn * jp.sn
-    if sn2p > 0.0:
-        rhs = (2.0 * sn2p - 1.0) / (k * k * sn2p)
-        if (
-            -tol <= rhs <= 1.0 + tol
-            and abs(g1_n2(p, k)) <= tol
-            and abs(jt.sn * jt.sn - rhs) <= tol
-        ):
-            out.add(MaxwellStratum.MAX3_MINUS)
+    rhs = _chord_sn2(k, jp.sn * jp.sn, tol, rotating=True)
+    if rhs is not None and abs(g1_n2(p, k)) <= tol and abs(jt.sn * jt.sn - rhs) <= tol:
+        out.add(MaxwellStratum.MAX3_MINUS)
     return out
+
+
+def _chord_sn2(k: float, sn2p: float, tol: float, rotating: bool = False):
+    """sn^2 tau that the chord-reflection (MAX3-) system asks for at half-length p.
+
+    (2 k^2 sn^2 p - 1) / (k^2 sn^2 p) oscillating, (2 sn^2 p - 1) / (k^2 sn^2 p)
+    rotating; None unless it lies in [-tol, 1 + tol].  k^2 sn^2 p = 0 (also
+    by underflow) is the limit -inf, which no tau meets.
+    """
+    den = k * k * sn2p
+    if den == 0.0:
+        return None
+    rhs = ((2.0 * sn2p if rotating else 2.0 * den) - 1.0) / den
+    return rhs if -tol <= rhs <= 1.0 + tol else None
 
 
 def _first_times_oscillating(k: float, u0: float, sr: float, tol: float):
@@ -506,11 +510,9 @@ def _first_times_oscillating(k: float, u0: float, sr: float, tol: float):
     kstar, _ = find_kstar()
     if k >= float(kstar):
         pg = p_g1(k)
-        sn2p = jacobi(pg, k).sn ** 2
-        rhs = (2.0 * k * k * sn2p - 1.0) / (k * k * sn2p)
-        if -tol <= rhs <= 1.0 + tol:
-            if abs(jacobi(u0 + pg, k).sn ** 2 - rhs) <= tol:
-                t_max3m = 2.0 * pg / sr
+        rhs = _chord_sn2(k, jacobi(pg, k).sn ** 2, tol)
+        if rhs is not None and abs(jacobi(u0 + pg, k).sn ** 2 - rhs) <= tol:
+            t_max3m = 2.0 * pg / sr
 
     return t_max1, t_max2, t_max3p, t_max3m, p1
 
@@ -539,7 +541,7 @@ def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
     s = stratify(lam)
     if s in _NEVER_MEETS:
         return MaxwellReport(s, math.inf, math.inf, math.inf, math.inf, math.inf)
-    if s in (Stratum.N6_PLUS, Stratum.N6_MINUS):
+    if s in CIRCULAR:
         T = 2.0 * math.pi / abs(lam.c)
         return MaxwellReport(s, T, math.inf, T, math.inf, T)
 

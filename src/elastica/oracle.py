@@ -292,12 +292,14 @@ def bvp_shoot(
     frozen covector, collapsing the degenerate (beta, r) freedom.
 
     Returns an empty list (with a logged diagnostic) when no start converges.
-    A non-finite target or time, or starts < 1, raises ValueError.
+    A non-finite target or time, starts < 1 or jobs < 1 raises ValueError.
     """
     import numpy as np
 
     if starts < 1:
         raise ValueError(f"bvp_shoot needs starts >= 1, got {starts}")
+    if jobs < 1:
+        raise ValueError(f"bvp_shoot needs jobs >= 1, got {jobs}")
     if not attainable(q1, t1):
         raise ValueError("target is outside the exact-time attainable set")
     grid = start_grid()[:starts]

@@ -24,6 +24,7 @@ from .elliptic import (
     ellint_F_inc,
     ellint_K,
     jacobi,
+    sech,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -91,6 +92,9 @@ OSCILLATING = (Stratum.N1,)
 ROTATING = (Stratum.N2_PLUS, Stratum.N2_MINUS)
 SEPARATRIX = (Stratum.N3_PLUS, Stratum.N3_MINUS)
 ELLIPTIC_STRATA = OSCILLATING + ROTATING + SEPARATRIX
+# the equilibria and the frozen case trace straight lines; N6 traces circles
+STRAIGHT = (Stratum.N4, Stratum.N5, Stratum.N7)
+CIRCULAR = (Stratum.N6_PLUS, Stratum.N6_MINUS)
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,7 @@ def period(obj) -> float:
     """
     if isinstance(obj, Covector):
         s = stratify(obj)
-        if s in (Stratum.N6_PLUS, Stratum.N6_MINUS):
+        if s in CIRCULAR:
             return TWO_PI / abs(obj.c)
         return period(to_elliptic(obj))
     ec = obj
@@ -192,14 +196,14 @@ def period(obj) -> float:
     raise UnsupportedStratumError(f"no period on {ec.stratum}")
 
 
-def to_elliptic(lam: Covector, tol: float | None = None) -> EllipticCoords:
+def to_elliptic(lam: Covector) -> EllipticCoords:
     """Forward map (beta, c, r) -> (stratum, k, phi, r) on N1, N2+-, N3+-.
 
     phi is recovered by quadrant-aware inversion of the defining triples: the
     amplitude is taken from atan2 of the (sn, cn) pair, mapped through the
     quasi-periodic incomplete integral, and reduced to [0, period).
     """
-    s = stratify(lam, tol)
+    s = stratify(lam)
     r = lam.r
     sr = math.sqrt(r) if r > 0 else 0.0
     if s is Stratum.N1:
@@ -239,28 +243,28 @@ def from_elliptic(ec: EllipticCoords) -> Covector:
     if ec.stratum in SEPARATRIX:
         sgn = float(ec.stratum.sign)
         u = sr * ec.phi
-        sech = 1.0 / math.cosh(u) if abs(u) < 709.0 else 0.0
-        beta = 2.0 * math.atan2(sgn * math.tanh(u), sech)
-        return Covector(beta, sgn * 2.0 * sr * sech, r)
+        se = sech(u)
+        beta = 2.0 * math.atan2(sgn * math.tanh(u), se)
+        return Covector(beta, sgn * 2.0 * sr * se, r)
     raise UnsupportedStratumError(f"no elliptic coordinates on {ec.stratum}")
 
 
-def flow_vertical(lam: Covector, t: float, tol: float | None = None) -> Covector:
+def flow_vertical(lam: Covector, t: float) -> Covector:
     """Closed-form pendulum flow for time t, on every stratum.
 
     Rectified strata advance phi by t; N6 rotates uniformly; the equilibria
     N4/N5 and the frozen case N7 are returned unchanged (constant motion).
     """
-    s = stratify(lam, tol)
+    s = stratify(lam)
     if s in ELLIPTIC_STRATA:
-        ec = to_elliptic(lam, tol)
+        ec = to_elliptic(lam)
         phi_t = ec.phi + t
-        if s is not Stratum.N3_PLUS and s is not Stratum.N3_MINUS:
+        if s not in SEPARATRIX:
             phi_t %= period(ec)
         return from_elliptic(
             EllipticCoords(ec.stratum, ec.k, phi_t, ec.r)
         )
-    if s in (Stratum.N6_PLUS, Stratum.N6_MINUS):
+    if s in CIRCULAR:
         return Covector(lam.beta + lam.c * t, lam.c, lam.r)
     # N4 / N5 / N7: equilibria of the vertical subsystem
     return lam

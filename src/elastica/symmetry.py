@@ -23,8 +23,10 @@ from enum import IntEnum
 from .elliptic import jacobi
 from .expmap import State
 from .phase import (
+    CIRCULAR,
     ROTATING,
     SEPARATRIX,
+    STRAIGHT,
     Covector,
     EllipticCoords,
     Stratum,
@@ -165,9 +167,9 @@ def is_fixed_covector(i, lam: Covector, t: float, tol: float = 1e-9) -> bool:
     """
     i = Reflection(i)
     s = stratify(lam)
-    if s in (Stratum.N4, Stratum.N5, Stratum.N7):
+    if s in STRAIGHT:
         return True
-    if s in (Stratum.N6_PLUS, Stratum.N6_MINUS):
+    if s in CIRCULAR:
         if i is Reflection.CHORD_PERPENDICULAR:
             return abs(wrap_angle(2.0 * lam.beta + lam.c * t)) < tol
         return False

@@ -244,6 +244,19 @@ class TestMaxwellCmd:
         assert doc["bound"] == "inf"
         assert doc["membership"] == []
 
+    def test_chord_denominator_underflow(self):
+        # k^2 sn^2 p underflows to 0 at this tiny half-length p: that is the
+        # limit where the chord-reflection equation has no solution
+        proc = subprocess.run(
+            [sys.executable, "-m", "elastica.cli", "maxwell", "--beta", "3.14159",
+             "--c", "1", "--r", "7e-9", "--t", "1e-160"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["membership"] == []
+        assert math.isfinite(doc["bound"])
 
     def test_env_tolerance_override(self, capsys, monkeypatch):
         # a loose ELASTICA_TOL widens the lattice bands into membership
@@ -293,6 +306,10 @@ class TestInvalidInput:
                          None, 2, id="sweep-jobs-removed"),
             pytest.param(["bvp", "--x", "1", "--y", "0", "--theta", "0", "--t1", "1",
                           "--starts", "0"], None, 2, id="bvp-starts-0"),
+            pytest.param(["bvp", "--x", "0.5", "--y", "0", "--theta", "0", "--t1", "1",
+                          "--starts", "2", "--jobs", "0"], None, 2, id="bvp-jobs-0"),
+            pytest.param(["bvp", "--x", "0.5", "--y", "0", "--theta", "0", "--t1", "1",
+                          "--starts", "2", "--jobs=-4"], None, 2, id="bvp-jobs-negative"),
             pytest.param([*_MAXWELL_FULL_TURN, "--tol", "-1"], None, 2, id="tol-negative"),
             pytest.param([*_MAXWELL_FULL_TURN, "--tol", "0"], None, 2, id="tol-zero"),
             pytest.param([*_MAXWELL_FULL_TURN, "--tol", "nan"], None, 2, id="tol-nan"),

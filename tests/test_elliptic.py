@@ -142,6 +142,19 @@ class TestJacobi:
         assert jv.sn == pytest.approx(math.tanh(0.9), abs=1e-15)
         assert jv.cn == pytest.approx(1 / math.cosh(0.9), abs=1e-15)
 
+    def test_unit_modulus_finite_past_cosh_overflow(self):
+        # cosh and sinh overflow beyond |u| ~ 710: sech underflows to 0 and
+        # the amplitude saturates at +-pi/2 instead of raising OverflowError
+        for u, sign in ((711.0, 1.0), (-711.0, -1.0), (1e300, 1.0)):
+            jv = jacobi(u, 1.0)
+            assert (jv.sn, jv.cn, jv.dn, jv.am, jv.eps) == (
+                sign, 0.0, 0.0, sign * math.pi / 2, sign
+            )
+        for u in (-708.9, -30.0, 0.7, 708.9):
+            jv = jacobi(u, 1.0)
+            assert jv.cn == jv.dn == 1.0 / math.cosh(u)
+            assert jv.am == math.atan(math.sinh(u))
+
     def test_against_ode_oracle(self):
         u, k = 1.3, 0.9
         am, eps = _jacobi_ode_oracle(u, k)

@@ -143,10 +143,18 @@ class TestShooting:
         with pytest.raises(ValueError):
             bvp_shoot(State(2.0, 0.0, 0.0), 1.0)
 
-    @pytest.mark.parametrize("starts", [0, -1])
-    def test_starts_below_one_rejected(self, starts):
-        with pytest.raises(ValueError, match="starts"):
-            bvp_shoot(State(0.5, 0.0, 0.0), 1.0, starts=starts)
+    @pytest.mark.parametrize(
+        "starts, jobs, flag",
+        [
+            pytest.param(0, 1, "starts", id="0"),
+            pytest.param(-1, 1, "starts", id="-1"),
+            pytest.param(2, 0, "jobs", id="jobs-0"),
+            pytest.param(2, -3, "jobs", id="jobs-negative"),
+        ],
+    )
+    def test_starts_below_one_rejected(self, starts, jobs, flag):
+        with pytest.raises(ValueError, match=flag):
+            bvp_shoot(State(0.5, 0.0, 0.0), 1.0, starts=starts, jobs=jobs)
 
     def test_past_maxwell_point_second_solution_is_cheaper(self):
         # past the cut-time bound the shot trajectory is never the best one
