@@ -96,8 +96,16 @@ def _csv_doc(header, rows) -> str:
     return buf.getvalue()
 
 
+def _require_finite(keys, row):
+    """A non-finite number in an output row is an overflowed result: raise."""
+    for key, value in zip(keys, row):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} is not finite: {value}")
+
+
 def _emit_record(doc: dict, args):
     """One record as a JSON object, or as a CSV header and value row."""
+    _require_finite(doc, doc.values())
     if args.format == "csv":
         keys = list(doc)
         _emit(_csv_doc(keys, [[doc[k] for k in keys]]), args.output)
@@ -223,6 +231,8 @@ def _svg_polyline(points, title: str) -> str:
     margin = 0.05 * span
     x0, y0 = min(xs) - margin, min(ys) - margin
     box = span + 2.0 * margin
+    if not all(map(math.isfinite, (x0, y0, box))):
+        raise ValueError("elastica too large to draw: its view box overflows")
     scale = 1000.0 / box
     # flip y so the mathematical orientation points up
     pts = " ".join(
@@ -244,15 +254,14 @@ def cmd_elastica(args) -> int:
     if args.gallery is not None:
         return _gallery(args.gallery, args.n)
     lam = _covector(args)
-    pts = sample_elastica(lam, args.t1, args.n)
-    title = classify(lam).value
+    rows = [(q.x, q.y, q.theta) for q in sample_elastica(lam, args.t1, args.n)]
+    keys = ["x", "y", "theta"]
+    for row in rows:
+        _require_finite(keys, row)
     if args.format == "svg":
-        _emit(_svg_polyline([(q.x, q.y) for q in pts], title), args.output)
+        _emit(_svg_polyline(rows, classify(lam).value), args.output)
     else:
-        _emit(
-            _csv_doc(["x", "y", "theta"], [(q.x, q.y, q.theta) for q in pts]),
-            args.output,
-        )
+        _emit(_csv_doc(keys, rows), args.output)
     return EXIT_OK
 
 

@@ -68,11 +68,6 @@ class JacobiValues:
     eps: float
 
 
-def sech(u: float) -> float:
-    """1/cosh u, underflowing to zero instead of overflowing for |u| >= 709."""
-    return 0.0 if abs(u) >= 709.0 else 1.0 / math.cosh(u)
-
-
 def _as_k(k) -> float:
     """Accept a Modulus or a bare float and return the float modulus."""
     kf = float(k)
@@ -158,13 +153,16 @@ def _incomplete_agm(phi: float, k: float):
 def ellint_F_inc(phi: float, k) -> float:
     """Incomplete first-kind integral F(phi, k), any real phi.
 
-    Extended by quasi-periodicity F(phi + pi) = F(phi) + 2K.
+    Extended by quasi-periodicity F(phi + pi) = F(phi) + 2K.  At k = 1 it is
+    the inverse Gudermannian, atanh(sin phi) = asinh(tan phi), whose second
+    form stays finite where sin phi rounds to +-1 next to phi = +-pi/2.
     """
     kf = _as_k(k)
     if kf == 1.0:
         if abs(phi) >= math.pi / 2.0:
             raise EllipticDivergenceError("F(phi, 1) diverges for |phi| >= pi/2")
-        return math.atanh(math.sin(phi))
+        s = math.sin(phi)
+        return math.atanh(s) if abs(s) < 1.0 else math.asinh(math.tan(phi))
     if kf == 0.0:
         return phi
     phi_red, m = _reduce_phase(phi)
@@ -189,17 +187,21 @@ def jacobi(u: float, k) -> JacobiValues:
     """sn, cn, dn, am and eps at real u, modulus k in [0, 1].
 
     The amplitude and epsilon are the continuous (unreduced) branches:
-    am(u + 2K) = am(u) + pi and eps(u + 2K) = eps(u) + 2E.
+    am(u + 2K) = am(u) + pi and eps(u + 2K) = eps(u) + 2E.  u = +-inf is
+    accepted only at k = 1, where the hyperbolic forms take their limits.
     """
     kf = _as_k(k)
+    if not math.isfinite(u) and (kf != 1.0 or math.isnan(u)):
+        raise EllipticDomainError(f"Jacobi functions need a finite argument, got {u}")
     if kf == 0.0:
         return JacobiValues(math.sin(u), math.cos(u), 1.0, u, u)
     if kf == 1.0:
         t = math.tanh(u)
-        s = sech(u)
-        # sech is 0 only for |u| >= 709, where am has saturated at +-pi/2
-        am = math.atan(math.sinh(u)) if s else math.copysign(math.pi / 2.0, u)
-        return JacobiValues(t, s, s, am, t)
+        if abs(u) >= 709.0:
+            # cosh and sinh overflow: sech has underflowed, am has saturated
+            return JacobiValues(t, 0.0, 0.0, math.copysign(math.pi / 2.0, u), t)
+        s = 1.0 / math.cosh(u)
+        return JacobiValues(t, s, s, math.atan(math.sinh(u)), t)
     a, _, c, n, K, E = _agm_scale(kf)
     m = math.floor(u / (2.0 * K) + 0.5)
     u_red = u - 2.0 * K * m

@@ -2,13 +2,14 @@
 
 The endpoint (x_t, y_t, theta_t) of the unit-speed curve driven by the
 pendulum solution, together with its bending energy J_t, is expressed
-through Jacobi functions on the oscillating stratum, through the
-reciprocal-modulus transform of the *same* expressions on the rotating
-strata (one code path, no second transcription), through hyperbolic
-functions on the separatrix, and through circular/linear motion in the
-degenerate cases.  Minus branches are obtained from plus branches by the
-phase-space inversion (beta, c) -> (-beta, -c), which acts on endpoints as
-(theta, x, y) -> (-theta, x, -y) and leaves J unchanged.
+through Jacobi functions on the oscillating stratum, through the *same*
+expressions at modulus k = 1 on the separatrix (where the Jacobi functions
+are hyperbolic), through the reciprocal-modulus transform of them on the
+rotating strata (one code path, no second transcription), and through
+circular/linear motion in the degenerate cases.  Minus branches are obtained
+from plus branches by the phase-space inversion (beta, c) -> (-beta, -c),
+which acts on endpoints as (theta, x, y) -> (-theta, x, -y) and leaves J
+unchanged.
 
 The tangent angle always satisfies theta_t = beta_t - beta_0.
 """
@@ -20,14 +21,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .elliptic import JacobiValues, jacobi, jacobi_recip_modulus, sech
+from .elliptic import JacobiValues, jacobi, jacobi_recip_modulus
 from .phase import (
     CIRCULAR,
     ROTATING,
     SEPARATRIX,
     STRAIGHT,
     Covector,
-    Stratum,
     stratify,
     to_elliptic,
     wrap_angle,
@@ -61,12 +61,14 @@ class ElasticaClass(Enum):
 
 
 def _endpoint_oscillating(
-    k: float, sr: float, t: float, j0: JacobiValues, jt: JacobiValues
+    k: float, sr: float, t: float, sgn: float, j0: JacobiValues, jt: JacobiValues
 ):
     """Endpoint and bending energy from the oscillating-stratum quadratures.
 
-    Written for algebraic modulus k; fed with reciprocal-modulus Jacobi
-    values (and k > 1) it yields the rotating-stratum values as well.
+    Written for algebraic modulus k; at k = 1 the Jacobi values are the
+    hyperbolic ones of the separatrix, and fed with reciprocal-modulus Jacobi
+    values (and k > 1) it yields the rotating-stratum values as well.  sgn is
+    -1.0 on the inverted minus branches and +1.0 otherwise.
     """
     dE = jt.eps - j0.eps
     k2 = k * k
@@ -82,23 +84,12 @@ def _endpoint_oscillating(
     y = (2.0 * k / sr) * (2.0 * j0.dn * j0.dn - 1.0) * (j0.cn - jt.cn) - (
         2.0 * k / sr
     ) * j0.sn * j0.dn * (2.0 * dE - sr * t)
-    return x, y, theta, 2.0 * sr * (dE - (1.0 - k2) * sr * t)
-
-
-def _normal_form(lam: Covector):
-    """Classify lam and reduce minus branches to plus via the inversion i.
-
-    Returns (stratum, plus-branch covector, invert flag).
-    """
-    s = stratify(lam)
-    if s in (Stratum.N2_MINUS, Stratum.N3_MINUS):
-        return s, Covector(-lam.beta, -lam.c, lam.r), True
-    return s, lam, False
+    return x, sgn * y, sgn * theta, 2.0 * sr * (dE - (1.0 - k2) * sr * t)
 
 
 def _prepare(lam: Covector) -> Callable[[float], tuple]:
     """Precompute the per-covector data; return t -> (x, y, theta, J)."""
-    s, lam_p, inverted = _normal_form(lam)
+    s = stratify(lam)
 
     if s in STRAIGHT:
 
@@ -116,61 +107,24 @@ def _prepare(lam: Covector) -> Callable[[float], tuple]:
 
         return circle
 
-    ec = to_elliptic(lam_p)
-    r = ec.r
-    sr = math.sqrt(r)
-
-    if s is Stratum.N1:
-        k = float(ec.k)
-        u0 = sr * ec.phi
-        j0 = jacobi(u0, k)
-
-        def oscillating(t: float):
-            return _endpoint_oscillating(k, sr, t, j0, jacobi(u0 + sr * t, k))
-
-        return oscillating
-
-    if s in ROTATING:
-        k = float(ec.k)
-        k_alg = 1.0 / k
-        u0 = sr * ec.phi
-        j0 = jacobi_recip_modulus(u0, k)
-
-        def rotating(t: float):
-            jt = jacobi_recip_modulus(u0 + sr * t, k)
-            x, y, theta, J = _endpoint_oscillating(k_alg, sr, t, j0, jt)
-            return (x, -y, -theta, J) if inverted else (x, y, theta, J)
-
-        return rotating
-
-    # separatrix: hyperbolic closed forms (numerically stable at k = 1)
+    # a minus branch is evaluated on its plus-branch image under the inversion
+    sgn = float(s.sign or 1)
+    ec = to_elliptic(lam if sgn > 0 else Covector(-lam.beta, -lam.c, lam.r))
+    sr = math.sqrt(ec.r)
+    k = float(ec.k)
     u0 = sr * ec.phi
-    th0 = math.tanh(u0)
-    se0 = sech(u0)
+    # the rotating strata evaluate the same quadratures at modulus 1/k > 1;
+    # on the separatrix k is exactly 1 and jacobi takes its hyperbolic forms
+    if s in ROTATING:
+        k_alg, jac = 1.0 / k, jacobi_recip_modulus
+    else:
+        k_alg, jac = k, jacobi
+    j0 = jac(u0, k)
 
-    def critical(t: float):
-        ut = u0 + sr * t
-        tht = math.tanh(ut)
-        sett = sech(ut)
-        dth = tht - th0
-        dse = se0 - sett
-        x = (
-            (2.0 / sr) * (1.0 - 2.0 * th0 * th0) * dth
-            + (4.0 / sr) * th0 * se0 * dse
-            - (1.0 - 2.0 * th0 * th0) * t
-        )
-        y = (
-            (2.0 / sr) * (2.0 * se0 * se0 - 1.0) * dse
-            - (4.0 / sr) * th0 * se0 * dth
-            + 2.0 * th0 * se0 * t
-        )
-        theta = 2.0 * math.atan2(
-            tht * se0 - th0 * sett, se0 * sett + th0 * tht
-        )
-        J = 2.0 * sr * dth
-        return (x, -y, -theta, J) if inverted else (x, y, theta, J)
+    def elliptic(t: float):
+        return _endpoint_oscillating(k_alg, sr, t, sgn, j0, jac(u0 + sr * t, k))
 
-    return critical
+    return elliptic
 
 
 def exp_map(lam: Covector, t: float) -> State:
@@ -223,9 +177,9 @@ def elastic_energy_closed(lam: Covector, t: float) -> float:
     """Bending energy (1/2) integral of curvature^2 over [0, t], in closed form.
 
     The curvature along the extremal is the pendulum velocity c_s; its
-    square integrates through the epsilon function (oscillating, and
-    rotating by the reciprocal-modulus transform) or tanh (separatrix), and
-    is zero exactly on the line strata.  Computed by the same per-stratum
+    square integrates through the epsilon function (oscillating, separatrix
+    at k = 1, and rotating by the reciprocal-modulus transform), and is zero
+    exactly on the line strata.  Computed by the same per-stratum
     preparation as the endpoint.
     """
     if not 0.0 <= t < math.inf:

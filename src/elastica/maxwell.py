@@ -214,17 +214,22 @@ def g1_n2(p: float, k) -> float:
 # ---------------------------------------------------------------------------
 # amplitude-variable auxiliaries for the chord-reflection root curve
 
+def _a1_coeffs(k: float):
+    """Coefficients (c0, c1, c2) of a1 as a quadratic in cos 2u."""
+    k2 = k * k
+    c0 = 8.0 - 10.0 * k2 + 4.0 * k2 * k2
+    c1 = 4.0 * k2 * (3.0 - 2.0 * k2)
+    c2 = 2.0 * k2 * (2.0 * k2 - 1.0)
+    return c0, c1, c2
+
+
 def a1(u: float, k) -> float:
     """Quadratic in cos 2u whose sign drives the monotonicity of h2.
 
     c0 + c1 cos 2u + c2 cos^2 2u with c0 = 8 - 10k^2 + 4k^4,
     c1 = 4k^2(3 - 2k^2), c2 = 2k^2(2k^2 - 1); equals 8 at u = 0 for every k.
     """
-    kf = float(k)
-    k2 = kf * kf
-    c0 = 8.0 - 10.0 * k2 + 4.0 * k2 * k2
-    c1 = 4.0 * k2 * (3.0 - 2.0 * k2)
-    c2 = 2.0 * k2 * (2.0 * k2 - 1.0)
+    c0, c1, c2 = _a1_coeffs(float(k))
     t = math.cos(2.0 * u)
     return c0 + c1 * t + c2 * t * t
 
@@ -295,10 +300,7 @@ def u_a1(k) -> float:
     kf = float(k)
     if not K_RECT - 1e-14 <= kf <= 1.0:
         raise ValueError(f"u_a1 needs k in [1/sqrt(2), 1], got {kf}")
-    k2 = kf * kf
-    c0 = 8.0 - 10.0 * k2 + 4.0 * k2 * k2
-    c1 = 4.0 * k2 * (3.0 - 2.0 * k2)
-    c2 = 2.0 * k2 * (2.0 * k2 - 1.0)
+    c0, c1, c2 = _a1_coeffs(kf)
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc <= 0.0:
         return math.pi / 2.0

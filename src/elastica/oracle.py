@@ -39,8 +39,8 @@ class IntegratorConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be finite and positive, got {self.step}")
 
 
 class MaxStepsExceeded(RuntimeError):
@@ -58,11 +58,12 @@ def integrate_extremal(
     if not 0.0 <= t < math.inf:
         raise ValueError(f"integration time must be finite and >= 0, got {t}")
     cfg = cfg or IntegratorConfig()
-    n_full = int(t / cfg.step)
-    if n_full + 1 > cfg.max_steps:
+    # compared as a float first: t / step overflows to inf for a tiny step
+    if t / cfg.step >= cfg.max_steps:
         raise MaxStepsExceeded(
             f"horizon {t} needs more than {cfg.max_steps} steps of {cfg.step}"
         )
+    n_full = int(t / cfg.step)
     r = lam.r
     b, c, x, y, th, J = lam.beta, lam.c, 0.0, 0.0, 0.0, 0.0
     sin, cos = math.sin, math.cos

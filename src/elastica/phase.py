@@ -19,13 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .elliptic import (
-    Modulus,
-    ellint_F_inc,
-    ellint_K,
-    jacobi,
-    sech,
-)
+from .elliptic import Modulus, ellint_F_inc, ellint_K, jacobi
 
 TWO_PI = 2.0 * math.pi
 
@@ -220,8 +214,7 @@ def to_elliptic(lam: Covector) -> EllipticCoords:
         srv = ellint_F_inc(am, k) % (2.0 * ellint_K(k))
         return EllipticCoords(s, Modulus(k), k * srv / sr, r)
     if s in SEPARATRIX:
-        sgn = float(s.sign)
-        sru = math.atanh(sgn * math.sin(0.5 * lam.beta))
+        sru = ellint_F_inc(s.sign * 0.5 * lam.beta, 1.0)
         return EllipticCoords(s, Modulus(1.0), sru / sr, r)
     raise UnsupportedStratumError(f"no elliptic coordinates on {s}")
 
@@ -231,22 +224,15 @@ def from_elliptic(ec: EllipticCoords) -> Covector:
     r = ec.r
     sr = math.sqrt(r)
     k = float(ec.k)
-    if ec.stratum is Stratum.N1:
-        jv = jacobi(sr * ec.phi, k)
-        beta = 2.0 * math.atan2(k * jv.sn, jv.dn)
-        return Covector(beta, 2.0 * k * sr * jv.cn, r)
+    sgn = float(ec.stratum.sign or 1)
     if ec.stratum in ROTATING:
-        sgn = float(ec.stratum.sign)
         jv = jacobi(sr * ec.psi, k)
         beta = 2.0 * math.atan2(sgn * jv.sn, jv.cn)
         return Covector(beta, sgn * 2.0 * sr / k * jv.dn, r)
-    if ec.stratum in SEPARATRIX:
-        sgn = float(ec.stratum.sign)
-        u = sr * ec.phi
-        se = sech(u)
-        beta = 2.0 * math.atan2(sgn * math.tanh(u), se)
-        return Covector(beta, sgn * 2.0 * sr * se, r)
-    raise UnsupportedStratumError(f"no elliptic coordinates on {ec.stratum}")
+    # N1, and N3+- at k = 1 where the Jacobi functions are hyperbolic
+    jv = jacobi(sr * ec.phi, k)
+    beta = 2.0 * math.atan2(sgn * k * jv.sn, jv.dn)
+    return Covector(beta, sgn * 2.0 * k * sr * jv.cn, r)
 
 
 def flow_vertical(lam: Covector, t: float) -> Covector:

@@ -3,18 +3,24 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from elastica.cli import main
 from elastica.elliptic import ellint_K
 from elastica.maxwell import cut_time_bound, find_k0
-from elastica.phase import to_elliptic
+from elastica.oracle import integrate_extremal
+from elastica.phase import Covector, to_elliptic
 
 from conftest import n1, n2
 
@@ -107,6 +113,21 @@ class TestExp:
                     assert a[key] == pytest.approx(b[key], abs=1e-7)
                 dth = (a["theta"] - b["theta"]) % (2 * math.pi)
                 assert min(dth, 2 * math.pi - dth) < 1e-7
+
+    def test_separatrix_next_to_saddle(self, capsys):
+        # sin(beta/2) rounds to 1 on this N3plus covector: its elliptic phase
+        # comes from the asinh(tan) form of the inverse Gudermannian
+        flags = ["--beta", "3.1415926345200074", "--c", "4.718128120958275e-08",
+                 "--r", "6.121358707543794"]
+        lam = Covector(3.1415926345200074, 4.718128120958275e-08, 6.121358707543794)
+        for t in (1.0, 6.0):
+            code, out = run_cli(["exp", *flags, "--t", repr(t)], capsys)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["stratum"] == "N3plus"
+            q, _, _ = integrate_extremal(lam, t)
+            for key in ("x", "y", "theta"):
+                assert doc[key] == pytest.approx(getattr(q, key), abs=1.2e-8)
 
 
 class TestConstants:
@@ -346,6 +367,29 @@ class TestInvalidInput:
                           "--starts", "2", "--jobs", "1"], None, 3, id="bvp-x-nan"),
             pytest.param(["bvp", "--x", "0.5", "--y", "0", "--theta", "0", "--t1", "inf",
                           "--starts", "2", "--jobs", "1"], None, 3, id="bvp-t1-inf"),
+            pytest.param(["exp", "--beta=1e300", "--c", "1", "--r", "1e154", "--t", "1e300"],
+                         None, 3, id="exp-jacobi-argument-overflow"),
+            pytest.param(["elastica", "--beta=1e300", "--c", "1", "--r", "1e154",
+                          "--t1", "1e300"], None, 3, id="elastica-jacobi-argument-overflow"),
+            pytest.param(["maxwell", "--beta=1e300", "--c", "1", "--r", "1e154", "--t", "1e300"],
+                         None, 3, id="maxwell-jacobi-argument-overflow"),
+            pytest.param(["exp", "--beta", "1e9", "--c", "1e-300", "--r", "1e300",
+                          "--t", "1e154"], None, 3, id="exp-energy-overflow"),
+            pytest.param(["exp", "--beta", "1e9", "--c", "1e-300", "--r", "1e300",
+                          "--t", "1e154", "--format", "csv"], None, 3,
+                         id="exp-energy-overflow-csv"),
+            pytest.param(["oracle-exp", "--beta=1e300", "--c=-1e300", "--r=3.1e115",
+                          "--t=0.5", "--step", "0.5"], None, 3, id="oracle-exp-overflow"),
+            pytest.param(["oracle-exp", "--beta", "0", "--c", "1", "--r", "1", "--t", "1",
+                          "--step", "5e-324"], None, 3, id="oracle-exp-step-count-overflow"),
+            pytest.param(["oracle-exp", "--beta", "0", "--c", "1", "--r", "1", "--t", "1",
+                          "--step", "inf"], None, 3, id="oracle-exp-step-inf"),
+            pytest.param(["elastica", "--beta", "1", "--c", "1", "--r", "1",
+                          "--t1", "1.7976931348623157e308", "--n", "5", "--format", "csv"],
+                         None, 3, id="elastica-sample-overflow"),
+            pytest.param(["elastica", "--beta", "1", "--c", "0", "--r", "0",
+                          "--t1", "1.7976931348623157e308", "--n", "5"],
+                         None, 3, id="elastica-view-box-overflow"),
         ],
     )
     def test_rejected(self, argv, env_tol, expected, capsys, monkeypatch):
@@ -453,3 +497,100 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+# powers of ten over the whole finite range: overflow comes from the
+# magnitudes, which a log-uniform draw spreads evenly
+_POWER = st.integers(-323, 308).map(lambda e: 10.0**e)
+# either sign, plus every float hypothesis draws (subnormals, +-inf, NaN)
+# and the values where the formulas change branch
+_EXTREME = st.one_of(
+    _POWER,
+    _POWER.map(lambda x: -x),
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, 5e-324, sys.float_info.max,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+# r, times and steps are rejected when negative: lean towards valid ones
+_NONNEG = st.one_of(_POWER, _EXTREME)
+_MODULUS = st.one_of(st.floats(0.0, 1.0), _EXTREME)
+# documented fields that hold the string "inf" for an unbounded time
+_UNBOUNDED_KEYS = ("bound", "cut_time_bound", "t1_max")
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(["exp", "oracle-exp", "maxwell", "elastica", "sweep"]))
+    if command == "sweep":
+        curve = draw(st.sampled_from(["p11", "pg1", "ua1", "uh1", "cutbound"]))
+        return ["sweep", curve, f"--kmin={draw(_MODULUS)!r}", f"--kmax={draw(_MODULUS)!r}",
+                "--n", "3", "--family", draw(st.sampled_from(["n1", "n2"])),
+                "--format", draw(st.sampled_from(["csv", "json"]))]
+    beta, c, r, t = draw(_EXTREME), draw(_EXTREME), draw(_NONNEG), draw(_NONNEG)
+    argv = [command, f"--beta={beta!r}", f"--c={c!r}", f"--r={r!r}"]
+    if command == "elastica":
+        fmt = draw(st.sampled_from(["csv", "svg"]))
+        return [*argv, f"--t1={t!r}", "--n", "5", "--format", fmt]
+    if command == "maxwell":
+        return [*argv, f"--t={t!r}"]
+    argv += [f"--t={t!r}", "--format", draw(st.sampled_from(["json", "csv"]))]
+    if command == "oracle-exp":
+        step = draw(_NONNEG)
+        # keep the RK4 loop short; past the step budget it is rejected at once
+        assume(not 1e3 < (abs(t / step) if step else math.inf) < 1e7)
+        argv.append(f"--step={step!r}")
+    return argv
+
+
+def _unexpected_non_finite(key, value) -> bool:
+    """A field holding a non-finite number it is not documented to hold."""
+    if isinstance(value, str):
+        if value == "inf" and key.startswith(_UNBOUNDED_KEYS):
+            return False
+        try:
+            value = float(value)
+        except ValueError:
+            return False
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+def _document_fields(argv, out):
+    """(key, value) pairs of an exit-0 document, whatever its format."""
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    if fmt == "svg":
+        points = re.search(r'points="([^"]*)"', out).group(1)
+        return [("points", v) for v in re.split(r"[ ,]", points)]
+    if fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        return [pair for row in rows for pair in zip(header, row)]
+    doc = json.loads(out)
+    records = doc if isinstance(doc, list) else [doc]
+    return [
+        (key, v)
+        for record in records
+        for key, value in record.items()
+        for v in (value if isinstance(value, list) else [value])
+    ]
+
+
+class TestFuzz:
+    """Extreme, infinite and NaN flags never crash the CLI or leak a non-finite value."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(argv=_fuzz_argv())
+    def test_exit_code_and_finite_document(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+            os.environ.pop("ELASTICA_TOL", None)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected a flag
+                code = exc.code
+        assert code in (0, 2, 3, 4, 5), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert out.getvalue() == ""
+            return
+        bad = [key for key, value in _document_fields(argv, out.getvalue())
+               if _unexpected_non_finite(key, value)]
+        assert not bad, out.getvalue()

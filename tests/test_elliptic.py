@@ -105,6 +105,16 @@ class TestIncompleteIntegrals:
         with pytest.raises(EllipticDivergenceError):
             ellint_F_inc(math.pi / 2, 1.0)
 
+    def test_unit_modulus_finite_next_to_quarter_period(self):
+        # sin(phi) rounds to 1 within ~1e-8 of pi/2, where atanh would raise;
+        # F(phi, 1) is the inverse Gudermannian and gd(F) must give phi back
+        for d in (1e-8, 1e-9, 1e-12, 1e-15, 2.3e-16):
+            for phi in (math.pi / 2 - d, d - math.pi / 2):
+                F = ellint_F_inc(phi, 1.0)
+                assert math.isfinite(F)
+                assert math.copysign(1.0, F) == math.copysign(1.0, phi)
+                assert math.atan(math.sinh(F)) == pytest.approx(phi, abs=1e-15)
+
 
 def _jacobi_ode_oracle(u, k, n=130000):
     """RK4 on am' = dn(am), eps' = dn^2, the defining ODE of the amplitude."""
@@ -145,7 +155,8 @@ class TestJacobi:
     def test_unit_modulus_finite_past_cosh_overflow(self):
         # cosh and sinh overflow beyond |u| ~ 710: sech underflows to 0 and
         # the amplitude saturates at +-pi/2 instead of raising OverflowError
-        for u, sign in ((711.0, 1.0), (-711.0, -1.0), (1e300, 1.0)):
+        for u, sign in ((711.0, 1.0), (-711.0, -1.0), (1e300, 1.0),
+                        (math.inf, 1.0), (-math.inf, -1.0)):
             jv = jacobi(u, 1.0)
             assert (jv.sn, jv.cn, jv.dn, jv.am, jv.eps) == (
                 sign, 0.0, 0.0, sign * math.pi / 2, sign
@@ -154,6 +165,19 @@ class TestJacobi:
             jv = jacobi(u, 1.0)
             assert jv.cn == jv.dn == 1.0 / math.cosh(u)
             assert jv.am == math.atan(math.sinh(u))
+
+    @pytest.mark.parametrize(
+        "u, k",
+        [(u, k) for k in (0.0, 0.5) for u in (math.inf, -math.inf, math.nan)]
+        + [(math.nan, 1.0)],
+    )
+    def test_non_finite_argument_rejected(self, u, k):
+        # only k = 1 takes u = +-inf, as the limits of its hyperbolic forms
+        with pytest.raises(EllipticDomainError, match="finite"):
+            jacobi(u, k)
+        if 0.0 < k < 1.0:
+            with pytest.raises(EllipticDomainError, match="finite"):
+                jacobi_recip_modulus(u, k)
 
     def test_against_ode_oracle(self):
         u, k = 1.3, 0.9

@@ -13,7 +13,13 @@ from elastica.expmap import (
 )
 from elastica.maxwell import find_k0
 from elastica.oracle import adaptive_simpson, integrate_extremal
-from elastica.phase import Covector, flow_vertical, wrap_angle
+from elastica.phase import (
+    Covector,
+    flow_vertical,
+    from_elliptic,
+    to_elliptic,
+    wrap_angle,
+)
 
 from conftest import n1, n2, n3
 
@@ -41,6 +47,22 @@ class TestExpMap:
         lam = Covector(0.0, 1.0, 1.0)
         q, _, _ = integrate_extremal(lam, 2.0)
         assert endpoint_gap(exp_map(lam, 2.0), q) < 1e-8
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("u0, r", [(20.0, 4.0), (-20.0, 2.5)])
+    def test_separatrix_next_to_saddle_against_rk4(self, u0, r, sign):
+        # at sqrt(r)*phi ~ 20, sin(beta/2) rounds to +-1: the elliptic
+        # coordinates must still exist and the endpoint follow the pendulum
+        lam = n3(u0 / math.sqrt(r), r, sign)
+        ec = to_elliptic(lam)
+        assert ec.stratum.family == 3
+        assert abs(math.sqrt(r) * ec.phi - u0) < 1e-7
+        back = from_elliptic(ec)
+        assert abs(back.beta - lam.beta) < 1e-15 and abs(back.c - lam.c) < 1e-15
+        for t in (0.5, 3.0):
+            q, _, J = integrate_extremal(lam, t)
+            assert endpoint_gap(exp_map(lam, t), q) < 1e-10
+            assert elastic_energy_closed(lam, t) == pytest.approx(J, abs=1e-14)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

@@ -63,6 +63,16 @@ class TestIntegrator:
                 Covector(0.0, 1.0, 1.0), 10.0, IntegratorConfig(step=1e-4, max_steps=100)
             )
 
+    def test_max_steps_guard_when_step_count_overflows(self):
+        # t / step is inf: the guard must fire before the count is truncated
+        with pytest.raises(MaxStepsExceeded):
+            integrate_extremal(Covector(0.0, 1.0, 1.0), 1.0, IntegratorConfig(step=5e-324))
+
+    @pytest.mark.parametrize("step", [0.0, -1e-4, math.inf, math.nan])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match="finite and positive"):
+            IntegratorConfig(step=step)
+
 
 class TestQuadrature:
     def test_zero(self):
