@@ -84,28 +84,35 @@ def _emit(text: str, path: str | None):
         fh.write(text)
 
 
+def _require_finite(keys, row):
+    """A non-finite number in an output row is an overflowed result: raise.
+
+    Every document writer (JSON, CSV, SVG) calls this on each of its rows.
+    """
+    for key, value in zip(keys, row):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} is not finite: {value}")
+
+
 def _json_doc(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=True) + "\n"
+    """A JSON object, or a list of objects, with no non-finite number."""
+    for record in obj if isinstance(obj, list) else [obj]:
+        _require_finite(record, record.values())
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _csv_doc(header, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(header)
-    w.writerows(rows)
+    for row in rows:
+        _require_finite(header, row)
+        w.writerow(row)
     return buf.getvalue()
-
-
-def _require_finite(keys, row):
-    """A non-finite number in an output row is an overflowed result: raise."""
-    for key, value in zip(keys, row):
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{key} is not finite: {value}")
 
 
 def _emit_record(doc: dict, args):
     """One record as a JSON object, or as a CSV header and value row."""
-    _require_finite(doc, doc.values())
     if args.format == "csv":
         keys = list(doc)
         _emit(_csv_doc(keys, [[doc[k] for k in keys]]), args.output)
@@ -225,6 +232,8 @@ def cmd_sweep(args) -> int:
 
 
 def _svg_polyline(points, title: str) -> str:
+    for p in points:
+        _require_finite(("x", "y"), p)
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
@@ -255,13 +264,10 @@ def cmd_elastica(args) -> int:
         return _gallery(args.gallery, args.n)
     lam = _covector(args)
     rows = [(q.x, q.y, q.theta) for q in sample_elastica(lam, args.t1, args.n)]
-    keys = ["x", "y", "theta"]
-    for row in rows:
-        _require_finite(keys, row)
     if args.format == "svg":
         _emit(_svg_polyline(rows, classify(lam).value), args.output)
     else:
-        _emit(_csv_doc(keys, rows), args.output)
+        _emit(_csv_doc(["x", "y", "theta"], rows), args.output)
     return EXIT_OK
 
 

@@ -154,15 +154,14 @@ def ellint_F_inc(phi: float, k) -> float:
     """Incomplete first-kind integral F(phi, k), any real phi.
 
     Extended by quasi-periodicity F(phi + pi) = F(phi) + 2K.  At k = 1 it is
-    the inverse Gudermannian, atanh(sin phi) = asinh(tan phi), whose second
-    form stays finite where sin phi rounds to +-1 next to phi = +-pi/2.
+    the inverse Gudermannian asinh(tan phi), which keeps its digits up to
+    phi = +-pi/2; the equal atanh(sin phi) loses them as sin phi nears +-1.
     """
     kf = _as_k(k)
     if kf == 1.0:
         if abs(phi) >= math.pi / 2.0:
             raise EllipticDivergenceError("F(phi, 1) diverges for |phi| >= pi/2")
-        s = math.sin(phi)
-        return math.atanh(s) if abs(s) < 1.0 else math.asinh(math.tan(phi))
+        return math.asinh(math.tan(phi))
     if kf == 0.0:
         return phi
     phi_red, m = _reduce_phase(phi)

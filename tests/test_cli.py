@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from elastica.cli import main
 from elastica.elliptic import ellint_K
+from elastica.expmap import State
 from elastica.maxwell import cut_time_bound, find_k0
 from elastica.oracle import integrate_extremal
 from elastica.phase import Covector, to_elliptic
@@ -116,7 +117,7 @@ class TestExp:
 
     def test_separatrix_next_to_saddle(self, capsys):
         # sin(beta/2) rounds to 1 on this N3plus covector: its elliptic phase
-        # comes from the asinh(tan) form of the inverse Gudermannian
+        # must still be finite
         flags = ["--beta", "3.1415926345200074", "--c", "4.718128120958275e-08",
                  "--r", "6.121358707543794"]
         lam = Covector(3.1415926345200074, 4.718128120958275e-08, 6.121358707543794)
@@ -237,6 +238,18 @@ class TestElastica:
         assert code == 0
         files = sorted(p.name for p in tmp_path.glob("*.svg"))
         assert len(files) == 9
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_non_finite_sample_rejected(self, fmt, capsys):
+        # every document writer refuses a non-finite number, whatever its place
+        pts = [State(0.0, 0.0, 0.0), State(math.nan, 1.0, 0.5), State(1.0, 1.0, 1.0)]
+        with mock.patch("elastica.cli.sample_elastica", return_value=pts):
+            code = main(["elastica", "--beta", "0", "--c", "1", "--r", "1",
+                         "--n", "3", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "x is not finite" in captured.err
 
     def test_io_failure_exit_code(self, tmp_path, capsys):
         code = main(

@@ -115,6 +115,16 @@ class TestIncompleteIntegrals:
                 assert math.copysign(1.0, F) == math.copysign(1.0, phi)
                 assert math.atan(math.sinh(F)) == pytest.approx(phi, abs=1e-15)
 
+    def test_unit_modulus_accurate_next_to_quarter_period(self):
+        # log((1 + sin phi) / cos phi) has no cancellation near pi/2, where
+        # atanh(sin phi) loses digits: at d = 1e-4 it is off by about 1e-8
+        for d in (0.5, 1e-2, 1e-4, 1e-6, 1e-7):
+            for phi in (math.pi / 2 - d, d - math.pi / 2):
+                ref = math.copysign(
+                    math.log((1.0 + abs(math.sin(phi))) / math.cos(phi)), phi
+                )
+                assert ellint_F_inc(phi, 1.0) == pytest.approx(ref, rel=4e-15)
+
 
 def _jacobi_ode_oracle(u, k, n=130000):
     """RK4 on am' = dn(am), eps' = dn^2, the defining ODE of the amplitude."""

@@ -49,10 +49,11 @@ class TestExpMap:
         assert endpoint_gap(exp_map(lam, 2.0), q) < 1e-8
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("u0, r", [(20.0, 4.0), (-20.0, 2.5)])
+    @pytest.mark.parametrize("u0, r", [(20.0, 4.0), (-20.0, 2.5), (19.0, 4.0), (-12.0, 1.0)])
     def test_separatrix_next_to_saddle_against_rk4(self, u0, r, sign):
-        # at sqrt(r)*phi ~ 20, sin(beta/2) rounds to +-1: the elliptic
-        # coordinates must still exist and the endpoint follow the pendulum
+        # as sqrt(r)*phi grows, sin(beta/2) nears +-1 and at ~20 rounds to it:
+        # the elliptic coordinates must keep their digits and the endpoint
+        # follow the pendulum
         lam = n3(u0 / math.sqrt(r), r, sign)
         ec = to_elliptic(lam)
         assert ec.stratum.family == 3

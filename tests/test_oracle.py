@@ -131,6 +131,13 @@ class TestShooting:
         assert any(s.energy == 0.0 and s.lam.c == 0.0 for s in sols)
         assert sols[0].energy == min(s.energy for s in sols)
 
+    def test_line_target_past_the_saddle(self):
+        # one of the 100 starts steps onto the separatrix within 2e-8 of the
+        # saddle, where sin(beta/2) rounds to 1: the shooting must go on
+        t1 = 1.001981982727356
+        sols = bvp_shoot(State(t1, 0.0, 0.0), t1, starts=100, jobs=1)
+        assert any(s.energy == 0.0 and s.lam.c == 0.0 for s in sols)
+
     def test_circle_target(self):
         sols = bvp_shoot(State(0.0, 2.0 / math.pi, math.pi), 1.0, starts=60)
         best = sols[0]
