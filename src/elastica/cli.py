@@ -20,6 +20,7 @@ from .elliptic import ellint_K
 from .expmap import State, classify, elastic_energy_closed, exp_map, sample_elastica
 from .maxwell import (
     DEFAULT_TOL,
+    K_RECT,
     cut_time_bound,
     find_k0,
     find_kstar,
@@ -176,9 +177,8 @@ def cmd_constants(args) -> int:
     from .elliptic import ellint_E
     from .maxwell import h1
 
-    k0 = float(find_k0())
+    k0 = find_k0()
     kstar, ustar = find_kstar()
-    kstar = float(kstar)
     doc = {
         "k0": k0,
         "kstar": kstar,
@@ -196,7 +196,7 @@ def cmd_constants(args) -> int:
 _CURVE_DOMAIN = {
     "p11": 0.0,
     "pg1": None,
-    "ua1": 1.0 / math.sqrt(2.0),
+    "ua1": K_RECT,
     "uh1": None,
     "cutbound": 0.0,
 }
@@ -217,7 +217,7 @@ def _sweep_value(curve: str, k: float, family: str) -> float:
 def cmd_sweep(args) -> int:
     lo = _CURVE_DOMAIN[args.curve]
     if lo is None:
-        lo = float(find_kstar()[0])
+        lo = find_kstar()[0]
     if not lo <= args.kmin <= args.kmax < 1.0:
         sys.stderr.write(
             f"error: sweep domain for {args.curve} is [{lo:.6g}, 1)\n"
@@ -273,29 +273,29 @@ def cmd_elastica(args) -> int:
 
 def _gallery(outdir: str, n: int) -> int:
     """One canonical curve per qualitative class, r = 1 throughout."""
-    from .phase import EllipticCoords, Modulus, Stratum, from_elliptic
+    from .phase import EllipticCoords, Stratum, from_elliptic
 
-    k0 = float(find_k0())
+    k0 = find_k0()
     K = ellint_K
 
     def oscillating(k):
-        return from_elliptic(EllipticCoords(Stratum.N1, Modulus(k), 0.0, 1.0))
+        return from_elliptic(EllipticCoords(Stratum.N1, k, 0.0, 1.0))
 
     entries = [
         ("line", Covector(0.0, 0.0, 0.0), 1.0),
         ("inflectional_small_k", oscillating(0.5), 8.0 * K(0.5)),
-        ("rectangular", oscillating(1.0 / math.sqrt(2.0)), 8.0 * K(1.0 / math.sqrt(2.0))),
+        ("rectangular", oscillating(K_RECT), 8.0 * K(K_RECT)),
         ("inflectional_mid_k", oscillating(0.85), 8.0 * K(0.85)),
         ("figure_eight", oscillating(k0), 8.0 * K(k0)),
         ("inflectional_large_k", oscillating(0.97), 8.0 * K(0.97)),
         (
             "critical",
-            from_elliptic(EllipticCoords(Stratum.N3_PLUS, Modulus(1.0), -3.0, 1.0)),
+            from_elliptic(EllipticCoords(Stratum.N3_PLUS, 1.0, -3.0, 1.0)),
             6.0,
         ),
         (
             "non_inflectional",
-            from_elliptic(EllipticCoords(Stratum.N2_PLUS, Modulus(0.8), 0.0, 1.0)),
+            from_elliptic(EllipticCoords(Stratum.N2_PLUS, 0.8, 0.0, 1.0)),
             4.0 * 0.8 * K(0.8),
         ),
         ("circle", Covector(0.0, 2.0 * math.pi, 0.0), 1.0),

@@ -111,7 +111,7 @@ def _prepare(lam: Covector) -> Callable[[float], tuple]:
     sgn = float(s.sign or 1)
     ec = to_elliptic(lam if sgn > 0 else Covector(-lam.beta, -lam.c, lam.r))
     sr = math.sqrt(ec.r)
-    k = float(ec.k)
+    k = ec.k
     u0 = sr * ec.phi
     # the rotating strata evaluate the same quadratures at modulus 1/k > 1;
     # on the separatrix k is exactly 1 and jacobi takes its hyperbolic forms
@@ -146,9 +146,9 @@ def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
     return [State(*at(i * step)[:3]) for i in range(n)]
 
 
-def classify(lam: Covector, tol: float = CLASS_K_TOL) -> ElasticaClass:
-    """Euler's nine qualitative classes, decided by stratum and modulus."""
-    from .maxwell import find_k0  # deferred import: avoids a module cycle
+def classify(lam: Covector) -> ElasticaClass:
+    """Euler's nine classes by stratum and modulus; moduli match to CLASS_K_TOL."""
+    from .maxwell import K_RECT, find_k0  # deferred import: avoids a module cycle
 
     s = stratify(lam)
     if s in STRAIGHT:
@@ -159,14 +159,13 @@ def classify(lam: Covector, tol: float = CLASS_K_TOL) -> ElasticaClass:
         return ElasticaClass.CRITICAL
     if s in ROTATING:
         return ElasticaClass.NON_INFLECTIONAL
-    k = float(to_elliptic(lam).k)
-    k_rect = 1.0 / math.sqrt(2.0)
-    k0 = float(find_k0())
-    if abs(k - k_rect) <= tol:
+    k = to_elliptic(lam).k
+    k0 = find_k0()
+    if abs(k - K_RECT) <= CLASS_K_TOL:
         return ElasticaClass.RECTANGULAR
-    if abs(k - k0) <= tol:
+    if abs(k - k0) <= CLASS_K_TOL:
         return ElasticaClass.FIGURE_EIGHT
-    if k < k_rect:
+    if k < K_RECT:
         return ElasticaClass.INFLECTIONAL_SMALL_K
     if k < k0:
         return ElasticaClass.INFLECTIONAL_MID_K

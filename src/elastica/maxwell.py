@@ -20,7 +20,6 @@ from enum import Enum
 from functools import lru_cache
 
 from .elliptic import (
-    Modulus,
     ellint_E,
     ellint_E_inc,
     ellint_F_inc,
@@ -279,7 +278,7 @@ def compat_n1(u: float, k) -> float:
 # constants and root curves
 
 @lru_cache(maxsize=1)
-def find_k0() -> Modulus:
+def find_k0() -> float:
     """The unique modulus in (1/sqrt(2), 1) with 2E(k) = K(k) (figure-eight)."""
     k0 = _brentq(
         lambda k: 2.0 * ellint_E(k) - ellint_K(k),
@@ -288,7 +287,7 @@ def find_k0() -> Modulus:
         xtol=BRENT_XTOL,
         rtol=BRENT_RTOL,
     )
-    return Modulus(k0)
+    return k0
 
 
 def u_a1(k) -> float:
@@ -323,7 +322,7 @@ def find_kstar():
     the sign change, then Brent-refined, then verified negative on a grid of
     (k*, k0].
     """
-    k0 = float(find_k0())
+    k0 = find_k0()
     hi = k0
     val_hi = _alpha(hi)
     lo = hi
@@ -341,7 +340,7 @@ def find_kstar():
         if _alpha(kk) >= 0.0:
             raise RuntimeError(f"alpha not negative on (k*, k0] at k = {kk}")
     ustar = math.pi - u_a1(kstar)
-    return Modulus(kstar), ustar
+    return kstar, ustar
 
 
 def u_h1(k) -> float:
@@ -352,9 +351,9 @@ def u_h1(k) -> float:
     """
     kf = float(k)
     kstar, _ = find_kstar()
-    if not float(kstar) - 1e-12 <= kf < 1.0:
+    if not kstar - 1e-12 <= kf < 1.0:
         raise ValueError(f"u_h1 needs k in [k*, 1), got {kf}")
-    k0 = float(find_k0())
+    k0 = find_k0()
     if abs(kf - k0) < K0_SNAP:
         return math.pi / 2.0
     if kf < k0:
@@ -379,17 +378,18 @@ def p1_roots(k, n: int) -> float:
     """n-th root p_n^1 of f1, odd in n, localized in (2Kn - K, 2Kn + K).
 
     For positive n the root sits right of the lattice point 2Kn below the
-    figure-eight modulus, on it there, and left of it above.
+    figure-eight modulus, on it there, and left of it above.  At k = 0 the
+    same bracket holds the roots of tan p = p, the k -> 0 limit.
     """
     kf = float(k)
-    if not 0.0 < kf < 1.0:
-        raise ValueError(f"p1_roots needs k in (0, 1), got {kf}")
+    if not 0.0 <= kf < 1.0:
+        raise ValueError(f"p1_roots needs k in [0, 1), got {kf}")
     if n == 0:
         return 0.0
     if n < 0:
         return -p1_roots(kf, -n)
     K = ellint_K(kf)
-    k0 = float(find_k0())
+    k0 = find_k0()
     if abs(kf - k0) < K0_SNAP:
         return 2.0 * K * n
     if kf < k0:
@@ -429,7 +429,7 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
         return out
 
     ec = to_elliptic(lam)
-    k = float(ec.k)
+    k = ec.k
     K = ellint_K(k)
     mc = _arc_coords(ec, t)
     p = mc.p
@@ -441,7 +441,7 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
         on_even = n_even is not None and n_even != 0
         n_f1 = round(p / (2.0 * K))
         on_f1 = n_f1 >= 1 and abs(p - p1_roots(k, n_f1)) <= tol
-        at_k0 = abs(k - float(find_k0())) <= tol
+        at_k0 = abs(k - find_k0()) <= tol
         if on_even and abs(jt.cn) > tol:
             out.add(MaxwellStratum.MAX1)
         if on_f1 and abs(jt.sn) > tol:
@@ -488,7 +488,7 @@ def _chord_sn2(k: float, sn2p: float, tol: float, rotating: bool = False):
 def _first_times_oscillating(k: float, u0: float, sr: float, tol: float):
     """First Maxwell times (max1, max2, max3+, max3-) and p_1^1 for an N1 covector."""
     K = ellint_K(k)
-    k0 = float(find_k0())
+    k0 = find_k0()
     j0 = jacobi(u0, k)
 
     t_max1 = 4.0 * K / sr if abs(j0.cn) > tol else math.inf
@@ -510,7 +510,7 @@ def _first_times_oscillating(k: float, u0: float, sr: float, tol: float):
 
     t_max3m = math.inf
     kstar, _ = find_kstar()
-    if k >= float(kstar):
+    if k >= kstar:
         pg = p_g1(k)
         rhs = _chord_sn2(k, jacobi(pg, k).sn ** 2, tol)
         if rhs is not None and abs(jacobi(u0 + pg, k).sn ** 2 - rhs) <= tol:
@@ -528,7 +528,7 @@ def unit_cut_time_bound(k, rotating: bool, p1: float | None = None) -> float:
     K = ellint_K(kf)
     if rotating:
         return 2.0 * kf * K
-    if kf <= float(find_k0()):
+    if kf <= find_k0():
         return 2.0 * (2.0 * K)
     return 2.0 * (p1_roots(kf, 1) if p1 is None else p1)
 
@@ -548,7 +548,7 @@ def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
         return MaxwellReport(s, T, math.inf, T, math.inf, T)
 
     ec = to_elliptic(lam)
-    k = float(ec.k)
+    k = ec.k
     sr = math.sqrt(ec.r)
 
     if s in ROTATING:

@@ -17,6 +17,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from .expmap import State, elastic_energy_closed, exp_map, wrap_angle
 from .maxwell import MaxwellReport, cut_time_bound
@@ -29,14 +30,15 @@ BVP_MERGE_DIST = 1e-6
 BVP_MAX_ITER = 60
 BVP_DAMPING = 0.5
 FD_STEP = 1e-7
+RK4_MAX_STEPS = 10_000_000
+ATTAINABLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 configuration; step * max_steps bounds the horizon."""
+    """Fixed-step RK4 configuration; step * RK4_MAX_STEPS bounds the horizon."""
 
     step: float = 1e-4
-    max_steps: int = 10_000_000
 
     def __post_init__(self):
         if not 0.0 < self.step < math.inf:
@@ -44,7 +46,7 @@ class IntegratorConfig:
 
 
 class MaxStepsExceeded(RuntimeError):
-    """Horizon longer than step * max_steps."""
+    """Horizon longer than step * RK4_MAX_STEPS."""
 
 
 def integrate_extremal(
@@ -59,9 +61,9 @@ def integrate_extremal(
         raise ValueError(f"integration time must be finite and >= 0, got {t}")
     cfg = cfg or IntegratorConfig()
     # compared as a float first: t / step overflows to inf for a tiny step
-    if t / cfg.step >= cfg.max_steps:
+    if t / cfg.step >= RK4_MAX_STEPS:
         raise MaxStepsExceeded(
-            f"horizon {t} needs more than {cfg.max_steps} steps of {cfg.step}"
+            f"horizon {t} needs more than {RK4_MAX_STEPS} steps of {cfg.step}"
         )
     n_full = int(t / cfg.step)
     r = lam.r
@@ -175,12 +177,12 @@ def quad_E(phi: float, k) -> float:
     )
 
 
-def attainable(q1: State, t1: float, tol: float = 1e-12) -> bool:
+def attainable(q1: State, t1: float) -> bool:
     """Exact-time attainability from the identity: open disk plus one boundary point.
 
     True iff x^2 + y^2 < t1^2, or (x, y, theta) is the straight-line endpoint
-    (t1, 0, 0) (compared at relative tolerance tol).  A non-finite target or
-    time raises ValueError.
+    (t1, 0, 0) (compared at relative tolerance ATTAINABLE_TOL).  A non-finite
+    target or time raises ValueError.
     """
     if not 0.0 < t1 < math.inf:
         raise ValueError(f"attainable needs finite t1 > 0, got {t1}")
@@ -190,9 +192,9 @@ def attainable(q1: State, t1: float, tol: float = 1e-12) -> bool:
         return True
     scale = max(1.0, t1)
     return (
-        abs(q1.x - t1) <= tol * scale
-        and abs(q1.y) <= tol * scale
-        and abs(wrap_angle(q1.theta)) <= tol
+        abs(q1.x - t1) <= ATTAINABLE_TOL * scale
+        and abs(q1.y) <= ATTAINABLE_TOL * scale
+        and abs(wrap_angle(q1.theta)) <= ATTAINABLE_TOL
     )
 
 
@@ -230,40 +232,48 @@ def _residual(vec, q1: State, t1: float):
     return (q.x - q1.x, q.y - q1.y, wrap_angle(q.theta - q1.theta))
 
 
+def _max_norm(res) -> float:
+    """Largest |component| of a residual; NaN if any component is NaN."""
+    if any(map(math.isnan, res)):
+        return math.nan
+    return max(map(abs, res))
+
+
 def _newton_from(start: Covector, q1: State, t1: float):
     """Damped Newton iteration from one start; None unless converged."""
     import numpy as np
 
-    v = np.array([start.beta, start.c, start.r], dtype=float)
-    res = np.array(_residual(v, q1, t1))
-    best = float(np.max(np.abs(res)))
+    v = (start.beta, start.c, start.r)
+    res = _residual(v, q1, t1)
+    best = _max_norm(res)
     for _ in range(BVP_MAX_ITER):
         if best < BVP_RESIDUAL_TOL:
-            return Covector(float(v[0]), float(v[1]), float(max(v[2], 0.0))), best
-        jac = np.empty((3, 3))
+            return Covector(*v), best
+        cols = []
         for j in range(3):
             h = FD_STEP * max(1.0, abs(v[j]))
-            vp = v.copy()
+            vp, vm = list(v), list(v)
             vp[j] += h
-            vm = v.copy()
             vm[j] -= h
             if j == 2 and vm[2] < 0.0:
                 vm[2] = 0.0
                 h = (vp[2] - vm[2]) / 2.0 or FD_STEP
-            jac[:, j] = np.subtract(_residual(vp, q1, t1), _residual(vm, q1, t1)) / (2.0 * h)
+            rp, rm = _residual(vp, q1, t1), _residual(vm, q1, t1)
+            cols.append([(a - b) / (2.0 * h) for a, b in zip(rp, rm)])
         try:
-            step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+            step, *_ = np.linalg.lstsq(list(zip(*cols)), [-x for x in res], rcond=None)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(step)):
+        step = step.tolist()
+        if not all(map(math.isfinite, step)):
             return None
         # backtracking with fixed damping ratio
         scale = 1.0
         for _ in range(25):
-            cand = v + scale * step
+            cand = [a + scale * b for a, b in zip(v, step)]
             cand[2] = max(cand[2], 0.0)
-            cand_res = np.array(_residual(cand, q1, t1))
-            cand_norm = float(np.max(np.abs(cand_res)))
+            cand_res = _residual(cand, q1, t1)
+            cand_norm = _max_norm(cand_res)
             if math.isfinite(cand_norm) and cand_norm < best:
                 v, res, best = cand, cand_res, cand_norm
                 break
@@ -271,14 +281,8 @@ def _newton_from(start: Covector, q1: State, t1: float):
         else:
             return None
     if best < BVP_RESIDUAL_TOL:
-        return Covector(float(v[0]), float(v[1]), float(max(v[2], 0.0))), best
+        return Covector(*v), best
     return None
-
-
-def _solve_one(args):
-    start, qtuple, t1 = args
-    q1 = State(*qtuple)
-    return _newton_from(start, q1, t1)
 
 
 def bvp_shoot(
@@ -295,8 +299,6 @@ def bvp_shoot(
     Returns an empty list (with a logged diagnostic) when no start converges.
     A non-finite target or time, starts < 1 or jobs < 1 raises ValueError.
     """
-    import numpy as np
-
     if starts < 1:
         raise ValueError(f"bvp_shoot needs starts >= 1, got {starts}")
     if jobs < 1:
@@ -307,39 +309,37 @@ def bvp_shoot(
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        payload = [(s, (q1.x, q1.y, q1.theta), t1) for s in grid]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_solve_one, payload, chunksize=4))
+            raw = list(pool.map(_newton_from, grid, repeat(q1), repeat(t1), chunksize=4))
     else:
         raw = [_newton_from(s, q1, t1) for s in grid]
 
-    converged: list[tuple[Covector, float]] = []
+    converged: list[tuple[Covector, float, float]] = []
     for item in raw:
         if item is None:
             continue
         lam, res = item
-        if elastic_energy_closed(lam, t1) < 1e-12:
-            lam = Covector(0.0, 0.0, 0.0)
+        J = elastic_energy_closed(lam, t1)
+        if J < 1e-12:
+            lam, J = Covector(0.0, 0.0, 0.0), 0.0
         elif lam.r < 1e-5:
             # near r = 0 the residual is flat in beta and r (gauge freedom of
             # the gravity-free strata); snap to the canonical representative
             # when it solves the problem equally well
             cand = Covector(0.0, lam.c, 0.0)
-            cand_res = float(np.max(np.abs(_residual((0.0, lam.c, 0.0), q1, t1))))
+            cand_res = _max_norm(_residual((0.0, lam.c, 0.0), q1, t1))
             if cand_res < BVP_RESIDUAL_TOL:
-                lam, res = cand, cand_res
-        converged.append((lam, res))
+                lam, res, J = cand, cand_res, elastic_energy_closed(cand, t1)
+        converged.append((lam, res, J))
 
     # merge duplicates: same point in (beta, c, r), or same trajectory
     # (equal energy and equal midpoint state); keep the smallest residual
     converged.sort(key=lambda it: it[1])
-    found: list[tuple[Covector, float]] = []
-    midpoints: list[tuple[float, State]] = []
-    for lam, res in converged:
-        J = elastic_energy_closed(lam, t1)
+    found: list[tuple[Covector, float, float, State]] = []
+    for lam, res, J in converged:
         qm = exp_map(lam, 0.5 * t1)
         dup = False
-        for (prev, _), (Jp, qp) in zip(found, midpoints):
+        for prev, _, Jp, qp in found:
             if (
                 abs(wrap_angle(lam.beta - prev.beta)) < BVP_MERGE_DIST
                 and abs(lam.c - prev.c) < BVP_MERGE_DIST
@@ -358,8 +358,7 @@ def bvp_shoot(
                 dup = True
                 break
         if not dup:
-            found.append((lam, res))
-            midpoints.append((J, qm))
+            found.append((lam, res, J, qm))
 
     if not found:
         log.warning(
@@ -373,12 +372,12 @@ def bvp_shoot(
         return []
 
     out = []
-    for lam, res in found:
+    for lam, res, J, _ in found:
         rep = cut_time_bound(lam)
         out.append(
             BvpSolution(
                 lam=lam,
-                energy=elastic_energy_closed(lam, t1),
+                energy=J,
                 residual=res,
                 report=rep,
                 optimal_candidate=t1 <= rep.bound,

@@ -19,9 +19,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .elliptic import Modulus, ellint_F_inc, ellint_K, jacobi
+from .elliptic import ellint_F_inc, ellint_K, jacobi
 
 TWO_PI = 2.0 * math.pi
+# stratification half-width per unit of the covector scale max(r, c^2, 1)
+STRATIFY_TOL = 1e-9
 
 
 class UnsupportedStratumError(ValueError):
@@ -97,11 +99,12 @@ class EllipticCoords:
 
     phi is the time coordinate, stored reduced to [0, period); in the
     rotating strata the companion coordinate psi = phi/k is exposed as a
-    property.  On the separatrix phi ranges over all reals.
+    property.  On the separatrix phi ranges over all reals.  k is stored as a
+    float; a Modulus passed in is converted.
     """
 
     stratum: Stratum
-    k: Modulus
+    k: float
     phi: float
     r: float
 
@@ -113,6 +116,7 @@ class EllipticCoords:
         if self.r <= 0.0:
             raise ValueError("elliptic coordinates need r > 0")
         k = float(self.k)
+        object.__setattr__(self, "k", k)
         if self.stratum is Stratum.N1 and not 0.0 < k < 1.0:
             raise ValueError("oscillating stratum needs k in (0, 1)")
         if self.stratum in ROTATING and not 0.0 < k < 1.0:
@@ -125,7 +129,7 @@ class EllipticCoords:
         """Rotating-stratum companion coordinate psi = phi / k."""
         if self.stratum not in ROTATING:
             raise UnsupportedStratumError("psi is defined on the rotating strata only")
-        return self.phi / float(self.k)
+        return self.phi / self.k
 
 
 def energy(lam: Covector) -> float:
@@ -133,23 +137,15 @@ def energy(lam: Covector) -> float:
     return 0.5 * lam.c * lam.c - lam.r * math.cos(lam.beta)
 
 
-def default_tol(lam: Covector) -> float:
-    """Stratification half-width, relative to the covector's scale."""
-    return 1e-9 * max(lam.r, lam.c * lam.c, 1.0)
-
-
-def stratify(lam: Covector, tol: float | None = None) -> Stratum:
+def stratify(lam: Covector) -> Stratum:
     """Classify a covector into its stratum.
 
     The measure-zero boundaries (E = +-r, r = 0, the unstable equilibrium)
-    absorb a band of half-width tol so the classification is deterministic
-    near the separatrices.
+    absorb a band of half-width tol = STRATIFY_TOL * max(r, c^2, 1) so the
+    classification is deterministic near the separatrices.
     """
-    if tol is None:
-        tol = default_tol(lam)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     r, c = lam.r, lam.c
+    tol = STRATIFY_TOL * max(r, c * c, 1.0)
     if r <= tol:
         return (
             (Stratum.N6_PLUS if c > 0 else Stratum.N6_MINUS)
@@ -159,9 +155,12 @@ def stratify(lam: Covector, tol: float | None = None) -> Stratum:
     E = energy(lam)
     if E <= -r + tol:
         return Stratum.N4
-    if E > r + tol:
+    # one difference decides both sides of the separatrix band, so that
+    # every float lands in exactly one of N2, N3/N5 and N1
+    d = E - r
+    if d > tol:
         return Stratum.N2_PLUS if c > 0 else Stratum.N2_MINUS
-    if abs(E - r) <= tol:
+    if d >= -tol:
         # separatrix level: split into the saddle point and the two branches
         if abs(wrap_angle(lam.beta - math.pi)) <= tol:
             return Stratum.N5
@@ -184,7 +183,7 @@ def period(obj) -> float:
     if ec.stratum is Stratum.N1:
         return 4.0 * ellint_K(ec.k) / sr
     if ec.stratum in ROTATING:
-        return 2.0 * ellint_K(ec.k) * float(ec.k) / sr
+        return 2.0 * ellint_K(ec.k) * ec.k / sr
     if ec.stratum in SEPARATRIX:
         return math.inf
     raise UnsupportedStratumError(f"no period on {ec.stratum}")
@@ -205,17 +204,17 @@ def to_elliptic(lam: Covector) -> EllipticCoords:
         k = math.sqrt((E + r) / (2.0 * r))
         am = math.atan2(math.sin(0.5 * lam.beta), 0.5 * lam.c / sr)
         sru = ellint_F_inc(am, k) % (4.0 * ellint_K(k))
-        return EllipticCoords(s, Modulus(k), sru / sr, r)
+        return EllipticCoords(s, k, sru / sr, r)
     if s in ROTATING:
         E = energy(lam)
         k = math.sqrt(2.0 * r / (E + r))
         sgn = float(s.sign)
         am = math.atan2(sgn * math.sin(0.5 * lam.beta), math.cos(0.5 * lam.beta))
         srv = ellint_F_inc(am, k) % (2.0 * ellint_K(k))
-        return EllipticCoords(s, Modulus(k), k * srv / sr, r)
+        return EllipticCoords(s, k, k * srv / sr, r)
     if s in SEPARATRIX:
         sru = ellint_F_inc(s.sign * 0.5 * lam.beta, 1.0)
-        return EllipticCoords(s, Modulus(1.0), sru / sr, r)
+        return EllipticCoords(s, 1.0, sru / sr, r)
     raise UnsupportedStratumError(f"no elliptic coordinates on {s}")
 
 
@@ -223,7 +222,7 @@ def from_elliptic(ec: EllipticCoords) -> Covector:
     """Inverse map: evaluate the stratum's defining triple at (k, phi, r)."""
     r = ec.r
     sr = math.sqrt(r)
-    k = float(ec.k)
+    k = ec.k
     sgn = float(ec.stratum.sign or 1)
     if ec.stratum in ROTATING:
         jv = jacobi(sr * ec.psi, k)

@@ -147,7 +147,7 @@ def _arc_coords(ec: EllipticCoords, t: float) -> MaxwellCoords:
     """(tau, p) of the arc [0, t] of the extremal with elliptic coordinates ec."""
     sr = math.sqrt(ec.r)
     if ec.stratum in ROTATING:
-        p = sr * t / (2.0 * float(ec.k))
+        p = sr * t / (2.0 * ec.k)
         return MaxwellCoords(tau=sr * ec.psi + p, p=p)
     p = sr * t / 2.0
     return MaxwellCoords(tau=sr * ec.phi + p, p=p)
@@ -174,7 +174,7 @@ def is_fixed_covector(i, lam: Covector, t: float, tol: float = 1e-9) -> bool:
             return abs(wrap_angle(2.0 * lam.beta + lam.c * t)) < tol
         return False
     ec = to_elliptic(lam)
-    k = float(ec.k)
+    k = ec.k
     mc = _arc_coords(ec, t)
     if s is Stratum.N1:
         jv = jacobi(mc.tau, k)

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from elastica.phase import Covector, EllipticCoords, Modulus, Stratum, from_elliptic
+from elastica.elliptic import Modulus
+from elastica.phase import Covector, EllipticCoords, Stratum, from_elliptic
 
 
 def n1(k, phi, r):

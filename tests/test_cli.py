@@ -130,6 +130,20 @@ class TestExp:
             for key in ("x", "y", "theta"):
                 assert doc[key] == pytest.approx(getattr(q, key), abs=1.2e-8)
 
+    def test_rotating_at_separatrix_band_edge(self, capsys):
+        # E - r lies just above the band half-width, although E <= r + tol
+        # after r + tol rounds up: the covector is rotating, not oscillating
+        beta, c, r = -3.116089022382198, -0.37737951228886985, 218.96505120619176
+        code, out = run_cli(["exp", f"--beta={beta}", f"--c={c}", "--r", repr(r),
+                             "--t", "1"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["stratum"] == "N2minus"
+        q, _, J = integrate_extremal(Covector(beta, c, r), 1.0)
+        for key in ("x", "y", "theta"):
+            assert doc[key] == pytest.approx(getattr(q, key), abs=1e-8)
+        assert doc["energy"] == pytest.approx(J, abs=1e-8)
+
 
 class TestConstants:
     def test_values(self, capsys):
@@ -175,6 +189,15 @@ class TestSweep:
     def test_domain_violation_exit_code(self, capsys):
         code = main(["sweep", "pg1", "--kmin", "0.2", "--kmax", "0.5", "--n", "3"])
         assert code == 3
+
+    def test_p11_from_zero_modulus(self, capsys):
+        # the advertised domain [0, 1) includes k = 0, the tan p = p limit
+        code, out = run_cli(["sweep", "p11", "--kmin", "0", "--kmax", "0.5", "--n", "3"],
+                            capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert float(rows[0][0]) == 0.0
+        assert float(rows[0][1]) == pytest.approx(4.493409457909064, abs=1e-12)
 
     def test_json_format(self, capsys):
         code, out = run_cli(

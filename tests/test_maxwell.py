@@ -216,6 +216,15 @@ class TestRootCurves:
         assert p1_roots(0.5, 0) == 0.0
         assert p1_roots(0.5, -1) == -p1_roots(0.5, 1)
 
+    def test_p1_roots_at_zero_modulus(self):
+        # the k -> 0 limit: f1(p, 0) = sin p - p cos p, zero where tan p = p
+        for n in (1, 2):
+            p = p1_roots(0.0, n)
+            assert abs(math.tan(p) - p) < 1e-12
+            assert p1_roots(1e-6, n) == pytest.approx(p, abs=1e-9)
+        assert p1_roots(0.0, 1) == pytest.approx(4.493409457909064, abs=1e-14)
+        assert p1_roots(0.0, 2) == pytest.approx(7.725251836937707, abs=1e-14)
+
     def test_p1_root_at_figure_eight(self):
         k0 = float(find_k0())
         for n in (1, 2, 3):

@@ -58,10 +58,9 @@ class TestIntegrator:
         assert lam_t.r == lam.r
 
     def test_max_steps_guard(self):
+        # 10 / 1e-7 = 1e8 steps, past the fixed budget of 1e7
         with pytest.raises(MaxStepsExceeded):
-            integrate_extremal(
-                Covector(0.0, 1.0, 1.0), 10.0, IntegratorConfig(step=1e-4, max_steps=100)
-            )
+            integrate_extremal(Covector(0.0, 1.0, 1.0), 10.0, IntegratorConfig(step=1e-7))
 
     def test_max_steps_guard_when_step_count_overflows(self):
         # t / step is inf: the guard must fire before the count is truncated
@@ -159,6 +158,12 @@ class TestShooting:
     def test_unattainable_rejected(self):
         with pytest.raises(ValueError):
             bvp_shoot(State(2.0, 0.0, 0.0), 1.0)
+
+    def test_worker_pool_matches_serial(self):
+        q1, t1 = State(0.0, 0.6366, 3.1415926), 1.0
+        serial = bvp_shoot(q1, t1, starts=8, jobs=1)
+        assert serial
+        assert bvp_shoot(q1, t1, starts=8, jobs=2) == serial
 
     @pytest.mark.parametrize(
         "starts, jobs, flag",

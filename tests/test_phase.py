@@ -6,6 +6,8 @@ import pytest
 from elastica.elliptic import Modulus, ellint_K
 from elastica.phase import (
     ELLIPTIC_STRATA,
+    SEPARATRIX,
+    STRATIFY_TOL,
     Covector,
     EllipticCoords,
     Stratum,
@@ -100,9 +102,33 @@ class TestStratify:
         assert stratify(lam) is Stratum.N3_PLUS
         assert stratify(Covector(0.0, -2.0, 1.0)) is Stratum.N3_MINUS
 
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            stratify(Covector(0.0, 1.0, 1.0), tol=0.0)
+    def test_band_edges_have_coordinates(self):
+        # covectors a few ulps either side of the band edges E = +-r +- tol
+        rng = random.Random(11)
+        for _ in range(300):
+            r = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            beta = rng.uniform(-0.95 * math.pi, 0.95 * math.pi)
+            for edge in (-r, r):
+                for side in (-1.0, 1.0):
+                    # tol depends on c^2: iterate to the edge's fixed point
+                    c = 0.0
+                    for _ in range(3):
+                        tol = STRATIFY_TOL * max(r, c * c, 1.0)
+                        c = math.sqrt(max(0.0, 2.0 * (edge + side * tol + r * math.cos(beta))))
+                    for sign in (1.0, -1.0):
+                        for ulps in range(-4, 5):
+                            cc = sign * c
+                            for _ in range(abs(ulps)):
+                                cc = math.nextafter(cc, math.copysign(math.inf, ulps))
+                            lam = Covector(beta, cc, r)
+                            s = stratify(lam)
+                            if s not in ELLIPTIC_STRATA:
+                                continue
+                            k = to_elliptic(lam).k
+                            if s in SEPARATRIX:
+                                assert k == 1.0, lam
+                            else:
+                                assert 0.0 < k < 1.0, lam
 
 
 class TestEllipticCoords:

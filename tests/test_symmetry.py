@@ -3,12 +3,11 @@ import random
 
 import pytest
 
-from elastica.elliptic import ellint_K
+from elastica.elliptic import Modulus, ellint_K
 from elastica.expmap import State, elastic_energy_closed, exp_map
 from elastica.phase import (
     Covector,
     EllipticCoords,
-    Modulus,
     Stratum,
     energy,
     from_elliptic,
