@@ -228,6 +228,11 @@ def jacobi(u: float, k) -> JacobiValues:
     )
 
 
+def _recip_modulus(sn: float, cn: float, dn: float, eps: float, u: float, k: float):
+    """(sn, cn, dn, eps) at u, modulus 1/k, from those at u/k, modulus k."""
+    return k * sn, dn, cn, eps / k - (1.0 - k * k) / (k * k) * u
+
+
 def jacobi_recip_modulus(u: float, k) -> JacobiValues:
     """Jacobi values at modulus 1/k > 1, expressed through modulus k in (0, 1).
 
@@ -241,27 +246,42 @@ def jacobi_recip_modulus(u: float, k) -> JacobiValues:
     if kf == 1.0:
         return jacobi(u, 1.0)
     jv = jacobi(u / kf, kf)
-    sn = kf * jv.sn
-    cn = jv.dn
-    dn = jv.cn
-    eps = jv.eps / kf - (1.0 - kf * kf) / (kf * kf) * u
+    sn, cn, dn, eps = _recip_modulus(jv.sn, jv.cn, jv.dn, jv.eps, u, kf)
     return JacobiValues(sn, cn, dn, math.atan2(sn, cn), eps)
 
 
-def jacobi_add(u: float, v: float, k) -> JacobiValues:
-    """Jacobi values at u + v from the addition formulas (no evaluation at u+v).
+def _add(a, b, k: float):
+    """(sn, cn, dn, eps) at u + v from those at u and at v (DLMF 22.8).
 
-    eps obeys eps(u+v) = eps(u) + eps(v) - k^2 sn u sn v sn(u+v).
+    eps(u + v) = eps u + eps v - k^2 sn u sn v sn(u + v).  The denominator
+    1 - k^2 sn^2 u sn^2 v is taken as the equal dn^2 u + k^2 sn^2 u cn^2 v,
+    which does not cancel as k -> 1.  At k = 1 both of its terms underflow
+    once |u| and |v| pass about 354, so u and v of one sign take
+    tanh(u + v) = (tanh u + tanh v) / (1 + tanh u tanh v) and
+    sech(u + v) = sech u sech v / (1 + tanh u tanh v) instead.  Of opposite
+    signs and both past 354, the values no longer determine u + v.
     """
+    su, cu, du, eu = a
+    sv, cv, dv, ev = b
+    k2 = k * k
+    if k == 1.0 and su * sv >= 0.0:
+        den = 1.0 + su * sv
+        sn = (su + sv) / den
+        cn = dn = cu * cv / den
+    else:
+        den = du * du + k2 * su * su * cv * cv
+        sn = (su * cv * dv + sv * cu * du) / den
+        cn = (cu * cv - su * du * sv * dv) / den
+        dn = (du * dv - k2 * su * cu * sv * cv) / den
+    return sn, cn, dn, eu + ev - k2 * su * sv * sn
+
+
+def jacobi_add(u: float, v: float, k) -> JacobiValues:
+    """Jacobi values at u + v from the addition formulas (no evaluation at u+v)."""
     kf = _as_k(k)
     ju = jacobi(u, kf)
     jv = jacobi(v, kf)
-    k2 = kf * kf
-    den = 1.0 - k2 * ju.sn * ju.sn * jv.sn * jv.sn
-    sn = (ju.sn * jv.cn * jv.dn + jv.sn * ju.cn * ju.dn) / den
-    cn = (ju.cn * jv.cn - ju.sn * ju.dn * jv.sn * jv.dn) / den
-    dn = (ju.dn * jv.dn - k2 * ju.sn * ju.cn * jv.sn * jv.cn) / den
-    eps = ju.eps + jv.eps - k2 * ju.sn * jv.sn * sn
+    sn, cn, dn, eps = _add((ju.sn, ju.cn, ju.dn, ju.eps), (jv.sn, jv.cn, jv.dn, jv.eps), kf)
     am = math.atan2(sn, cn)
     if kf < 1.0:
         # restore the unreduced amplitude branch; am - pi*w/(2K) stays in

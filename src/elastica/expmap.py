@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .elliptic import JacobiValues, jacobi, jacobi_recip_modulus
+from .elliptic import JacobiValues, _add, _recip_modulus, jacobi, jacobi_recip_modulus
 from .phase import (
     CIRCULAR,
     ROTATING,
@@ -34,6 +34,13 @@ from .phase import (
 )
 
 CLASS_K_TOL = 1e-9
+
+# A sampled curve is stepped by the addition formulas from a direct `jacobi`
+# anchor, taken again after at most REANCHOR_POINTS points and whenever the
+# Jacobi argument would run more than REANCHOR_SPAN past it: as k -> 1 a
+# stepped error grows like e^(argument advance).
+REANCHOR_POINTS = 32
+REANCHOR_SPAN = 4.0
 
 
 @dataclass(frozen=True)
@@ -61,34 +68,47 @@ class ElasticaClass(Enum):
 
 
 def _endpoint_oscillating(
-    k: float, sr: float, t: float, sgn: float, j0: JacobiValues, jt: JacobiValues
+    k: float, sr: float, t: float, sgn: float, j0: JacobiValues,
+    sn: float, cn: float, dn: float, eps: float,
 ):
     """Endpoint and bending energy from the oscillating-stratum quadratures.
 
-    Written for algebraic modulus k; at k = 1 the Jacobi values are the
-    hyperbolic ones of the separatrix, and fed with reciprocal-modulus Jacobi
-    values (and k > 1) it yields the rotating-stratum values as well.  sgn is
-    -1.0 on the inverted minus branches and +1.0 otherwise.
+    Written for algebraic modulus k, with the Jacobi values j0 at the start
+    and (sn, cn, dn, eps) at t; at k = 1 they are the hyperbolic ones of the
+    separatrix, and fed with reciprocal-modulus Jacobi values (and k > 1) it
+    yields the rotating-stratum values as well.  sgn is -1.0 on the inverted
+    minus branches and +1.0 otherwise.
     """
-    dE = jt.eps - j0.eps
+    dE = eps - j0.eps
     k2 = k * k
-    sin_half = k * (j0.dn * jt.sn - j0.sn * jt.dn)
-    cos_half = j0.dn * jt.dn + k2 * j0.sn * jt.sn
+    sin_half = k * (j0.dn * sn - j0.sn * dn)
+    cos_half = j0.dn * dn + k2 * j0.sn * sn
     theta = 2.0 * math.atan2(sin_half, cos_half)
     x = (
         (2.0 / sr) * j0.dn * j0.dn * dE
-        + (4.0 * k2 / sr) * j0.dn * j0.sn * (j0.cn - jt.cn)
+        + (4.0 * k2 / sr) * j0.dn * j0.sn * (j0.cn - cn)
         + (2.0 * k2 / sr) * j0.sn * j0.sn * (sr * t - dE)
         - t
     )
-    y = (2.0 * k / sr) * (2.0 * j0.dn * j0.dn - 1.0) * (j0.cn - jt.cn) - (
+    y = (2.0 * k / sr) * (2.0 * j0.dn * j0.dn - 1.0) * (j0.cn - cn) - (
         2.0 * k / sr
     ) * j0.sn * j0.dn * (2.0 * dE - sr * t)
     return x, sgn * y, sgn * theta, 2.0 * sr * (dE - (1.0 - k2) * sr * t)
 
 
-def _prepare(lam: Covector) -> Callable[[float], tuple]:
-    """Precompute the per-covector data; return t -> (x, y, theta, J)."""
+def _pointwise(at: Callable[[float], tuple]) -> Callable[[float, int], list]:
+    """(step, n) -> the States of the closure `at` at t = i*step for i < n."""
+    return lambda step, n: [State(*at(i * step)[:3]) for i in range(n)]
+
+
+def _prepare(lam: Covector, grid: bool = False) -> Callable:
+    """Precompute the per-covector data; return t -> (x, y, theta, J).
+
+    With grid=True it returns (step, n) -> the States at t = i*step for
+    i < n instead.  On N1, N2+- and N3+- that path steps by the addition
+    formulas from anchors evaluated directly; elsewhere it evaluates each
+    point.
+    """
     s = stratify(lam)
 
     if s in STRAIGHT:
@@ -96,7 +116,7 @@ def _prepare(lam: Covector) -> Callable[[float], tuple]:
         def line(t: float):
             return t, 0.0, 0.0, 0.0
 
-        return line
+        return _pointwise(line) if grid else line
 
     if s in CIRCULAR:
         c = lam.c
@@ -105,7 +125,7 @@ def _prepare(lam: Covector) -> Callable[[float], tuple]:
             ct = c * t
             return math.sin(ct) / c, (1.0 - math.cos(ct)) / c, ct, 0.5 * c * c * t
 
-        return circle
+        return _pointwise(circle) if grid else circle
 
     # a minus branch is evaluated on its plus-branch image under the inversion
     sgn = float(s.sign or 1)
@@ -121,10 +141,47 @@ def _prepare(lam: Covector) -> Callable[[float], tuple]:
         k_alg, jac = k, jacobi
     j0 = jac(u0, k)
 
-    def elliptic(t: float):
-        return _endpoint_oscillating(k_alg, sr, t, sgn, j0, jac(u0 + sr * t, k))
+    if not grid:
 
-    return elliptic
+        def elliptic(t: float):
+            jt = jac(u0 + sr * t, k)
+            return _endpoint_oscillating(k_alg, sr, t, sgn, j0, jt.sn, jt.cn, jt.dn, jt.eps)
+
+        return elliptic
+
+    # the steps are taken in the argument w = u/kw of jacobi at modulus k:
+    # u/k on the rotating strata, whose values then take the transform
+    rotating = s in ROTATING
+    kw = k if rotating else 1.0
+
+    def stepped(step: float, n: int) -> list[State]:
+        hw = sr * step / kw
+        if (REANCHOR_POINTS - 1) * hw <= REANCHOR_SPAN:
+            run = REANCHOR_POINTS
+        else:
+            run = 1 + int(REANCHOR_SPAN // hw)
+        if run > 1:
+            jv = jacobi(hw, k)
+            jh = jv.sn, jv.cn, jv.dn, jv.eps
+        out = []
+        for i in range(n):
+            t = i * step
+            u = u0 + sr * t
+            if i % run:
+                a = _add(a, jh, k)
+            else:
+                # eps is stepped from 0 at the anchor: its increments keep
+                # their digits where eps itself is large
+                ja = jacobi(u / kw, k)
+                a, ea = (ja.sn, ja.cn, ja.dn, 0.0), ja.eps
+            sn, cn, dn, eps = a[0], a[1], a[2], ea + a[3]
+            if rotating:
+                sn, cn, dn, eps = _recip_modulus(sn, cn, dn, eps, u, k)
+            x, y, theta, _ = _endpoint_oscillating(k_alg, sr, t, sgn, j0, sn, cn, dn, eps)
+            out.append(State(x, y, theta))
+        return out
+
+    return stepped
 
 
 def exp_map(lam: Covector, t: float) -> State:
@@ -141,9 +198,7 @@ def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
         raise ValueError("need at least two samples")
     if not 0.0 < t1 < math.inf:
         raise ValueError(f"need finite t1 > 0, got {t1}")
-    at = _prepare(lam)
-    step = t1 / (n - 1)
-    return [State(*at(i * step)[:3]) for i in range(n)]
+    return _prepare(lam, grid=True)(t1 / (n - 1), n)
 
 
 def classify(lam: Covector) -> ElasticaClass:

@@ -319,6 +319,32 @@ class TestAddition:
         for f in ("sn", "cn", "dn", "am", "eps"):
             assert abs(getattr(a, f) - getattr(d, f)) < 1e-11
 
+    @pytest.mark.parametrize(
+        "u, v",
+        [(20.0, 20.0), (19.0, 19.5), (-30.0, 29.5), (800.0, -0.5), (400.0, 500.0), (-400.0, -500.0)],
+    )
+    def test_unit_modulus(self, u, v):
+        # 1 - sn^2 u sn^2 v cancels at k = 1, and past |u| ~ 354 sech^2 underflows
+        a = jacobi_add(u, v, 1.0)
+        w = u + v
+        assert abs(a.sn - math.tanh(w)) < 1e-15
+        assert abs(a.eps - math.tanh(w)) < 1e-15
+        sech = 1.0 / math.cosh(w) if abs(w) < 709.0 else 0.0
+        assert abs(a.cn - sech) <= 1e-15 * sech and abs(a.dn - sech) <= 1e-15 * sech
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    u=st.floats(-30.0, 30.0),
+    v=st.floats(-30.0, 30.0),
+    k=st.sampled_from([1.0, 1.0 - 1e-12]),
+)
+def test_addition_near_unit_modulus(u, v, k):
+    a, d = jacobi_add(u, v, k), jacobi(u + v, k)
+    tol = 2e-15 if k == 1.0 else 5e-10
+    for f in ("sn", "cn", "dn", "eps"):
+        assert abs(getattr(a, f) - getattr(d, f)) < tol
+
 
 class TestModulusDerivatives:
     def test_zero_at_origin(self):

@@ -1,11 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastica.elliptic import ellint_K
 from elastica.expmap import (
+    REANCHOR_POINTS,
     ElasticaClass,
     State,
+    _prepare,
     classify,
     elastic_energy_closed,
     exp_map,
@@ -15,6 +19,8 @@ from elastica.maxwell import find_k0
 from elastica.oracle import adaptive_simpson, integrate_extremal
 from elastica.phase import (
     Covector,
+    EllipticCoords,
+    Stratum,
     flow_vertical,
     from_elliptic,
     to_elliptic,
@@ -147,6 +153,13 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_elastica(Covector(0, 1, 1), 0.0, 4)
 
+    def test_ends(self, cell_covectors):
+        for lam in cell_covectors.values():
+            for t1, n in ((0.7, 2), (3.0, 400), (250.0, 1000)):
+                pts = sample_elastica(lam, t1, n)
+                assert endpoint_gap(pts[0], State(0.0, 0.0, 0.0)) < 1e-12
+                assert endpoint_gap(pts[-1], exp_map(lam, t1)) < 1e-12 * max(1.0, t1)
+
     def test_figure_eight_closes_after_one_period(self):
         k0 = float(find_k0())
         lam = n1(k0, 0.23, 1.0)
@@ -167,6 +180,44 @@ class TestSampling:
             q, _, _ = integrate_extremal(lam, t)
             worst = max(worst, math.hypot(pts[i].x - q.x, pts[i].y - q.y))
         assert worst < 1e-6
+
+
+_STEPPED_STRATA = (Stratum.N1, Stratum.N2_PLUS, Stratum.N2_MINUS, Stratum.N3_PLUS, Stratum.N3_MINUS)
+
+
+@st.composite
+def _stepped_sample(draw):
+    """A covector on a stepped stratum, a length t1 with sqrt(r) t1 <= 400, n."""
+    stratum = draw(st.sampled_from(_STEPPED_STRATA))
+    if stratum in (Stratum.N3_PLUS, Stratum.N3_MINUS):
+        k = 1.0
+    else:
+        k = draw(st.one_of(
+            st.floats(1.0 - 1e-9, 1.0, exclude_max=True),
+            st.floats(0.05, 0.06),
+            st.floats(0.06, 1.0 - 1e-9),
+        ))
+    r = math.exp(draw(st.floats(-4.0, 4.0)))
+    sr = math.sqrt(r)
+    lam = from_elliptic(EllipticCoords(stratum, k, draw(st.floats(-12.0, 12.0)) / sr, r))
+    t1 = draw(st.floats(1e-3, 400.0)) / sr
+    n = draw(st.one_of(
+        st.sampled_from([2, REANCHOR_POINTS, REANCHOR_POINTS + 1, 10_000]),
+        st.integers(2, 2000),
+    ))
+    return lam, t1, n
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_stepped_sample())
+def test_stepped_sample_matches_direct(case):
+    # the addition-formula grid against the closure evaluated point by point
+    lam, t1, n = case
+    at = _prepare(lam)
+    step = t1 / (n - 1)
+    for i, q in enumerate(sample_elastica(lam, t1, n)):
+        x, y, theta, _ = at(i * step)
+        assert endpoint_gap(q, State(x, y, theta)) < 1e-12 * max(1.0, t1)
 
 
 class TestClassify:
