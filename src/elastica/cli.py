@@ -174,8 +174,7 @@ def cmd_oracle_exp(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    from .elliptic import ellint_E
-    from .maxwell import h1
+    from .maxwell import _alpha, _k0_defect
 
     k0 = find_k0()
     kstar, ustar = find_kstar()
@@ -183,8 +182,8 @@ def cmd_constants(args) -> int:
         "k0": k0,
         "kstar": kstar,
         "ustar": ustar,
-        "k0_residual": 2.0 * ellint_E(k0) - ellint_K(k0),
-        "kstar_residual": h1(math.pi - u_a1(kstar), kstar),
+        "k0_residual": _k0_defect(k0),
+        "kstar_residual": _alpha(kstar),
         "ustar_identity_residual": ustar - (math.pi - u_a1(kstar)),
     }
     _emit_record(doc, args)

@@ -16,6 +16,7 @@ differences eps(b) - eps(a) over long arguments are meaningful.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -277,10 +278,18 @@ def _add(a, b, k: float):
 
 
 def jacobi_add(u: float, v: float, k) -> JacobiValues:
-    """Jacobi values at u + v from the addition formulas (no evaluation at u+v)."""
+    """Jacobi values at u + v from the addition formulas (no evaluation at u+v).
+
+    At k = 1 with u and v of opposite signs, both past about 354, sech^2 u
+    and sech^2 v are subnormal or zero and the values no longer determine
+    u + v: that raises EllipticDomainError.
+    """
     kf = _as_k(k)
     ju = jacobi(u, kf)
     jv = jacobi(v, kf)
+    if kf == 1.0 and ju.sn * jv.sn < 0.0 and ju.dn * ju.dn + jv.dn * jv.dn < sys.float_info.min:
+        raise EllipticDomainError(f"at k = 1, u = {u} and v = {v} of opposite signs past "
+                                  "about 354 no longer determine u + v")
     sn, cn, dn, eps = _add((ju.sn, ju.cn, ju.dn, ju.eps), (jv.sn, jv.cn, jv.dn, jv.eps), kf)
     am = math.atan2(sn, cn)
     if kf < 1.0:

@@ -36,7 +36,7 @@ from .phase import (
     stratify,
     to_elliptic,
 )
-from .symmetry import _arc_coords
+from .symmetry import _arc_coords, _fixes
 
 DEFAULT_TOL = 1e-9
 BRENT_XTOL = 1e-15
@@ -139,14 +139,23 @@ class MaxwellStratum(Enum):
     MAX3_MINUS = "MAX3minus"
 
 
+_STRATA = tuple(MaxwellStratum)  # the order of _met's flags and of the report's times
+
+
 @dataclass(frozen=True)
 class MaxwellReport:
     """First Maxwell times per reflection stratum and the cut-time upper bound.
 
-    Times and the bound are +inf where the stratum is never met.  For
-    oscillating covectors whose midpoint coordinate sits on the tau-lattice
-    (cn tau * sn tau = 0 at the bound time) the bound is flagged: there the
-    meeting partner degenerates and the bound rests on conjugate-point
+    Each time is that of the least searched half-length at which the stratum
+    is met, and +inf means "not found there", not "never met".  The
+    oscillating search covers the lattice point 2K, the roots p_n^1 up to
+    n = _ROOT_SCAN_MAX and, when k >= k*, p_g1; the rotating one covers the
+    lattice point K alone, so t1_max2 and t1_max3minus are +inf there
+    although MAX3- points lie past K.  The bound is +inf only on the
+    separatrix, the equilibria and the frozen case.  For oscillating
+    covectors whose midpoint coordinate sits on the tau-lattice (cn tau *
+    sn tau = 0 at the bound time) the bound is flagged: there the meeting
+    partner degenerates and the bound rests on conjugate-point
     grounds rather than on a Maxwell point.
     """
 
@@ -277,17 +286,15 @@ def compat_n1(u: float, k) -> float:
 # ---------------------------------------------------------------------------
 # constants and root curves
 
+def _k0_defect(k: float) -> float:
+    """2E(k) - K(k), positive below the figure-eight modulus k0 and zero at it."""
+    return 2.0 * ellint_E(k) - ellint_K(k)
+
+
 @lru_cache(maxsize=1)
 def find_k0() -> float:
     """The unique modulus in (1/sqrt(2), 1) with 2E(k) = K(k) (figure-eight)."""
-    k0 = _brentq(
-        lambda k: 2.0 * ellint_E(k) - ellint_K(k),
-        K_RECT,
-        1.0 - 1e-12,
-        xtol=BRENT_XTOL,
-        rtol=BRENT_RTOL,
-    )
-    return k0
+    return _brentq(_k0_defect, K_RECT, 1.0 - 1e-12, xtol=BRENT_XTOL, rtol=BRENT_RTOL)
 
 
 def u_a1(k) -> float:
@@ -402,10 +409,32 @@ def p1_roots(k, n: int) -> float:
 # ---------------------------------------------------------------------------
 # Maxwell strata membership and first Maxwell times
 
-def _lattice_index(x: float, step: float, tol: float):
-    """Nearest lattice index n of x in step*Z, or None if farther than tol."""
+def _on_lattice(x: float, step: float, tol: float) -> bool:
+    """Whether x lies within tol of a nonzero point of the lattice step*Z."""
     n = round(x / step)
-    return n if abs(x - n * step) <= tol else None
+    return n != 0 and abs(x - n * step) <= tol
+
+
+def _met(stratum, jt, even, f1_root, chord_rhs, at_k0, tol) -> tuple:
+    """Whether an N1 or rotating arc meets MAX1, MAX2, MAX3+ and MAX3-, in that order.
+
+    jt holds the Jacobi values at the arc's midpoint tau, and the flags say
+    which equations its half-length p solves.  even: p lies on the nonzero
+    lattice (2K Z on N1, K Z on the rotating strata), where the arc meets
+    its reflection-1 image; f1_root: p is a root p_n^1 of f1, where it meets
+    its reflection-2 image; chord_rhs: the sn^2 tau that the solved
+    chord-reflection equation asks for, else None; at_k0: the modulus is the
+    figure-eight one.  A reflection that fixes the arc puts the other one's
+    meeting into MAX3+ as well; on the rotating strata into MAX3+ alone.
+    """
+    fix1 = _fixes(1, stratum, jt, tol)
+    fix2 = _fixes(2, stratum, jt, tol)
+    return (
+        even and not fix1 and not (fix2 and stratum in ROTATING),
+        f1_root and not fix2,
+        (even and (fix2 or at_k0)) or (f1_root and fix1),
+        chord_rhs is not None and abs(jt.sn * jt.sn - chord_rhs) <= tol,
+    )
 
 
 def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
@@ -418,15 +447,12 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
     if not 0.0 < t < math.inf:
         raise ValueError(f"in_maxwell needs finite t > 0, got {t}")
     s = stratify(lam)
-    out: set[MaxwellStratum] = set()
     if s in _NEVER_MEETS:
-        return out
+        return set()
     if s in CIRCULAR:
-        n = _lattice_index(lam.c * t, 2.0 * math.pi, tol)
-        if n is not None and n != 0:
-            out.add(MaxwellStratum.MAX1)
-            out.add(MaxwellStratum.MAX3_PLUS)
-        return out
+        if _on_lattice(lam.c * t, 2.0 * math.pi, tol):
+            return {MaxwellStratum.MAX1, MaxwellStratum.MAX3_PLUS}
+        return set()
 
     ec = to_elliptic(lam)
     k = ec.k
@@ -434,41 +460,19 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
     mc = _arc_coords(ec, t)
     p = mc.p
     jt = jacobi(mc.tau, k)
-
-    if s is Stratum.N1:
-        jp = jacobi(p, k)
-        n_even = _lattice_index(p, 2.0 * K, tol)
-        on_even = n_even is not None and n_even != 0
-        n_f1 = round(p / (2.0 * K))
-        on_f1 = n_f1 >= 1 and abs(p - p1_roots(k, n_f1)) <= tol
-        at_k0 = abs(k - find_k0()) <= tol
-        if on_even and abs(jt.cn) > tol:
-            out.add(MaxwellStratum.MAX1)
-        if on_f1 and abs(jt.sn) > tol:
-            out.add(MaxwellStratum.MAX2)
-        if (
-            (at_k0 and on_even)
-            or (on_f1 and abs(jt.cn) <= tol)
-            or (on_even and abs(jt.sn) <= tol)
-        ):
-            out.add(MaxwellStratum.MAX3_PLUS)
-        rhs = _chord_sn2(k, jp.sn * jp.sn, tol)
-        if rhs is not None and abs(g1_n1(p, k)) <= tol and abs(jt.sn * jt.sn - rhs) <= tol:
-            out.add(MaxwellStratum.MAX3_MINUS)
-        return out
-
-    # rotating strata
     jp = jacobi(p, k)
-    n = _lattice_index(p, K, tol)
-    on_lattice = n is not None and n != 0
-    if on_lattice and abs(jt.sn * jt.cn) > tol:
-        out.add(MaxwellStratum.MAX1)
-    if on_lattice and abs(jt.sn * jt.cn) <= tol:
-        out.add(MaxwellStratum.MAX3_PLUS)
-    rhs = _chord_sn2(k, jp.sn * jp.sn, tol, rotating=True)
-    if rhs is not None and abs(g1_n2(p, k)) <= tol and abs(jt.sn * jt.sn - rhs) <= tol:
-        out.add(MaxwellStratum.MAX3_MINUS)
-    return out
+    rotating = s in ROTATING
+    if rotating:
+        even, f1_root, at_k0, g1 = _on_lattice(p, K, tol), False, False, g1_n2
+    else:
+        n_f1 = round(p / (2.0 * K))
+        even = _on_lattice(p, 2.0 * K, tol)
+        f1_root = n_f1 >= 1 and abs(p - p1_roots(k, n_f1)) <= tol
+        at_k0, g1 = abs(k - find_k0()) <= tol, g1_n1
+    rhs = _chord_sn2(k, jp.sn * jp.sn, tol, rotating)
+    if rhs is not None and abs(g1(p, k)) > tol:
+        rhs = None
+    return {m for m, hit in zip(_STRATA, _met(s, jt, even, f1_root, rhs, at_k0, tol)) if hit}
 
 
 def _chord_sn2(k: float, sn2p: float, tol: float, rotating: bool = False):
@@ -483,40 +487,6 @@ def _chord_sn2(k: float, sn2p: float, tol: float, rotating: bool = False):
         return None
     rhs = ((2.0 * sn2p if rotating else 2.0 * den) - 1.0) / den
     return rhs if -tol <= rhs <= 1.0 + tol else None
-
-
-def _first_times_oscillating(k: float, u0: float, sr: float, tol: float):
-    """First Maxwell times (max1, max2, max3+, max3-) and p_1^1 for an N1 covector."""
-    K = ellint_K(k)
-    k0 = find_k0()
-    j0 = jacobi(u0, k)
-
-    t_max1 = 4.0 * K / sr if abs(j0.cn) > tol else math.inf
-
-    t_max2 = t_max3p = math.inf
-    for n in range(1, _ROOT_SCAN_MAX + 1):
-        pn = p1_roots(k, n)
-        if n == 1:
-            p1 = pn
-        jn = jacobi(u0 + pn, k)
-        if t_max2 == math.inf and abs(jn.sn) > tol:
-            t_max2 = 2.0 * pn / sr
-        if t_max3p == math.inf and abs(jn.cn) <= tol:
-            t_max3p = 2.0 * pn / sr
-        if t_max2 < math.inf and t_max3p < math.inf:
-            break
-    if abs(k - k0) <= tol or abs(j0.sn) <= tol:
-        t_max3p = min(t_max3p, 4.0 * K / sr)
-
-    t_max3m = math.inf
-    kstar, _ = find_kstar()
-    if k >= kstar:
-        pg = p_g1(k)
-        rhs = _chord_sn2(k, jacobi(pg, k).sn ** 2, tol)
-        if rhs is not None and abs(jacobi(u0 + pg, k).sn ** 2 - rhs) <= tol:
-            t_max3m = 2.0 * pg / sr
-
-    return t_max1, t_max2, t_max3p, t_max3m, p1
 
 
 def unit_cut_time_bound(k, rotating: bool, p1: float | None = None) -> float:
@@ -538,7 +508,10 @@ def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
 
     Oscillating: (2/sqrt(r)) min(2K, p_1^1); rotating: (2k/sqrt(r)) K;
     circular: 2 pi/|c|; +inf on the separatrix, equilibria and the frozen
-    case.  Scales like time under the dilation symmetry.
+    case.  Scales like time under the dilation symmetry.  A first time is
+    that of the least candidate half-length p (listed in MaxwellReport) at
+    which `_met` names the stratum; the roots p_n^1 stop once MAX2 and MAX3+
+    are both met.
     """
     s = stratify(lam)
     if s in _NEVER_MEETS:
@@ -550,27 +523,41 @@ def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
     ec = to_elliptic(lam)
     k = ec.k
     sr = math.sqrt(ec.r)
+    K = ellint_K(k)
+    rotating = s in ROTATING
+    tau0 = sr * (ec.psi if rotating else ec.phi)
+    first = [math.inf] * 4  # least p per stratum, in _STRATA order
+    jts = {}
 
-    if s in ROTATING:
-        v0 = sr * ec.psi
-        bound = unit_cut_time_bound(k, rotating=True) / sr
-        jv = jacobi(v0, k)
-        on_lattice = abs(jv.sn * jv.cn) <= tol
-        t1 = math.inf if on_lattice else bound
-        t3p = bound if on_lattice else math.inf
-        return MaxwellReport(s, t1, math.inf, t3p, math.inf, bound)
+    def meet(p, even=False, f1_root=False, chord_rhs=None, at_k0=False):
+        jts[p] = jt = jacobi(tau0 + p, k)
+        for i, hit in enumerate(_met(s, jt, even, f1_root, chord_rhs, at_k0, tol)):
+            if hit and p < first[i]:
+                first[i] = p
 
-    u0 = sr * ec.phi
-    t1, t2, t3p, t3m, p1 = _first_times_oscillating(k, u0, sr, tol)
-    unit = unit_cut_time_bound(k, rotating=False, p1=p1)
-    # at r = 1 the bound time t has half-length p = t / 2
-    jb = jacobi(u0 + unit / 2.0, k)
+    p1 = None
+    if rotating:
+        meet(K, even=True)
+    else:
+        meet(2.0 * K, even=True, at_k0=abs(k - find_k0()) <= tol)
+        for n in range(1, _ROOT_SCAN_MAX + 1):
+            pn = p1_roots(k, n)
+            if n == 1:
+                p1 = pn
+            meet(pn, f1_root=True)
+            if max(first[1], first[2]) < math.inf:  # MAX2 and MAX3+ both met
+                break
+        if k >= find_kstar()[0]:
+            pg = p_g1(k)
+            meet(pg, chord_rhs=_chord_sn2(k, jacobi(pg, k).sn ** 2, tol))
+
+    scale = 2.0 * k if rotating else 2.0
+    unit = unit_cut_time_bound(k, rotating, p1)
+    # at r = 1 the bound time t has half-length p = t / 2, one of the candidates
+    jb = None if rotating else jts[unit / 2.0]
     return MaxwellReport(
         s,
-        t1,
-        t2,
-        t3p,
-        t3m,
+        *[scale * p / sr for p in first],
         unit / sr,
-        tau_degenerate=abs(jb.cn * jb.sn) <= tol,
+        tau_degenerate=jb is not None and abs(jb.cn * jb.sn) <= tol,
     )

@@ -158,6 +158,20 @@ def maxwell_coords(lam: Covector, t: float) -> MaxwellCoords:
     return _arc_coords(to_elliptic(lam), t)
 
 
+def _fixes(i, stratum: Stratum, jt, tol: float) -> bool:
+    """Whether reflection i fixes an N1 or rotating arc whose midpoint has Jacobi values jt.
+
+    On N1 reflection 1 fixes it when cn tau = 0 and reflection 2 when
+    sn tau = 0; on the rotating strata only reflection 2 does, when
+    sn tau cn tau = 0.  Reflection 3 fixes neither.
+    """
+    if stratum is Stratum.N1:
+        if i == 1:
+            return abs(jt.cn) <= tol
+        return i == 2 and abs(jt.sn) <= tol
+    return i == 2 and abs(jt.sn * jt.cn) <= tol
+
+
 def is_fixed_covector(i, lam: Covector, t: float, tol: float = 1e-9) -> bool:
     """Whether reflection i maps lam's trajectory over [0, t] to itself.
 
@@ -174,19 +188,7 @@ def is_fixed_covector(i, lam: Covector, t: float, tol: float = 1e-9) -> bool:
             return abs(wrap_angle(2.0 * lam.beta + lam.c * t)) < tol
         return False
     ec = to_elliptic(lam)
-    k = ec.k
     mc = _arc_coords(ec, t)
-    if s is Stratum.N1:
-        jv = jacobi(mc.tau, k)
-        if i is Reflection.CHORD_CENTER:
-            return abs(jv.cn) < tol
-        if i is Reflection.CHORD_PERPENDICULAR:
-            return abs(jv.sn) < tol
-        return False
     if s in SEPARATRIX:
         return i is Reflection.CHORD_PERPENDICULAR and abs(mc.tau) < tol
-    # rotating strata
-    if i is Reflection.CHORD_PERPENDICULAR:
-        jv = jacobi(mc.tau, k)
-        return abs(jv.sn * jv.cn) < tol
-    return False
+    return _fixes(i, s, jacobi(mc.tau, ec.k), tol)

@@ -315,6 +315,25 @@ class TestMaxwellCmd:
         assert doc["membership"] == []
         assert math.isfinite(doc["bound"])
 
+    @pytest.mark.parametrize(
+        "beta, c, r, t",
+        [
+            (-3.1415926517020325, 1.2182061009891727, 1.7532483171941744, 3.182244781102832),
+            (-5.825414817195451e-09, 2.68839649844544, 1.7329310634795903, 4.471211695862266),
+        ],
+    )
+    def test_membership_agrees_with_first_times_in_band(self, capsys, beta, c, r, t):
+        # rotating covectors with sn tau cn tau within the tol band at the
+        # bound time t: membership names exactly the strata first met at t
+        _, out = run_cli(
+            ["maxwell", f"--beta={beta}", "--c", repr(c), "--r", repr(r), "--t", repr(t)], capsys
+        )
+        doc = json.loads(out)
+        assert doc["bound"] == t
+        first = {"MAX1": "t1_max1", "MAX2": "t1_max2", "MAX3plus": "t1_max3plus",
+                 "MAX3minus": "t1_max3minus"}
+        assert doc["membership"] == [m for m, f in first.items() if doc[f] == t]
+
     def test_env_tolerance_override(self, capsys, monkeypatch):
         # a loose ELASTICA_TOL widens the lattice bands into membership
         args = ["maxwell", "--beta", "0.3", "--c", "1", "--r", "0",

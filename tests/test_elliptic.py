@@ -321,7 +321,8 @@ class TestAddition:
 
     @pytest.mark.parametrize(
         "u, v",
-        [(20.0, 20.0), (19.0, 19.5), (-30.0, 29.5), (800.0, -0.5), (400.0, 500.0), (-400.0, -500.0)],
+        [(20.0, 20.0), (19.0, 19.5), (-30.0, 29.5), (800.0, -0.5), (400.0, 500.0), (-400.0, -500.0),
+         (-355.0, 355.5)],
     )
     def test_unit_modulus(self, u, v):
         # 1 - sn^2 u sn^2 v cancels at k = 1, and past |u| ~ 354 sech^2 underflows
@@ -331,6 +332,13 @@ class TestAddition:
         assert abs(a.eps - math.tanh(w)) < 1e-15
         sech = 1.0 / math.cosh(w) if abs(w) < 709.0 else 0.0
         assert abs(a.cn - sech) <= 1e-15 * sech and abs(a.dn - sech) <= 1e-15 * sech
+
+    @pytest.mark.parametrize("u, v", [(-400.0, 400.5), (360.0, -360.5)])
+    def test_unit_modulus_opposite_signs_past_limit(self, u, v):
+        # tanh u = -tanh v = +-1 and sech^2 u, sech^2 v are subnormal or zero,
+        # so the values at u and v no longer determine u + v
+        with pytest.raises(EllipticDomainError, match="354"):
+            jacobi_add(u, v, 1.0)
 
 
 @settings(max_examples=300, deadline=None)

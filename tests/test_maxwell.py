@@ -8,6 +8,7 @@ from elastica.expmap import elastic_energy_closed, exp_map
 from elastica.maxwell import (
     BRENT_RTOL,
     BRENT_XTOL,
+    DEFAULT_TOL,
     MaxwellStratum,
     _brentq,
     a1,
@@ -437,3 +438,44 @@ class TestCutTimeBound:
         lam = n1(0.97, 0.37, 1.0)
         rep = cut_time_bound(lam)
         assert rep.bound == rep.t1_max2 <= rep.t1_max1
+
+
+def first_times(rep):
+    return {
+        MaxwellStratum.MAX1: rep.t1_max1,
+        MaxwellStratum.MAX2: rep.t1_max2,
+        MaxwellStratum.MAX3_PLUS: rep.t1_max3plus,
+        MaxwellStratum.MAX3_MINUS: rep.t1_max3minus,
+    }
+
+
+def rotating_at_angle(k, r, beta, sign):
+    """N2 covector of modulus k with angle beta: E + r = 2 r / k^2."""
+    c = sign * 2.0 * math.sqrt(r * (1.0 / (k * k) - math.sin(0.5 * beta) ** 2))
+    return Covector(beta, c, r)
+
+
+def test_first_times_agree_with_membership_near_tau_lattice():
+    # midpoints within a few tol of the tau lattice, where the fixed-point
+    # tests sit on their tolerance band: at each finite first time T,
+    # in_maxwell names that stratum and no stratum first met after T
+    rng = random.Random(1303)
+    for i in range(800):
+        k, r = rng.uniform(0.05, 0.99), math.exp(rng.uniform(-1.0, 1.0))
+        offset = rng.uniform(-6.0, 6.0) * DEFAULT_TOL
+        if i % 2:
+            # beta near 0 and +-pi puts sn tau cn tau near 0
+            beta = rng.choice((0.0, math.pi, -math.pi)) + offset
+            lam = rotating_at_angle(k, r, beta, rng.choice((1, -1)))
+        else:
+            # tau at the lattice candidate 2K or at p_1^1 near a quarter period
+            K = ellint_K(k)
+            p = rng.choice((2.0 * K, p1_roots(k, 1)))
+            tau = rng.randrange(4) * K + offset
+            lam = n1(k, (tau - p) / math.sqrt(r), r)
+        times = first_times(cut_time_bound(lam))
+        for m, T in times.items():
+            if math.isfinite(T):
+                got = in_maxwell(lam, T)
+                assert m in got, (lam, m, got)
+                assert all(times[g] <= T for g in got), (lam, m, got)
