@@ -46,6 +46,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    if len(args.seeds) < 2:
+        ap.error("--seeds needs at least two seeds: quartiles need two pairs")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     dirs = {"base": args.base.resolve(), "change": args.change.resolve()}

@@ -45,6 +45,7 @@ from .maxwell import (
 from .oracle import (
     BvpSolution,
     IntegratorConfig,
+    UnattainableTargetError,
     attainable,
     bvp_shoot,
     integrate_extremal,

@@ -34,7 +34,7 @@ from .maxwell import (
 from .oracle import (
     IntegratorConfig,
     MaxStepsExceeded,
-    attainable,
+    UnattainableTargetError,
     bvp_shoot,
     integrate_extremal,
 )
@@ -142,7 +142,7 @@ def _covector(args) -> Covector:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_exp(args) -> int:
+def cmd_exp(args):
     lam = _covector(args)
     q = exp_map(lam, args.t)
     doc = {
@@ -154,10 +154,9 @@ def cmd_exp(args) -> int:
         "energy": elastic_energy_closed(lam, args.t),
     }
     _emit_record(doc, args)
-    return EXIT_OK
 
 
-def cmd_oracle_exp(args) -> int:
+def cmd_oracle_exp(args):
     lam = _covector(args)
     q, lam_t, J = integrate_extremal(lam, args.t, IntegratorConfig(step=args.step))
     doc = {
@@ -170,10 +169,9 @@ def cmd_oracle_exp(args) -> int:
         "step": args.step,
     }
     _emit_record(doc, args)
-    return EXIT_OK
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args):
     from .maxwell import _alpha, _k0_defect
 
     k0 = find_k0()
@@ -187,47 +185,27 @@ def cmd_constants(args) -> int:
         "ustar_identity_residual": ustar - (math.pi - u_a1(kstar)),
     }
     _emit_record(doc, args)
-    return EXIT_OK
 
 
-# lower edge of each curve's modulus domain; None stands for k*, which is
-# only known after find_kstar runs (the upper edge is always 1, exclusive)
-_CURVE_DOMAIN = {
-    "p11": 0.0,
-    "pg1": None,
-    "ua1": K_RECT,
-    "uh1": None,
-    "cutbound": 0.0,
+_CURVES = {
+    "p11": lambda k, family: p1_roots(k, 1),
+    "pg1": lambda k, family: p_g1(k),
+    "ua1": lambda k, family: u_a1(k),
+    "uh1": lambda k, family: u_h1(k),
+    "cutbound": lambda k, family: unit_cut_time_bound(k, rotating=family == "n2"),
 }
 
 
-def _sweep_value(curve: str, k: float, family: str) -> float:
-    if curve == "p11":
-        return p1_roots(k, 1)
-    if curve == "pg1":
-        return p_g1(k)
-    if curve == "ua1":
-        return u_a1(k)
-    if curve == "uh1":
-        return u_h1(k)
-    return unit_cut_time_bound(k, rotating=family == "n2")
-
-
-def cmd_sweep(args) -> int:
-    lo = _CURVE_DOMAIN[args.curve]
-    if lo is None:
-        lo = find_kstar()[0]
-    if not lo <= args.kmin <= args.kmax < 1.0:
-        sys.stderr.write(
-            f"error: sweep domain for {args.curve} is [{lo:.6g}, 1)\n"
-        )
-        return EXIT_DOMAIN
+def cmd_sweep(args):
+    # each curve checks its own modulus domain; only the range's order is ours
+    if not args.kmin <= args.kmax:
+        raise ValueError(f"sweep needs kmin <= kmax, got {args.kmin} and {args.kmax}")
     n = args.n
     ks = [args.kmin + (args.kmax - args.kmin) * i / (n - 1) for i in range(n)] if n > 1 else [args.kmin]
-    values = [(k, _sweep_value(args.curve, k, args.family)) for k in ks]
+    curve = _CURVES[args.curve]
+    values = [(k, curve(k, args.family)) for k in ks]
     rows = [(k, v, v / ellint_K(k)) for k, v in values]
     _emit_table(["k", "value", "value_over_K"], rows, args)
-    return EXIT_OK
 
 
 def _svg_polyline(points, title: str) -> str:
@@ -258,45 +236,39 @@ def _svg_polyline(points, title: str) -> str:
     )
 
 
-def cmd_elastica(args) -> int:
+def cmd_elastica(args):
     if args.gallery is not None:
-        return _gallery(args.gallery, args.n)
+        _gallery(args.gallery, args.n)
+        return
     lam = _covector(args)
     rows = [(q.x, q.y, q.theta) for q in sample_elastica(lam, args.t1, args.n)]
     if args.format == "svg":
         _emit(_svg_polyline(rows, classify(lam).value), args.output)
     else:
         _emit(_csv_doc(["x", "y", "theta"], rows), args.output)
-    return EXIT_OK
 
 
-def _gallery(outdir: str, n: int) -> int:
+def _gallery(outdir: str, n: int):
     """One canonical curve per qualitative class, r = 1 throughout."""
-    from .phase import EllipticCoords, Stratum, from_elliptic
+    from .phase import EllipticCoords, Stratum, from_elliptic, period
 
-    k0 = find_k0()
-    K = ellint_K
-
-    def oscillating(k):
-        return from_elliptic(EllipticCoords(Stratum.N1, k, 0.0, 1.0))
+    def two_periods(stratum, k):
+        ec = EllipticCoords(stratum, k, 0.0, 1.0)
+        return from_elliptic(ec), 2.0 * period(ec)
 
     entries = [
         ("line", Covector(0.0, 0.0, 0.0), 1.0),
-        ("inflectional_small_k", oscillating(0.5), 8.0 * K(0.5)),
-        ("rectangular", oscillating(K_RECT), 8.0 * K(K_RECT)),
-        ("inflectional_mid_k", oscillating(0.85), 8.0 * K(0.85)),
-        ("figure_eight", oscillating(k0), 8.0 * K(k0)),
-        ("inflectional_large_k", oscillating(0.97), 8.0 * K(0.97)),
+        ("inflectional_small_k", *two_periods(Stratum.N1, 0.5)),
+        ("rectangular", *two_periods(Stratum.N1, K_RECT)),
+        ("inflectional_mid_k", *two_periods(Stratum.N1, 0.85)),
+        ("figure_eight", *two_periods(Stratum.N1, find_k0())),
+        ("inflectional_large_k", *two_periods(Stratum.N1, 0.97)),
         (
             "critical",
             from_elliptic(EllipticCoords(Stratum.N3_PLUS, 1.0, -3.0, 1.0)),
             6.0,
         ),
-        (
-            "non_inflectional",
-            from_elliptic(EllipticCoords(Stratum.N2_PLUS, 0.8, 0.0, 1.0)),
-            4.0 * 0.8 * K(0.8),
-        ),
+        ("non_inflectional", *two_periods(Stratum.N2_PLUS, 0.8)),
         ("circle", Covector(0.0, 2.0 * math.pi, 0.0), 1.0),
     ]
     os.makedirs(outdir, exist_ok=True)
@@ -306,10 +278,9 @@ def _gallery(outdir: str, n: int) -> int:
         with open(os.path.join(outdir, f"{name}.svg"), "w", encoding="utf-8") as fh:
             fh.write(svg)
     sys.stdout.write(f"wrote {len(entries)} files to {outdir}\n")
-    return EXIT_OK
 
 
-def cmd_maxwell(args) -> int:
+def cmd_maxwell(args):
     lam = _covector(args)
     tol = args.tol if args.tol is not None else _env_tol()
     membership = sorted(m.value for m in in_maxwell(lam, args.t, tol))
@@ -325,17 +296,10 @@ def cmd_maxwell(args) -> int:
         "tau_degenerate": rep.tau_degenerate,
     }
     _emit(_json_doc(doc), args.output)
-    return EXIT_OK
 
 
-def cmd_bvp(args) -> int:
+def cmd_bvp(args):
     q1 = State(args.x, args.y, args.theta)
-    if not attainable(q1, args.t1):
-        sys.stderr.write(
-            "error: target unattainable; need x^2 + y^2 < t1^2 "
-            "or (x, y, theta) = (t1, 0, 0)\n"
-        )
-        return EXIT_UNATTAINABLE
     sols = bvp_shoot(q1, args.t1, starts=args.starts, jobs=args.jobs)
     keys = ["beta", "c", "r", "energy", "residual", "cut_time_bound", "optimal_candidate"]
     rows = [
@@ -343,7 +307,6 @@ def cmd_bvp(args) -> int:
         for s in sols
     ]
     _emit_table(keys, rows, args)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("sweep", help="tabulate a root curve over the modulus")
-    p.add_argument("curve", choices=["p11", "pg1", "ua1", "uh1", "cutbound"])
+    p.add_argument("curve", choices=_CURVES)
     p.add_argument("--kmin", type=float, required=True)
     p.add_argument("--kmax", type=float, required=True)
     p.add_argument("--n", type=_count(1), default=50)
@@ -434,15 +397,19 @@ def main(argv=None) -> int:
     # argparse handles "--beta=-0.5", documented in the README
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+    except UnattainableTargetError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_UNATTAINABLE
     except (ValueError, MaxStepsExceeded) as exc:
-        # ValueError includes the elliptic and stratum domain errors; a
-        # horizon beyond the integrator's step budget is a domain error too
+        # ValueError includes the elliptic, stratum and root-curve domain
+        # errors; a horizon beyond the integrator's step budget is one too
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -358,8 +358,8 @@ def u_h1(k) -> float:
     """
     kf = float(k)
     kstar, _ = find_kstar()
-    if not kstar - 1e-12 <= kf < 1.0:
-        raise ValueError(f"u_h1 needs k in [k*, 1), got {kf}")
+    if not kstar <= kf < 1.0:
+        raise ValueError(f"u_h1 needs k in [k* = {kstar}, 1), got {kf}")
     k0 = find_k0()
     if abs(kf - k0) < K0_SNAP:
         return math.pi / 2.0

@@ -177,6 +177,10 @@ def quad_E(phi: float, k) -> float:
     )
 
 
+class UnattainableTargetError(ValueError):
+    """A bvp_shoot target outside the exact-time attainable set."""
+
+
 def attainable(q1: State, t1: float) -> bool:
     """Exact-time attainability from the identity: open disk plus one boundary point.
 
@@ -297,14 +301,18 @@ def bvp_shoot(
     frozen covector, collapsing the degenerate (beta, r) freedom.
 
     Returns an empty list (with a logged diagnostic) when no start converges.
-    A non-finite target or time, starts < 1 or jobs < 1 raises ValueError.
+    A target that `attainable` rejects raises UnattainableTargetError, a
+    ValueError; a non-finite target or time, starts < 1 or jobs < 1 raises
+    a plain ValueError.
     """
     if starts < 1:
         raise ValueError(f"bvp_shoot needs starts >= 1, got {starts}")
     if jobs < 1:
         raise ValueError(f"bvp_shoot needs jobs >= 1, got {jobs}")
     if not attainable(q1, t1):
-        raise ValueError("target is outside the exact-time attainable set")
+        raise UnattainableTargetError(
+            "target unattainable; need x^2 + y^2 < t1^2 or (x, y, theta) = (t1, 0, 0)"
+        )
     grid = start_grid()[:starts]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

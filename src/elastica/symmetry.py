@@ -45,19 +45,16 @@ class Reflection(IntEnum):
     CHORD = 3
 
 
-_COMPOSE = {(1, 2): 3, (2, 1): 3, (1, 3): 2, (3, 1): 2, (2, 3): 1, (3, 2): 1}
-
-
 def compose(i, j) -> int:
-    """Group composition; 0 encodes the identity element."""
+    """Group composition; 0 encodes the identity element.
+
+    Each reflection is its own inverse and composes two others into the
+    third, so the group is the Klein four-group: XOR on 0..3.
+    """
     i, j = int(i), int(j)
-    if i == 0:
-        return j
-    if j == 0:
-        return i
-    if i == j:
-        return 0
-    return _COMPOSE[(i, j)]
+    if not (0 <= i <= 3 and 0 <= j <= 3):
+        raise ValueError(f"compose needs elements in 0..3, got {i} and {j}")
+    return i ^ j
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,43 @@
+import importlib.util
+import json
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _argv(tmp_path, *seeds):
+    return ["--base", str(tmp_path), "--change", str(tmp_path), "--workload", "sample",
+            "--seeds", *map(str, seeds), "--out", str(tmp_path / "pairs.json")]
+
+
+def test_one_seed_rejected_before_any_run(tmp_path, capsys):
+    bench_pairs = _bench_pairs()
+    with mock.patch.object(bench_pairs, "run_once") as run_once, \
+            pytest.raises(SystemExit) as exc:
+        bench_pairs.main(_argv(tmp_path, 101))
+    assert exc.value.code == 2
+    run_once.assert_not_called()
+    assert not (tmp_path / "pairs.json").exists()
+    assert "--seeds" in capsys.readouterr().err
+
+
+def test_two_seeds_summarized(tmp_path):
+    bench_pairs = _bench_pairs()
+    names = [m["name"] for m in json.loads(
+        (SCRIPT.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
+    result = {"metrics": {name: {"value": 1.0} for name in names}}
+    with mock.patch.object(bench_pairs, "run_once", return_value=result):
+        assert bench_pairs.main(_argv(tmp_path, 101, 102)) == 0
+    doc = json.loads((tmp_path / "pairs.json").read_text(encoding="utf-8"))
+    assert doc["sample"]["change_wins_of_pairs"]["pairs"] == 2
+    assert doc["sample"]["base"]["metrics"][names[0]] == {"median": 1.0, "q1": 1.0, "q3": 1.0}

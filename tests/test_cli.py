@@ -19,7 +19,17 @@ from hypothesis import strategies as st
 from elastica.cli import main
 from elastica.elliptic import ellint_K
 from elastica.expmap import State
-from elastica.maxwell import cut_time_bound, find_k0
+from elastica.maxwell import (
+    K_RECT,
+    cut_time_bound,
+    find_k0,
+    find_kstar,
+    p1_roots,
+    p_g1,
+    u_a1,
+    u_h1,
+    unit_cut_time_bound,
+)
 from elastica.oracle import integrate_extremal
 from elastica.phase import Covector, to_elliptic
 
@@ -34,6 +44,12 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def _near(edge):
+    """Moduli within a few ulps and a few 1e-13 of a domain edge, both sides."""
+    return [edge - 1e-12, edge - 5e-13, edge - 5e-15, math.nextafter(edge, -math.inf),
+            edge, math.nextafter(edge, math.inf), edge + 5e-13]
 
 
 def _project():
@@ -189,6 +205,30 @@ class TestSweep:
     def test_domain_violation_exit_code(self, capsys):
         code = main(["sweep", "pg1", "--kmin", "0.2", "--kmax", "0.5", "--n", "3"])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "curve, fn, lo",
+        [
+            ("p11", lambda k: p1_roots(k, 1), 0.0),
+            ("pg1", p_g1, find_kstar()[0]),
+            ("ua1", u_a1, K_RECT),
+            ("uh1", u_h1, find_kstar()[0]),
+            ("cutbound", lambda k: unit_cut_time_bound(k, rotating=False), 0.0),
+        ],
+        ids=["p11", "pg1", "ua1", "uh1", "cutbound"],
+    )
+    def test_exit_0_exactly_where_curve_returns(self, curve, fn, lo, capsys):
+        # the curve's own domain check decides, and its message is the error
+        for k in [*_near(lo), *_near(1.0)]:
+            code = main(["sweep", curve, f"--kmin={k!r}", f"--kmax={k!r}", "--n", "1"])
+            err = capsys.readouterr().err
+            try:
+                fn(k)
+            except ValueError as exc:
+                assert (code, err) == (3, f"error: {exc}\n"), k
+            else:
+                # only u_a1 returns at k = 1, where value / K(k) diverges
+                assert code == (3 if k == 1.0 else 0), (k, err)
 
     def test_p11_from_zero_modulus(self, capsys):
         # the advertised domain [0, 1) includes k = 0, the tan p = p limit
@@ -362,6 +402,10 @@ class TestBvp:
             ["bvp", "--x", "0", "--y", "1.5", "--theta", "0", "--t1", "1"]
         )
         assert code == 5
+        assert capsys.readouterr().err == (
+            "error: target unattainable; need x^2 + y^2 < t1^2 "
+            "or (x, y, theta) = (t1, 0, 0)\n"
+        )
 
 
 _MAXWELL_FULL_TURN = ["maxwell", "--beta", "0.3", "--c", "1", "--r", "0",
@@ -380,6 +424,8 @@ class TestInvalidInput:
                          None, 2, id="sweep-n-negative"),
             pytest.param(["sweep", "p11", "--kmin", "0.2", "--kmax", "0.8", "--jobs", "2"],
                          None, 2, id="sweep-jobs-removed"),
+            pytest.param(["sweep", "p11", "--kmin", "0.8", "--kmax", "0.2"],
+                         None, 3, id="sweep-kmin-above-kmax"),
             pytest.param(["bvp", "--x", "1", "--y", "0", "--theta", "0", "--t1", "1",
                           "--starts", "0"], None, 2, id="bvp-starts-0"),
             pytest.param(["bvp", "--x", "0.5", "--y", "0", "--theta", "0", "--t1", "1",

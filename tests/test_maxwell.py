@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -203,6 +204,14 @@ class TestRootCurves:
         k0 = float(find_k0())
         assert u_h1(k0) == pytest.approx(math.pi / 2.0)
         assert p_g1(k0) == pytest.approx(ellint_K(k0), abs=1e-12)
+
+    def test_u_h1_domain_starts_at_kstar(self):
+        kstar, _ = find_kstar()
+        assert math.pi / 2.0 < u_h1(kstar) < 3.0 * math.pi / 4.0
+        message = re.escape(f"u_h1 needs k in [k* = {kstar}, 1)")
+        for k in (kstar - 5e-13, math.nextafter(kstar, 0.0), 1.0):
+            with pytest.raises(ValueError, match=message):
+                u_h1(k)
 
     def test_p_g1_bracketed_above_k0(self):
         k = 0.95

@@ -7,6 +7,7 @@ from elastica.expmap import State, elastic_energy_closed, exp_map
 from elastica.oracle import (
     IntegratorConfig,
     MaxStepsExceeded,
+    UnattainableTargetError,
     attainable,
     bvp_shoot,
     integrate_extremal,
@@ -156,8 +157,9 @@ class TestShooting:
         assert any(abs(s.energy - J_true) < 1e-8 for s in sols)
 
     def test_unattainable_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnattainableTargetError, match="target unattainable") as info:
             bvp_shoot(State(2.0, 0.0, 0.0), 1.0)
+        assert isinstance(info.value, ValueError)
 
     def test_worker_pool_matches_serial(self):
         q1, t1 = State(0.0, 0.6366, 3.1415926), 1.0

@@ -69,6 +69,11 @@ class TestReflectState:
                 )
         assert compose(1, 1) == 0 and compose(0, 2) == 2
 
+    @pytest.mark.parametrize("i, j", [(4, 1), (0, 5), (-1, 0), (1, -3)])
+    def test_compose_rejects_non_elements(self, i, j):
+        with pytest.raises(ValueError, match=r"0\.\.3"):
+            compose(i, j)
+
 
 class TestReflectCovector:
     def test_chord_is_time_independent(self):
