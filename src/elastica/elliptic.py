@@ -20,9 +20,11 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 AGM_MAX_ITER = 32
 AGM_TOL = 1e-15
+_TWO_PI = 2.0 * math.pi
 
 # Below this distance from k = 0 or k = 1 the modulus derivatives are
 # dominated by the 1/(k (1 - k^2)) factor and lose digits.
@@ -58,8 +60,7 @@ class Modulus:
         return self.k
 
 
-@dataclass(frozen=True)
-class JacobiValues:
+class JacobiValues(NamedTuple):
     """Values sn u, cn u, dn u, the amplitude am u, and epsilon eps = E(u)."""
 
     sn: float
@@ -72,36 +73,39 @@ class JacobiValues:
 def _as_k(k) -> float:
     """Accept a Modulus or a bare float and return the float modulus."""
     kf = float(k)
-    if not 0.0 <= kf <= 1.0 or math.isnan(kf):
-        raise EllipticDomainError(f"modulus must lie in [0, 1], got {kf}")
-    return kf
+    if 0.0 <= kf <= 1.0:  # false for NaN
+        return kf
+    raise EllipticDomainError(f"modulus must lie in [0, 1], got {kf}")
 
 
 @lru_cache(maxsize=512)
 def _agm_scale(k: float):
     """AGM scale for modulus k in (0, 1).
 
-    Returns (a, b, c, n, K, E): tuples with a[0] = 1, b[0] = k', c[0] = k and
-    c[i] = (a[i-1] - b[i-1]) / 2, truncated at the first |c[n]| < AGM_TOL,
-    then the complete integrals K(k) and E(k).
+    With a_0 = 1, b_0 = k', c_0 = k and a_i, b_i, c_i the arithmetic mean,
+    geometric mean and half difference of a_(i-1) and b_(i-1), truncated at
+    the first |c_n| < AGM_TOL, returns (K, E, 2^n a_n, a, b, c): the
+    complete integrals K(k) and E(k), the factor from u to the phase at the
+    bottom of the scale, and the tuples a = (a_0, ..., a_n),
+    b = (b_0, ..., b_(n-1)) and c = (c_1, ..., c_n).
     """
     kp = math.sqrt((1.0 - k) * (1.0 + k))
-    a = [1.0]
-    b = [kp]
-    c = [k]
+    a, b, c = (1.0,), (kp,), ()
+    an, bn = 1.0, kp
+    # E = K (1 - sum of 2^(i-1) c_i^2 over i = 0..n), summed in that order
+    w, s = 1.0, 0.5 * k * k
     for _ in range(AGM_MAX_ITER):
-        an = 0.5 * (a[-1] + b[-1])
-        bn = math.sqrt(a[-1] * b[-1])
-        cn = 0.5 * (a[-1] - b[-1])
-        a.append(an)
-        b.append(bn)
-        c.append(cn)
+        cn = 0.5 * (an - bn)
+        an, bn = 0.5 * (an + bn), math.sqrt(an * bn)
+        a += (an,)
+        c += (cn,)
+        s += w * cn * cn
+        w *= 2.0
         if abs(cn) < AGM_TOL:
             break
-    n = len(a) - 1
-    K = math.pi / (2.0 * a[n])
-    E = K * (1.0 - sum(2.0 ** (i - 1) * c[i] * c[i] for i in range(n + 1)))
-    return tuple(a), tuple(b), tuple(c), n, K, E
+        b += (bn,)
+    K = math.pi / (2.0 * an)
+    return K, K * (1.0 - s), 2.0 ** len(c) * an, a, b, c
 
 
 def ellint_K(k) -> float:
@@ -111,7 +115,7 @@ def ellint_K(k) -> float:
         raise EllipticDivergenceError("K(k) diverges as k -> 1")
     if kf == 0.0:
         return math.pi / 2.0
-    return _agm_scale(kf)[4]
+    return _agm_scale(kf)[0]
 
 
 def ellint_E(k) -> float:
@@ -121,7 +125,7 @@ def ellint_E(k) -> float:
         return math.pi / 2.0
     if kf == 1.0:
         return 1.0
-    return _agm_scale(kf)[5]
+    return _agm_scale(kf)[1]
 
 
 def _reduce_phase(phi: float):
@@ -139,15 +143,17 @@ def _incomplete_agm(phi: float, k: float):
     sign = 1.0
     if phi < 0.0:
         sign, phi = -1.0, -phi
-    a, b, c, n, K, E = _agm_scale(k)
+    K, E, unit, a_, b_, c_ = _agm_scale(k)
     phi_i = phi
+    sp = math.sin(phi_i)
     zeta = 0.0
-    for i in range(1, n + 1):
-        d = math.atan2(b[i - 1] * math.sin(phi_i), a[i - 1] * math.cos(phi_i))
-        d += 2.0 * math.pi * math.floor((phi_i - d) / (2.0 * math.pi) + 0.5)
+    for a, b, c in zip(a_, b_, c_):
+        d = math.atan2(b * sp, a * math.cos(phi_i))
+        d += _TWO_PI * math.floor((phi_i - d) / _TWO_PI + 0.5)
         phi_i = phi_i + d
-        zeta += c[i] * math.sin(phi_i)
-    F = phi_i / (2.0**n * a[n])
+        sp = math.sin(phi_i)
+        zeta += c * sp
+    F = phi_i / unit
     return sign * F, sign * (zeta + E / K * F)
 
 
@@ -202,31 +208,30 @@ def jacobi(u: float, k) -> JacobiValues:
             return JacobiValues(t, 0.0, 0.0, math.copysign(math.pi / 2.0, u), t)
         s = 1.0 / math.cosh(u)
         return JacobiValues(t, s, s, math.atan(math.sinh(u)), t)
-    a, _, c, n, K, E = _agm_scale(kf)
+    K, E, unit, a_, b_, c_ = _agm_scale(kf)
     m = math.floor(u / (2.0 * K) + 0.5)
     u_red = u - 2.0 * K * m
 
-    phi = 2.0**n * a[n] * u_red
+    phi = unit * u_red
     zeta = 0.0
-    for i in range(n, 0, -1):
-        zeta += c[i] * math.sin(phi)
-        s = c[i] / a[i] * math.sin(phi)
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, s))))
+    for c, a in zip(reversed(c_), reversed(a_)):
+        sp = math.sin(phi)
+        zeta += c * sp
+        s = c / a * sp
+        if s > 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
+        phi = 0.5 * (phi + math.asin(s))
 
     sn_r = math.sin(phi)
     cn_r = math.cos(phi)
-    kp = math.sqrt((1.0 - kf) * (1.0 + kf))
+    kp = b_[0]
     dn = math.sqrt(cn_r * cn_r + kp * kp * sn_r * sn_r)
     eps_r = zeta + E / K * u_red
 
     sgn = -1.0 if m % 2 else 1.0
-    return JacobiValues(
-        sn=sgn * sn_r,
-        cn=sgn * cn_r,
-        dn=dn,
-        am=phi + m * math.pi,
-        eps=eps_r + 2.0 * m * E,
-    )
+    return JacobiValues(sgn * sn_r, sgn * cn_r, dn, phi + m * math.pi, eps_r + 2.0 * m * E)
 
 
 def _recip_modulus(sn: float, cn: float, dn: float, eps: float, u: float, k: float):
@@ -246,8 +251,8 @@ def jacobi_recip_modulus(u: float, k) -> JacobiValues:
         raise EllipticDomainError("reciprocal-modulus transform undefined at k = 0")
     if kf == 1.0:
         return jacobi(u, 1.0)
-    jv = jacobi(u / kf, kf)
-    sn, cn, dn, eps = _recip_modulus(jv.sn, jv.cn, jv.dn, jv.eps, u, kf)
+    sn, cn, dn, _, eps = jacobi(u / kf, kf)
+    sn, cn, dn, eps = _recip_modulus(sn, cn, dn, eps, u, kf)
     return JacobiValues(sn, cn, dn, math.atan2(sn, cn), eps)
 
 
@@ -296,7 +301,7 @@ def jacobi_add(u: float, v: float, k) -> JacobiValues:
         # restore the unreduced amplitude branch; am - pi*w/(2K) stays in
         # (-pi/2, pi/2), so rounding to the nearest 2*pi multiple is safe
         est = math.pi * (u + v) / (2.0 * ellint_K(kf))
-        am += 2.0 * math.pi * math.floor((est - am) / (2.0 * math.pi) + 0.5)
+        am += _TWO_PI * math.floor((est - am) / _TWO_PI + 0.5)
     return JacobiValues(sn, cn, dn, am, eps)
 
 

@@ -28,6 +28,7 @@ from .phase import (
     SEPARATRIX,
     STRAIGHT,
     Covector,
+    _to_elliptic,
     stratify,
     to_elliptic,
     wrap_angle,
@@ -79,20 +80,21 @@ def _endpoint_oscillating(
     yields the rotating-stratum values as well.  sgn is -1.0 on the inverted
     minus branches and +1.0 otherwise.
     """
-    dE = eps - j0.eps
+    s0, c0, d0, _, e0 = j0
+    dE = eps - e0
     k2 = k * k
-    sin_half = k * (j0.dn * sn - j0.sn * dn)
-    cos_half = j0.dn * dn + k2 * j0.sn * sn
+    sin_half = k * (d0 * sn - s0 * dn)
+    cos_half = d0 * dn + k2 * s0 * sn
     theta = 2.0 * math.atan2(sin_half, cos_half)
     x = (
-        (2.0 / sr) * j0.dn * j0.dn * dE
-        + (4.0 * k2 / sr) * j0.dn * j0.sn * (j0.cn - cn)
-        + (2.0 * k2 / sr) * j0.sn * j0.sn * (sr * t - dE)
+        (2.0 / sr) * d0 * d0 * dE
+        + (4.0 * k2 / sr) * d0 * s0 * (c0 - cn)
+        + (2.0 * k2 / sr) * s0 * s0 * (sr * t - dE)
         - t
     )
-    y = (2.0 * k / sr) * (2.0 * j0.dn * j0.dn - 1.0) * (j0.cn - cn) - (
+    y = (2.0 * k / sr) * (2.0 * d0 * d0 - 1.0) * (c0 - cn) - (
         2.0 * k / sr
-    ) * j0.sn * j0.dn * (2.0 * dE - sr * t)
+    ) * s0 * d0 * (2.0 * dE - sr * t)
     return x, sgn * y, sgn * theta, 2.0 * sr * (dE - (1.0 - k2) * sr * t)
 
 
@@ -127,9 +129,11 @@ def _prepare(lam: Covector, grid: bool = False) -> Callable:
 
         return _pointwise(circle) if grid else circle
 
-    # a minus branch is evaluated on its plus-branch image under the inversion
+    # a minus branch is evaluated on its plus-branch image under the inversion,
+    # stratified again: wrap_angle(beta - pi) in the N5 test rounds differently
+    # at -beta
     sgn = float(s.sign or 1)
-    ec = to_elliptic(lam if sgn > 0 else Covector(-lam.beta, -lam.c, lam.r))
+    ec = _to_elliptic(lam, s) if sgn > 0 else to_elliptic(Covector(-lam.beta, -lam.c, lam.r))
     sr = math.sqrt(ec.r)
     k = ec.k
     u0 = sr * ec.phi
@@ -144,8 +148,8 @@ def _prepare(lam: Covector, grid: bool = False) -> Callable:
     if not grid:
 
         def elliptic(t: float):
-            jt = jac(u0 + sr * t, k)
-            return _endpoint_oscillating(k_alg, sr, t, sgn, j0, jt.sn, jt.cn, jt.dn, jt.eps)
+            sn, cn, dn, _, eps = jac(u0 + sr * t, k)
+            return _endpoint_oscillating(k_alg, sr, t, sgn, j0, sn, cn, dn, eps)
 
         return elliptic
 
@@ -161,8 +165,8 @@ def _prepare(lam: Covector, grid: bool = False) -> Callable:
         else:
             run = 1 + int(REANCHOR_SPAN // hw)
         if run > 1:
-            jv = jacobi(hw, k)
-            jh = jv.sn, jv.cn, jv.dn, jv.eps
+            sn, cn, dn, _, eps = jacobi(hw, k)
+            jh = sn, cn, dn, eps
         out = []
         for i in range(n):
             t = i * step
@@ -172,8 +176,8 @@ def _prepare(lam: Covector, grid: bool = False) -> Callable:
             else:
                 # eps is stepped from 0 at the anchor: its increments keep
                 # their digits where eps itself is large
-                ja = jacobi(u / kw, k)
-                a, ea = (ja.sn, ja.cn, ja.dn, 0.0), ja.eps
+                sn, cn, dn, _, ea = jacobi(u / kw, k)
+                a = sn, cn, dn, 0.0
             sn, cn, dn, eps = a[0], a[1], a[2], ea + a[3]
             if rotating:
                 sn, cn, dn, eps = _recip_modulus(sn, cn, dn, eps, u, k)

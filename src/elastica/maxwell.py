@@ -376,8 +376,11 @@ def u_h1(k) -> float:
 
 
 def p_g1(k) -> float:
-    """First positive root of g1_n1(., k): the amplitude zero mapped through F."""
+    """First positive root of g1_n1(., k) for k in [k*, 1): u_h1 mapped through F."""
     kf = float(k)
+    kstar, _ = find_kstar()
+    if not kstar <= kf < 1.0:
+        raise ValueError(f"p_g1 needs k in [k* = {kstar}, 1), got {kf}")
     return ellint_F_inc(u_h1(kf), kf)
 
 

@@ -69,19 +69,11 @@ class Stratum(Enum):
     N6_MINUS = "N6minus"
     N7 = "N7"
 
-    @property
-    def family(self) -> int:
-        """Family index 1..7, collapsing the +/- branches."""
-        return int(self.value[1])
-
-    @property
-    def sign(self) -> int:
-        """+1 / -1 on the signed branches, 0 elsewhere."""
-        if self.value.endswith("plus"):
-            return 1
-        if self.value.endswith("minus"):
-            return -1
-        return 0
+    def __init__(self, value: str):
+        #: family index 1..7, collapsing the +/- branches
+        self.family = int(value[1])
+        #: +1 / -1 on the signed branches, 0 elsewhere
+        self.sign = 1 if value.endswith("plus") else -1 if value.endswith("minus") else 0
 
 
 OSCILLATING = (Stratum.N1,)
@@ -196,7 +188,11 @@ def to_elliptic(lam: Covector) -> EllipticCoords:
     amplitude is taken from atan2 of the (sn, cn) pair, mapped through the
     quasi-periodic incomplete integral, and reduced to [0, period).
     """
-    s = stratify(lam)
+    return _to_elliptic(lam, stratify(lam))
+
+
+def _to_elliptic(lam: Covector, s: Stratum) -> EllipticCoords:
+    """to_elliptic for a caller that has already stratified lam as s."""
     r = lam.r
     sr = math.sqrt(r) if r > 0 else 0.0
     if s is Stratum.N1:
@@ -208,8 +204,7 @@ def to_elliptic(lam: Covector) -> EllipticCoords:
     if s in ROTATING:
         E = energy(lam)
         k = math.sqrt(2.0 * r / (E + r))
-        sgn = float(s.sign)
-        am = math.atan2(sgn * math.sin(0.5 * lam.beta), math.cos(0.5 * lam.beta))
+        am = math.atan2(s.sign * math.sin(0.5 * lam.beta), math.cos(0.5 * lam.beta))
         srv = ellint_F_inc(am, k) % (2.0 * ellint_K(k))
         return EllipticCoords(s, k, k * srv / sr, r)
     if s in SEPARATRIX:

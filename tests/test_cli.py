@@ -205,6 +205,7 @@ class TestSweep:
     def test_domain_violation_exit_code(self, capsys):
         code = main(["sweep", "pg1", "--kmin", "0.2", "--kmax", "0.5", "--n", "3"])
         assert code == 3
+        assert capsys.readouterr().err.startswith("error: p_g1 needs k in [k* = ")
 
     @pytest.mark.parametrize(
         "curve, fn, lo",

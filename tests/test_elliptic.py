@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from elastica.elliptic import (
     EllipticDivergenceError,
     EllipticDomainError,
+    JacobiValues,
     Modulus,
     ellint_E,
     ellint_E_inc,
@@ -149,6 +150,15 @@ class TestJacobi:
     def test_origin(self):
         jv = jacobi(0.0, 0.62)
         assert (jv.sn, jv.cn, jv.dn, jv.am, jv.eps) == (0.0, 1.0, 1.0, 0.0, 0.0)
+
+    def test_values_fields_and_immutability(self):
+        assert JacobiValues._fields == ("sn", "cn", "dn", "am", "eps")
+        assert JacobiValues(1.0, 2.0, 3.0, 4.0, 5.0).am == 4.0
+        jv = jacobi(0.7, 0.62)
+        assert tuple(jv) == (jv.sn, jv.cn, jv.dn, jv.am, jv.eps)
+        for name in JacobiValues._fields:
+            with pytest.raises(AttributeError):
+                setattr(jv, name, 0.0)
 
     def test_zero_modulus_is_circular(self):
         jv = jacobi(1.0, 0.0)

@@ -213,6 +213,15 @@ class TestRootCurves:
             with pytest.raises(ValueError, match=message):
                 u_h1(k)
 
+    def test_p_g1_domain_starts_at_kstar(self):
+        # p_g1 checks its own domain and names itself, not u_h1
+        kstar, _ = find_kstar()
+        assert p_g1(kstar) > 0.0
+        message = re.escape(f"p_g1 needs k in [k* = {kstar}, 1), got ")
+        for k in (0.2, kstar - 5e-13, math.nextafter(kstar, 0.0), 1.0, math.nan):
+            with pytest.raises(ValueError, match=message):
+                p_g1(k)
+
     def test_p_g1_bracketed_above_k0(self):
         k = 0.95
         K = ellint_K(k)

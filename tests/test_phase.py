@@ -131,6 +131,24 @@ class TestStratify:
                                 assert 0.0 < k < 1.0, lam
 
 
+class TestStratumMembers:
+    def test_family_and_sign(self):
+        expected = {
+            Stratum.N1: (1, 0),
+            Stratum.N2_PLUS: (2, 1),
+            Stratum.N2_MINUS: (2, -1),
+            Stratum.N3_PLUS: (3, 1),
+            Stratum.N3_MINUS: (3, -1),
+            Stratum.N4: (4, 0),
+            Stratum.N5: (5, 0),
+            Stratum.N6_PLUS: (6, 1),
+            Stratum.N6_MINUS: (6, -1),
+            Stratum.N7: (7, 0),
+        }
+        assert {s: (s.family, s.sign) for s in Stratum} == expected
+        assert all(type(s.family) is int and type(s.sign) is int for s in Stratum)
+
+
 class TestEllipticCoords:
     def test_oscillating_on_axis(self):
         ec = to_elliptic(Covector(0.0, 1.0, 1.0))
