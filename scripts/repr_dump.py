@@ -86,7 +86,7 @@ CELL_COVECTORS = (
 )
 
 # criterion 8's forward targets (covector, t1); (n1(0.9, 1.6, 1.0), 1.1) is
-# the knife edge, solved by one start of the 100
+# the knife edge, solved by four starts of the 100
 CRITERION_8 = (
     (n1(0.3, 0.5, 1.0), 1.0), (n1(0.55, 1.2, 1.0), 1.4), (n1(0.62, 0.9, 1.0), 1.2),
     (n1(0.75, 0.2, 2.0), 0.9), (n1(0.9, 1.6, 1.0), 1.1), (n1(0.45, 2.4, 0.5), 2.2),

@@ -49,8 +49,6 @@ from .oracle import (
     attainable,
     bvp_shoot,
     integrate_extremal,
-    quad_E,
-    quad_F,
 )
 from .phase import (
     Covector,
@@ -63,7 +61,6 @@ from .phase import (
     period,
     stratify,
     to_elliptic,
-    to_h,
     wrap_angle,
 )
 from .symmetry import (

@@ -84,10 +84,11 @@ def _agm_scale(k: float):
 
     With a_0 = 1, b_0 = k', c_0 = k and a_i, b_i, c_i the arithmetic mean,
     geometric mean and half difference of a_(i-1) and b_(i-1), truncated at
-    the first |c_n| < AGM_TOL, returns (K, E, 2^n a_n, a, b, c): the
+    the first |c_n| < AGM_TOL, returns (K, E, 2^n a_n, a, b, c, sigma): the
     complete integrals K(k) and E(k), the factor from u to the phase at the
-    bottom of the scale, and the tuples a = (a_0, ..., a_n),
-    b = (b_0, ..., b_(n-1)) and c = (c_1, ..., c_n).
+    bottom of the scale, the tuples a = (a_0, ..., a_n),
+    b = (b_0, ..., b_(n-1)) and c = (c_1, ..., c_n), and
+    sigma = 1 - E/K, summed directly so that it keeps its digits as k -> 0.
     """
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     a, b, c = (1.0,), (kp,), ()
@@ -105,7 +106,7 @@ def _agm_scale(k: float):
             break
         b += (bn,)
     K = math.pi / (2.0 * an)
-    return K, K * (1.0 - s), 2.0 ** len(c) * an, a, b, c
+    return K, K * (1.0 - s), 2.0 ** len(c) * an, a, b, c, s
 
 
 def ellint_K(k) -> float:
@@ -143,7 +144,7 @@ def _incomplete_agm(phi: float, k: float):
     sign = 1.0
     if phi < 0.0:
         sign, phi = -1.0, -phi
-    K, E, unit, a_, b_, c_ = _agm_scale(k)
+    K, E, unit, a_, b_, c_, _ = _agm_scale(k)
     phi_i = phi
     sp = math.sin(phi_i)
     zeta = 0.0
@@ -189,26 +190,22 @@ def ellint_E_inc(phi: float, k) -> float:
     return E + 2.0 * m * ellint_E(kf)
 
 
-def jacobi(u: float, k) -> JacobiValues:
-    """sn, cn, dn, am and eps at real u, modulus k in [0, 1].
+def _jacobi_agm(u: float, k: float, shifted: bool = False) -> JacobiValues:
+    """jacobi at real u for k in (0, 1), by the descending pass over the AGM scale.
 
-    The amplitude and epsilon are the continuous (unreduced) branches:
-    am(u + 2K) = am(u) + pi and eps(u + 2K) = eps(u) + 2E.  u = +-inf is
-    accepted only at k = 1, where the hyperbolic forms take their limits.
+    The zeta sum of the pass is the Jacobi zeta function Z (A&S 17.6), and
+    eps = Z + (E/K) u.  With shifted=True the last value is eps(u) - u =
+    Z(u) - sigma u instead, with sigma = 1 - E/K from the scale, and Z is
+    summed over c_1 = k^2/(4 a_1), c_(i+1) = c_i^2/(4 a_(i+1)) rather than
+    the scale's half differences c_i, which cancel as k -> 0.  So it keeps
+    its digits as k -> 0, where eps(u) - u formed from eps(u) would not.
     """
-    kf = _as_k(k)
-    if not math.isfinite(u) and (kf != 1.0 or math.isnan(u)):
-        raise EllipticDomainError(f"Jacobi functions need a finite argument, got {u}")
-    if kf == 0.0:
-        return JacobiValues(math.sin(u), math.cos(u), 1.0, u, u)
-    if kf == 1.0:
-        t = math.tanh(u)
-        if abs(u) >= 709.0:
-            # cosh and sinh overflow: sech has underflowed, am has saturated
-            return JacobiValues(t, 0.0, 0.0, math.copysign(math.pi / 2.0, u), t)
-        s = 1.0 / math.cosh(u)
-        return JacobiValues(t, s, s, math.atan(math.sinh(u)), t)
-    K, E, unit, a_, b_, c_ = _agm_scale(kf)
+    K, E, unit, a_, b_, c_, sigma = _agm_scale(k)
+    if shifted:
+        c, c_ = k, ()
+        for a in a_[1:]:
+            c = c * c / (4.0 * a)
+            c_ += (c,)
     m = math.floor(u / (2.0 * K) + 0.5)
     u_red = u - 2.0 * K * m
 
@@ -228,57 +225,90 @@ def jacobi(u: float, k) -> JacobiValues:
     cn_r = math.cos(phi)
     kp = b_[0]
     dn = math.sqrt(cn_r * cn_r + kp * kp * sn_r * sn_r)
-    eps_r = zeta + E / K * u_red
+    if shifted:
+        eps = zeta - sigma * u
+    else:
+        eps = zeta + E / K * u_red + 2.0 * m * E
 
     sgn = -1.0 if m % 2 else 1.0
-    return JacobiValues(sgn * sn_r, sgn * cn_r, dn, phi + m * math.pi, eps_r + 2.0 * m * E)
+    return JacobiValues(sgn * sn_r, sgn * cn_r, dn, phi + m * math.pi, eps)
 
 
-def _recip_modulus(sn: float, cn: float, dn: float, eps: float, u: float, k: float):
-    """(sn, cn, dn, eps) at u, modulus 1/k, from those at u/k, modulus k."""
-    return k * sn, dn, cn, eps / k - (1.0 - k * k) / (k * k) * u
+def jacobi(u: float, k) -> JacobiValues:
+    """sn, cn, dn, am and eps at real u, modulus k in [0, 1].
+
+    The amplitude and epsilon are the continuous (unreduced) branches:
+    am(u + 2K) = am(u) + pi and eps(u + 2K) = eps(u) + 2E.  u = +-inf is
+    accepted only at k = 1, where the hyperbolic forms take their limits.
+    """
+    kf = _as_k(k)
+    if not math.isfinite(u) and (kf != 1.0 or math.isnan(u)):
+        raise EllipticDomainError(f"Jacobi functions need a finite argument, got {u}")
+    if kf == 0.0:
+        return JacobiValues(math.sin(u), math.cos(u), 1.0, u, u)
+    if kf == 1.0:
+        t = math.tanh(u)
+        if abs(u) >= 709.0:
+            # cosh and sinh overflow: sech has underflowed, am has saturated
+            return JacobiValues(t, 0.0, 0.0, math.copysign(math.pi / 2.0, u), t)
+        s = 1.0 / math.cosh(u)
+        return JacobiValues(t, s, s, math.atan(math.sinh(u)), t)
+    return _jacobi_agm(u, kf)
 
 
 def jacobi_recip_modulus(u: float, k) -> JacobiValues:
     """Jacobi values at modulus 1/k > 1, expressed through modulus k in (0, 1).
 
-    sn(u, 1/k) = k sn(u/k, k), cn(u, 1/k) = dn(u/k, k),
-    dn(u, 1/k) = cn(u/k, k), eps(u, 1/k) = eps(u/k, k)/k - (1-k^2)/k^2 * u.
-    The rotating-pendulum amplitude is bounded, so am is the principal branch.
+    With w = u/k: sn(u, 1/k) = k sn(w, k), cn(u, 1/k) = dn(w, k),
+    dn(u, 1/k) = cn(w, k) and eps(u, 1/k) = u + (eps(w, k) - w)/k.  The last
+    takes eps(w, k) - w = Z(w) - (1 - E/K) w from `_jacobi_agm`, so no two
+    terms of size u/k^2 cancel as k -> 0.  The rotating-pendulum amplitude
+    is bounded, so am is the principal branch.
     """
     kf = _as_k(k)
     if kf == 0.0:
         raise EllipticDomainError("reciprocal-modulus transform undefined at k = 0")
     if kf == 1.0:
         return jacobi(u, 1.0)
-    sn, cn, dn, _, eps = jacobi(u / kf, kf)
-    sn, cn, dn, eps = _recip_modulus(sn, cn, dn, eps, u, kf)
-    return JacobiValues(sn, cn, dn, math.atan2(sn, cn), eps)
+    w = u / kf
+    if not math.isfinite(w):
+        raise EllipticDomainError(f"Jacobi functions need a finite argument, got u/k = {w}")
+    sn, cn, dn, _, d = _jacobi_agm(w, kf, True)
+    sn *= kf
+    return JacobiValues(sn, dn, cn, math.atan2(sn, dn), u + d / kf)
 
 
 def _add(a, b, k: float):
     """(sn, cn, dn, eps) at u + v from those at u and at v (DLMF 22.8).
 
-    eps(u + v) = eps u + eps v - k^2 sn u sn v sn(u + v).  The denominator
+    eps(u + v) = eps u + eps v - k^2 sn u sn v sn(u + v).  The formulas are
+    the group law of the curve sn^2 + cn^2 = 1, dn^2 + k^2 sn^2 = 1, so they
+    hold off the real branch too: a minus-branch pendulum state carries its
+    sign in (sn, cn), and k > 1 is a reciprocal modulus.  The denominator
     1 - k^2 sn^2 u sn^2 v is taken as the equal dn^2 u + k^2 sn^2 u cn^2 v,
-    which does not cancel as k -> 1.  At k = 1 both of its terms underflow
-    once |u| and |v| pass about 354, so u and v of one sign take
-    tanh(u + v) = (tanh u + tanh v) / (1 + tanh u tanh v) and
-    sech(u + v) = sech u sech v / (1 + tanh u tanh v) instead.  Of opposite
-    signs and both past 354, the values no longer determine u + v.
+    which does not cancel as k -> 1.  At k = 1 the curve is the two lines
+    cn = f dn, f = +-1 (dn >= 0), and both terms underflow once |u| and |v|
+    pass about 354.  So with f_u, f_v the lines of u and v, e = f_u f_v and
+    e sn u sn v >= 0, the tanh and sech addition rules
+    sn(u + v) = (f_v sn u + f_u sn v) / (1 + e sn u sn v) and
+    (cn, dn)(u + v) = (cn u cn v, dn u dn v) / (1 + e sn u sn v) are taken
+    instead.  Otherwise, both past 354, the values no longer determine u + v.
     """
     su, cu, du, eu = a
     sv, cv, dv, ev = b
+    if k == 1.0:
+        fu = -1.0 if cu < 0.0 else 1.0
+        fv = -1.0 if cv < 0.0 else 1.0
+        e = fu * fv
+        if e * su * sv >= 0.0:
+            den = 1.0 + e * su * sv
+            sn = (fv * su + fu * sv) / den
+            return sn, cu * cv / den, du * dv / den, eu + ev - su * sv * sn
     k2 = k * k
-    if k == 1.0 and su * sv >= 0.0:
-        den = 1.0 + su * sv
-        sn = (su + sv) / den
-        cn = dn = cu * cv / den
-    else:
-        den = du * du + k2 * su * su * cv * cv
-        sn = (su * cv * dv + sv * cu * du) / den
-        cn = (cu * cv - su * du * sv * dv) / den
-        dn = (du * dv - k2 * su * cu * sv * cv) / den
+    den = du * du + k2 * su * su * cv * cv
+    sn = (su * cv * dv + sv * cu * du) / den
+    cn = (cu * cv - su * du * sv * dv) / den
+    dn = (du * dv - k2 * su * cu * sv * cv) / den
     return sn, cn, dn, eu + ev - k2 * su * sv * sn
 
 

@@ -6,10 +6,15 @@ through Jacobi functions on the oscillating stratum, through the *same*
 expressions at modulus k = 1 on the separatrix (where the Jacobi functions
 are hyperbolic), through the reciprocal-modulus transform of them on the
 rotating strata (one code path, no second transcription), and through
-circular/linear motion in the degenerate cases.  Minus branches are obtained
-from plus branches by the phase-space inversion (beta, c) -> (-beta, -c),
-which acts on endpoints as (theta, x, y) -> (-theta, x, -y) and leaves J
-unchanged.
+circular/linear motion in the degenerate cases.
+
+On N1, N2+- and N3+- the covector is itself a point of its Jacobi curve at
+the algebraic modulus kappa, kappa^2 = sin^2(beta/2) + c^2/(4r):
+sin(beta/2) = kappa sn u0, cos(beta/2) = dn u0, c/(2 sqrt r) = kappa cn u0.
+So the start values need no evaluation, and a minus branch carries its sign
+in (sn u0, cn u0).  The values at u0 + sqrt(r) t follow from one Jacobi
+evaluation at sqrt(r) t and the addition formulas, which also give the
+epsilon increment, so eps(u0) is never formed.
 
 The tangent angle always satisfies theta_t = beta_t - beta_0.
 """
@@ -21,14 +26,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .elliptic import JacobiValues, _add, _recip_modulus, jacobi, jacobi_recip_modulus
+from .elliptic import _add, jacobi, jacobi_recip_modulus
 from .phase import (
     CIRCULAR,
     ROTATING,
     SEPARATRIX,
     STRAIGHT,
     Covector,
-    _to_elliptic,
     stratify,
     to_elliptic,
     wrap_angle,
@@ -36,10 +40,11 @@ from .phase import (
 
 CLASS_K_TOL = 1e-9
 
-# A sampled curve is stepped by the addition formulas from a direct `jacobi`
-# anchor, taken again after at most REANCHOR_POINTS points and whenever the
-# Jacobi argument would run more than REANCHOR_SPAN past it: as k -> 1 a
-# stepped error grows like e^(argument advance).
+# A sampled curve is stepped by the addition formulas from an anchor, the
+# covector itself and then a direct `jacobi` evaluation, taken again after at
+# most REANCHOR_POINTS points and whenever the Jacobi argument would run more
+# than REANCHOR_SPAN past it: as k -> 1 a stepped error grows like
+# e^(argument advance).
 REANCHOR_POINTS = 32
 REANCHOR_SPAN = 4.0
 
@@ -69,33 +74,29 @@ class ElasticaClass(Enum):
 
 
 def _endpoint_oscillating(
-    k: float, sr: float, t: float, sgn: float, j0: JacobiValues,
-    sn: float, cn: float, dn: float, eps: float,
+    k: float, sr: float, t: float, a0: tuple, sn: float, cn: float, dn: float, dE: float,
 ):
     """Endpoint and bending energy from the oscillating-stratum quadratures.
 
-    Written for algebraic modulus k, with the Jacobi values j0 at the start
-    and (sn, cn, dn, eps) at t; at k = 1 they are the hyperbolic ones of the
-    separatrix, and fed with reciprocal-modulus Jacobi values (and k > 1) it
-    yields the rotating-stratum values as well.  sgn is -1.0 on the inverted
-    minus branches and +1.0 otherwise.
+    Written for algebraic modulus k, with the start values a0 = (sn, cn, dn,
+    0) and (sn, cn, dn) at t with the epsilon increment dE over [0, t]; at
+    k = 1 they are the hyperbolic ones of the separatrix, and at k > 1 (the
+    reciprocal modulus) those of the rotating strata.
     """
-    s0, c0, d0, _, e0 = j0
-    dE = eps - e0
+    s0, c0, d0, _ = a0
     k2 = k * k
     sin_half = k * (d0 * sn - s0 * dn)
     cos_half = d0 * dn + k2 * s0 * sn
     theta = 2.0 * math.atan2(sin_half, cos_half)
-    x = (
-        (2.0 / sr) * d0 * d0 * dE
-        + (4.0 * k2 / sr) * d0 * s0 * (c0 - cn)
-        + (2.0 * k2 / sr) * s0 * s0 * (sr * t - dE)
-        - t
+    # c0 - cn = (sn - s0)(sn + s0)/(c0 + cn) as cn^2 + sn^2 = 1: it keeps the
+    # digits the difference loses where c0 and cn are both near +-1, as on
+    # the rotating strata (k > 1), where they differ by O(1/k^2)
+    dc = (sn - s0) * (sn + s0) / (c0 + cn) if c0 * cn > 0.5 else c0 - cn
+    x = t - (2.0 / sr) * (
+        d0 * d0 * (sr * t - dE) - 2.0 * k2 * d0 * s0 * dc + k2 * s0 * s0 * dE
     )
-    y = (2.0 * k / sr) * (2.0 * d0 * d0 - 1.0) * (c0 - cn) - (
-        2.0 * k / sr
-    ) * s0 * d0 * (2.0 * dE - sr * t)
-    return x, sgn * y, sgn * theta, 2.0 * sr * (dE - (1.0 - k2) * sr * t)
+    y = (2.0 * k / sr) * ((2.0 * d0 * d0 - 1.0) * dc - s0 * d0 * (2.0 * dE - sr * t))
+    return x, y, theta, 2.0 * sr * (dE - (1.0 - k2) * sr * t)
 
 
 def _pointwise(at: Callable[[float], tuple]) -> Callable[[float, int], list]:
@@ -108,8 +109,7 @@ def _prepare(lam: Covector, grid: bool = False) -> Callable:
 
     With grid=True it returns (step, n) -> the States at t = i*step for
     i < n instead.  On N1, N2+- and N3+- that path steps by the addition
-    formulas from anchors evaluated directly; elsewhere it evaluates each
-    point.
+    formulas from anchors; elsewhere it evaluates each point.
     """
     s = stratify(lam)
 
@@ -129,59 +129,51 @@ def _prepare(lam: Covector, grid: bool = False) -> Callable:
 
         return _pointwise(circle) if grid else circle
 
-    # a minus branch is evaluated on its plus-branch image under the inversion,
-    # stratified again: wrap_angle(beta - pi) in the N5 test rounds differently
-    # at -beta
-    sgn = float(s.sign or 1)
-    ec = _to_elliptic(lam, s) if sgn > 0 else to_elliptic(Covector(-lam.beta, -lam.c, lam.r))
-    sr = math.sqrt(ec.r)
-    k = ec.k
-    u0 = sr * ec.phi
-    # the rotating strata evaluate the same quadratures at modulus 1/k > 1;
-    # on the separatrix k is exactly 1 and jacobi takes its hyperbolic forms
-    if s in ROTATING:
-        k_alg, jac = 1.0 / k, jacobi_recip_modulus
+    sr = math.sqrt(lam.r)
+    sb, cb = math.sin(0.5 * lam.beta), math.cos(0.5 * lam.beta)
+    # a0 = (sn, cn, dn, eps) at u0 and modulus kap, eps measured from u0
+    if s in SEPARATRIX:
+        # kap is 1 within the stratify band: keep beta, take the sign of c
+        kap = 1.0
+        a0 = (sb, math.copysign(cb, lam.c), cb, 0.0)
     else:
-        k_alg, jac = k, jacobi
-    j0 = jac(u0, k)
+        ch = 0.5 * lam.c / sr
+        kap = math.sqrt(sb * sb + ch * ch)
+        a0 = (sb / kap, ch / kap, cb, 0.0)
+    # the rotating strata, kap > 1, are evaluated through modulus 1/kap
+    rotating = s in ROTATING
+    k, jac = (1.0 / kap, jacobi_recip_modulus) if rotating else (kap, jacobi)
+
+    def at(w: float):
+        """(sn, cn, dn, eps increment) at u0 + w."""
+        sn, cn, dn, _, eps = jac(w, k)
+        return _add(a0, (sn, cn, dn, eps), kap)
 
     if not grid:
 
         def elliptic(t: float):
-            sn, cn, dn, _, eps = jac(u0 + sr * t, k)
-            return _endpoint_oscillating(k_alg, sr, t, sgn, j0, sn, cn, dn, eps)
+            return _endpoint_oscillating(kap, sr, t, a0, *at(sr * t))
 
         return elliptic
 
-    # the steps are taken in the argument w = u/kw of jacobi at modulus k:
-    # u/k on the rotating strata, whose values then take the transform
-    rotating = s in ROTATING
-    kw = k if rotating else 1.0
-
     def stepped(step: float, n: int) -> list[State]:
-        hw = sr * step / kw
+        # the error grows with the argument of jacobi at modulus k
+        hw = sr * step / k if rotating else sr * step
         if (REANCHOR_POINTS - 1) * hw <= REANCHOR_SPAN:
             run = REANCHOR_POINTS
         else:
             run = 1 + int(REANCHOR_SPAN // hw)
         if run > 1:
-            sn, cn, dn, _, eps = jacobi(hw, k)
+            sn, cn, dn, _, eps = jac(sr * step, k)
             jh = sn, cn, dn, eps
         out = []
         for i in range(n):
             t = i * step
-            u = u0 + sr * t
             if i % run:
-                a = _add(a, jh, k)
+                a = _add(a, jh, kap)
             else:
-                # eps is stepped from 0 at the anchor: its increments keep
-                # their digits where eps itself is large
-                sn, cn, dn, _, ea = jacobi(u / kw, k)
-                a = sn, cn, dn, 0.0
-            sn, cn, dn, eps = a[0], a[1], a[2], ea + a[3]
-            if rotating:
-                sn, cn, dn, eps = _recip_modulus(sn, cn, dn, eps, u, k)
-            x, y, theta, _ = _endpoint_oscillating(k_alg, sr, t, sgn, j0, sn, cn, dn, eps)
+                a = at(sr * t) if i else a0
+            x, y, theta, _ = _endpoint_oscillating(kap, sr, t, a0, *a)
             out.append(State(x, y, theta))
         return out
 

@@ -1,11 +1,9 @@
 """Independent numerical ground truth and the boundary-value solver.
 
-Nothing here reuses the closed forms: the extremal system is integrated by
-fixed-step RK4 (fixed, not adaptive, so golden values are reproducible),
-elliptic integrals are recomputed by adaptive Simpson quadrature, and the
-boundary-value problem is solved by multi-start damped Newton iteration on
-the forward map.  These routines exist to cross-validate the analytic
-modules and to invert the endpoint map.
+The integrator reuses none of the closed forms: the extremal system is
+integrated by fixed-step RK4 (fixed, not adaptive, so golden values are
+reproducible), to cross-validate the analytic modules.  The boundary-value
+problem is solved by multi-start damped Newton iteration on the forward map.
 
 numpy (the Newton step's least squares) and the worker pool are imported by
 the BVP solver on first use, so importing the package loads neither.
@@ -29,6 +27,8 @@ BVP_RESIDUAL_TOL = 1e-9
 BVP_MERGE_DIST = 1e-6
 BVP_MAX_ITER = 60
 BVP_DAMPING = 0.5
+BVP_POLISH_ITER = 12
+BVP_POLISH_STEP = 1e-12
 FD_STEP = 1e-7
 RK4_MAX_STEPS = 10_000_000
 ATTAINABLE_TOL = 1e-12
@@ -119,64 +119,6 @@ def integrate_extremal(
     return State(x, y, th), Covector(b, c, r), J
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive Simpson failed to converge within the depth limit."""
-
-
-def _simpson(f, a, b, fa, fm, fb):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
-    if depth > 60:
-        raise QuadratureError("adaptive Simpson exceeded depth 60")
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = _simpson(f, a, m, fa, flm, fm)
-    right = _simpson(f, m, b, fm, frm, fb)
-    if abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _adaptive(f, a, m, fa, flm, fm, left, tol / 2.0, depth + 1) + _adaptive(
-        f, m, b, fm, frm, fb, right, tol / 2.0, depth + 1
-    )
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-13) -> float:
-    """Adaptive Simpson quadrature of f over [a, b] to absolute tolerance tol."""
-    if a == b:
-        return 0.0
-    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
-    whole = _simpson(f, a, b, fa, fm, fb)
-    return _adaptive(f, a, b, fa, fm, fb, whole, tol, 0)
-
-
-def quad_F(phi: float, k) -> float:
-    """First-kind incomplete integral by quadrature, phi in [0, pi/2], k in [0, 1)."""
-    kf = float(k)
-    if not 0.0 <= kf < 1.0:
-        raise ValueError("quad_F needs k in [0, 1)")
-    if not 0.0 <= phi <= math.pi / 2.0 + 1e-15:
-        raise ValueError("quad_F needs phi in [0, pi/2]")
-    k2 = kf * kf
-    return adaptive_simpson(
-        lambda s: 1.0 / math.sqrt(1.0 - k2 * math.sin(s) ** 2), 0.0, phi
-    )
-
-
-def quad_E(phi: float, k) -> float:
-    """Second-kind incomplete integral by quadrature, phi in [0, pi/2], k in [0, 1]."""
-    kf = float(k)
-    if not 0.0 <= kf <= 1.0:
-        raise ValueError("quad_E needs k in [0, 1]")
-    if not 0.0 <= phi <= math.pi / 2.0 + 1e-15:
-        raise ValueError("quad_E needs phi in [0, pi/2]")
-    k2 = kf * kf
-    return adaptive_simpson(
-        lambda s: math.sqrt(max(0.0, 1.0 - k2 * math.sin(s) ** 2)), 0.0, phi
-    )
-
-
 class UnattainableTargetError(ValueError):
     """A bvp_shoot target outside the exact-time attainable set."""
 
@@ -243,33 +185,65 @@ def _max_norm(res) -> float:
     return max(map(abs, res))
 
 
-def _newton_from(start: Covector, q1: State, t1: float):
-    """Damped Newton iteration from one start; None unless converged."""
+def _newton_step(v, res, q1: State, t1: float):
+    """Least-squares Newton step at v from a central-difference Jacobian, or None."""
     import numpy as np
 
+    cols = []
+    for j in range(3):
+        h = FD_STEP * max(1.0, abs(v[j]))
+        vp, vm = list(v), list(v)
+        vp[j] += h
+        vm[j] -= h
+        if j == 2 and vm[2] < 0.0:
+            vm[2] = 0.0
+            h = (vp[2] - vm[2]) / 2.0 or FD_STEP
+        rp, rm = _residual(vp, q1, t1), _residual(vm, q1, t1)
+        cols.append([(a - b) / (2.0 * h) for a, b in zip(rp, rm)])
+    try:
+        step, *_ = np.linalg.lstsq(list(zip(*cols)), [-x for x in res], rcond=None)
+    except np.linalg.LinAlgError:
+        return None
+    step = step.tolist()
+    return step if all(map(math.isfinite, step)) else None
+
+
+def _polish(v, res, q1: State, t1: float):
+    """Certify a converged start by undamped Newton steps; None if it fails.
+
+    At most BVP_POLISH_ITER steps, stopping once one moves v by less than
+    BVP_POLISH_STEP * max(1, |v|).  Where the endpoint map is singular (the
+    conjugate locus of the line) the residual is quadratic in the distance
+    to the root, so a start can pass BVP_RESIDUAL_TOL far from any solution;
+    the polish then runs on toward the root.  A start the polish moves by
+    BVP_MERGE_DIST or more is dropped.
+    """
+    v0 = v
+    for _ in range(BVP_POLISH_ITER):
+        step = _newton_step(v, res, q1, t1)
+        if step is None:
+            return None
+        prev, v = v, [a + b for a, b in zip(v, step)]
+        v[2] = max(v[2], 0.0)
+        res = _residual(v, q1, t1)
+        if max(abs(a - b) for a, b in zip(v, prev)) < BVP_POLISH_STEP * max(1.0, *map(abs, v)):
+            break
+    norm = _max_norm(res)
+    if max(abs(a - b) for a, b in zip(v, v0)) < BVP_MERGE_DIST and norm < BVP_RESIDUAL_TOL:
+        return Covector(*v), norm
+    return None
+
+
+def _newton_from(start: Covector, q1: State, t1: float):
+    """Damped Newton iteration from one start, then `_polish`; None unless certified."""
     v = (start.beta, start.c, start.r)
     res = _residual(v, q1, t1)
     best = _max_norm(res)
     for _ in range(BVP_MAX_ITER):
         if best < BVP_RESIDUAL_TOL:
-            return Covector(*v), best
-        cols = []
-        for j in range(3):
-            h = FD_STEP * max(1.0, abs(v[j]))
-            vp, vm = list(v), list(v)
-            vp[j] += h
-            vm[j] -= h
-            if j == 2 and vm[2] < 0.0:
-                vm[2] = 0.0
-                h = (vp[2] - vm[2]) / 2.0 or FD_STEP
-            rp, rm = _residual(vp, q1, t1), _residual(vm, q1, t1)
-            cols.append([(a - b) / (2.0 * h) for a, b in zip(rp, rm)])
-        try:
-            step, *_ = np.linalg.lstsq(list(zip(*cols)), [-x for x in res], rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-        step = step.tolist()
-        if not all(map(math.isfinite, step)):
+            break
+        step = _newton_step(v, res, q1, t1)
+        if step is None:
             return None
         # backtracking with fixed damping ratio
         scale = 1.0
@@ -285,7 +259,7 @@ def _newton_from(start: Covector, q1: State, t1: float):
         else:
             return None
     if best < BVP_RESIDUAL_TOL:
-        return Covector(*v), best
+        return _polish(v, res, q1, t1)
     return None
 
 
@@ -295,7 +269,8 @@ def bvp_shoot(
     """Invert the endpoint map: all distinct covectors steering to q1 in time t1.
 
     Multi-start damped Newton over (beta, c, r); converged solutions
-    (max-norm residual < 1e-9) are de-duplicated at distance 1e-6, sorted by
+    (max-norm residual < 1e-9) are certified by a polish that moves them by
+    less than 1e-6, de-duplicated at distance 1e-6, sorted by
     bending energy, and annotated with their cut-time bound and whether
     t1 <= bound.  Straight-line solutions (J = 0) are canonicalized to the
     frozen covector, collapsing the degenerate (beta, r) freedom.

@@ -188,11 +188,7 @@ def to_elliptic(lam: Covector) -> EllipticCoords:
     amplitude is taken from atan2 of the (sn, cn) pair, mapped through the
     quasi-periodic incomplete integral, and reduced to [0, period).
     """
-    return _to_elliptic(lam, stratify(lam))
-
-
-def _to_elliptic(lam: Covector, s: Stratum) -> EllipticCoords:
-    """to_elliptic for a caller that has already stratified lam as s."""
+    s = stratify(lam)
     r = lam.r
     sr = math.sqrt(r) if r > 0 else 0.0
     if s is Stratum.N1:
@@ -248,8 +244,3 @@ def flow_vertical(lam: Covector, t: float) -> Covector:
         return Covector(lam.beta + lam.c * t, lam.c, lam.r)
     # N4 / N5 / N7: equilibria of the vertical subsystem
     return lam
-
-
-def to_h(lam: Covector):
-    """Hamiltonian coordinates (h1, h2, h3) = (-r cos beta, c, -r sin beta)."""
-    return (-lam.r * math.cos(lam.beta), lam.c, -lam.r * math.sin(lam.beta))

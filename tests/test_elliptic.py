@@ -9,6 +9,7 @@ from elastica.elliptic import (
     EllipticDomainError,
     JacobiValues,
     Modulus,
+    _add,
     ellint_E,
     ellint_E_inc,
     ellint_F_inc,
@@ -18,7 +19,8 @@ from elastica.elliptic import (
     jacobi_derivs_k,
     jacobi_recip_modulus,
 )
-from elastica.oracle import quad_E, quad_F
+
+from quadrature import quad_E, quad_F
 
 K_RECT = 1.0 / math.sqrt(2.0)
 
@@ -342,6 +344,23 @@ class TestAddition:
         assert abs(a.eps - math.tanh(w)) < 1e-15
         sech = 1.0 / math.cosh(w) if abs(w) < 709.0 else 0.0
         assert abs(a.cn - sech) <= 1e-15 * sech and abs(a.dn - sech) <= 1e-15 * sech
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [(0.3, 1.2), (-2.0, 5.0), (20.0, 20.0), (-30.0, 29.5), (400.0, 500.0), (-400.0, -500.0)],
+    )
+    def test_unit_modulus_minus_branch(self, u, v):
+        # the separatrix minus branch is the plus one under (sn, cn, dn) ->
+        # (-sn, -cn, dn), so cn = -dn there, and adding v advances u to u + v;
+        # past |u| ~ 354 the general denominator dn^2 + sn^2 cn^2 underflows
+        ju, jv = jacobi(u, 1.0), jacobi(v, 1.0)
+        sn, cn, dn, de = _add((-ju.sn, -ju.cn, ju.dn, 0.0), (jv.sn, jv.cn, jv.dn, jv.eps), 1.0)
+        w = u + v
+        sech = 1.0 / math.cosh(w) if abs(w) < 709.0 else 0.0
+        assert abs(sn + math.tanh(w)) < 2e-15
+        assert abs(cn + sech) <= 4e-15 * sech and abs(dn - sech) <= 4e-15 * sech
+        # the epsilon increment is the integral of sech^2 over [u, u + v]
+        assert abs(de - (math.tanh(w) - math.tanh(u))) < 2e-15
 
     @pytest.mark.parametrize("u, v", [(-400.0, 400.5), (360.0, -360.5)])
     def test_unit_modulus_opposite_signs_past_limit(self, u, v):

@@ -16,18 +16,20 @@ from elastica.expmap import (
     sample_elastica,
 )
 from elastica.maxwell import find_k0
-from elastica.oracle import adaptive_simpson, integrate_extremal
+from elastica.oracle import integrate_extremal
 from elastica.phase import (
     Covector,
     EllipticCoords,
     Stratum,
     flow_vertical,
     from_elliptic,
+    stratify,
     to_elliptic,
     wrap_angle,
 )
 
 from conftest import n1, n2, n3
+from quadrature import adaptive_simpson
 
 
 def endpoint_gap(a, b):
@@ -70,6 +72,15 @@ class TestExpMap:
             q, _, J = integrate_extremal(lam, t)
             assert endpoint_gap(exp_map(lam, t), q) < 1e-10
             assert elastic_energy_closed(lam, t) == pytest.approx(J, abs=1e-14)
+
+    def test_rotating_small_modulus_against_rk4(self):
+        # k ~ 7e-5, just outside the N6 band: eps at the reciprocal modulus
+        # must not be formed from two terms of size u/k^2
+        lam = Covector(0.3, 2.0, 5e-9)
+        assert stratify(lam) is Stratum.N2_PLUS
+        q, _, J = integrate_extremal(lam, 10.0)
+        assert endpoint_gap(exp_map(lam, 10.0), q) < 1e-7
+        assert abs(elastic_energy_closed(lam, 10.0) - J) < 1e-9
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -194,7 +205,7 @@ def _stepped_sample(draw):
     else:
         k = draw(st.one_of(
             st.floats(1.0 - 1e-9, 1.0, exclude_max=True),
-            st.floats(0.05, 0.06),
+            st.floats(1e-3, 0.06),
             st.floats(0.06, 1.0 - 1e-9),
         ))
     r = math.exp(draw(st.floats(-4.0, 4.0)))

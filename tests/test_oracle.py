@@ -12,12 +12,11 @@ from elastica.oracle import (
     attainable,
     bvp_shoot,
     integrate_extremal,
-    quad_E,
-    quad_F,
 )
 from elastica.phase import Covector, energy, wrap_angle
 
 from conftest import n1
+from quadrature import quad_E, quad_F
 
 KNIFE_EDGE_GOLDEN = Path(__file__).parent / "golden" / "bvp_knife_edge.txt"
 
@@ -165,14 +164,25 @@ class TestShooting:
         assert isinstance(info.value, ValueError)
 
     def test_knife_edge_golden(self):
-        # criterion 8's n1(0.9, 1.6, 1.0) at t1 = 1.1 converges from one start
-        # of 100 (index 42 of start_grid()), and rounding-level changes to the
-        # solver or the exponential map lose it.  A change meant to alter
-        # those bits writes repr(sols) + "\n" to the golden file again and
-        # gives its reason in CHANGES.md.
+        # criterion 8's n1(0.9, 1.6, 1.0) at t1 = 1.1 converges from four
+        # starts of 100 (indices 42, 50, 56 and 99 of start_grid()), and
+        # rounding-level changes to the solver or the exponential map move or
+        # lose them.  A change meant to alter those bits writes
+        # repr(sols) + "\n" to the golden file again and gives its reason in
+        # CHANGES.md.
         lam, t1 = n1(0.9, 1.6, 1.0), 1.1
         sols = bvp_shoot(exp_map(lam, t1), t1, starts=100, jobs=1)
         assert repr(sols) + "\n" == KNIFE_EDGE_GOLDEN.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "lam, t1", [(Covector(0.0, 0.0, 0.0), 1.0), (Covector(0.0, 0.0, 2.0), 1.7)]
+    )
+    def test_conjugate_locus_pseudo_solutions_dropped(self, lam, t1):
+        # small oscillations about the line with sqrt(r) t1 = 2 pi (and 2 z,
+        # tan z = z) pass the residual test on the conjugate locus, where the
+        # residual is quadratic in the distance; the polish runs on from them
+        sols = bvp_shoot(exp_map(lam, t1), t1, starts=100, jobs=1)
+        assert [(s.lam, s.energy) for s in sols] == [(Covector(0.0, 0.0, 0.0), 0.0)]
 
     def test_worker_pool_matches_serial(self):
         q1, t1 = State(0.0, 0.6366, 3.1415926), 1.0

@@ -1,0 +1,159 @@
+"""The exponential map against a 40-digit evaluation of its closed form.
+
+The reference inverts the covector to its elliptic coordinates at 40 digits
+(mpmath), evaluates the Jacobi functions and epsilon at u0 and at
+u0 + sqrt(r) t, and feeds them to the oscillating-stratum quadratures.  The
+rotating strata go through the reciprocal modulus, the minus branches
+through the inversion (beta, c) -> (-beta, -c), and the separatrix through
+tanh and sech.  So it shares the formulas but none of the float evaluation
+with `exp_map`.  Endpoint errors are the max over x, y and theta per
+max(1, t); energy errors are per max(1, J).
+"""
+
+import math
+import random
+
+import pytest
+
+from elastica.elliptic import jacobi_recip_modulus
+from elastica.expmap import elastic_energy_closed, exp_map
+from elastica.phase import stratify, wrap_angle
+
+from conftest import n1, n2, n3
+
+mp = pytest.importorskip("mpmath")
+
+TIMES = (0.37, 1.9, 7.3, 40.0)
+SEED = 1616
+
+# The worst errors of the previous map, which inverted the covector through
+# to_elliptic (a floating-point incomplete integral) and evaluated jacobi at
+# u0 and at u0 + sqrt(r) t, on exactly these inputs, rounded up in the third
+# digit: (endpoint, energy).
+INVERTING_MAP_WORST = {
+    "fixtures": (4.50e-15, 2.14e-14),
+    "N1": (4.17e-15, 2.39e-14),
+    "N1 k < 0.05": (2.22e-14, 2.09e-13),
+    "N2": (8.99e-14, 1.64e-15),
+    "N2 k < 0.05": (3.15e-10, 5.76e-16),
+    "N3": (6.67e-16, 7.78e-16),
+}
+
+
+def _quadratures(k, sr, t, start, end):
+    """The oscillating-stratum endpoint and energy from (sn, cn, dn, eps) at both ends."""
+    s0, c0, d0, e0 = start
+    sn, cn, dn, eps = end
+    dE = eps - e0
+    k2 = k * k
+    theta = 2 * mp.atan2(k * (d0 * sn - s0 * dn), d0 * dn + k2 * s0 * sn)
+    x = (2 / sr) * d0**2 * dE + (4 * k2 / sr) * d0 * s0 * (c0 - cn) \
+        + (2 * k2 / sr) * s0**2 * (sr * t - dE) - t
+    y = (2 * k / sr) * (2 * d0**2 - 1) * (c0 - cn) - (2 * k / sr) * s0 * d0 * (2 * dE - sr * t)
+    return x, y, theta, 2 * sr * (dE - (1 - k2) * sr * t)
+
+
+def _values(u, m):
+    """(sn, cn, dn, eps) at u, parameter m = k^2; eps on its unreduced branch."""
+    sn, cn, dn = (mp.ellipfun(f, u, m=m) for f in ("sn", "cn", "dn"))
+    am = mp.atan2(sn, cn)
+    am += 2 * mp.pi * mp.nint((mp.pi * u / (2 * mp.ellipk(m)) - am) / (2 * mp.pi))
+    return sn, cn, dn, mp.ellipe(am, m)
+
+
+def reference(beta, c, r, t, family, sign=1):
+    """(x, y, theta, J) of the covector on N1 (family 1), N2 (2) or N3 (3), at 40 digits."""
+    beta, c, r, t = mp.mpf(beta), mp.mpf(c), mp.mpf(r), mp.mpf(t)
+    if sign < 0:
+        x, y, theta, J = reference(-beta, -c, r, t, family)
+        return x, -y, -theta, J
+    sr = mp.sqrt(r)
+    if family == 3:
+        u0 = mp.asinh(mp.tan(beta / 2))
+        start, end = ((mp.tanh(u), mp.sech(u), mp.sech(u), mp.tanh(u)) for u in (u0, u0 + sr * t))
+        return _quadratures(mp.mpf(1), sr, t, start, end)
+    kappa = mp.sqrt(mp.sin(beta / 2) ** 2 + c * c / (4 * r))
+    if family == 1:
+        m = kappa * kappa
+        u0 = mp.ellipf(mp.atan2(mp.sin(beta / 2), c / (2 * sr)), m)
+        return _quadratures(kappa, sr, t, _values(u0, m), _values(u0 + sr * t, m))
+    # rotating: modulus 1/kappa at the argument w = kappa u
+    k = 1 / kappa
+    m = k * k
+
+    def at(w):
+        sn, cn, dn, eps = _values(w, m)
+        return k * sn, dn, cn, eps / k - (1 - m) / m * (k * w)
+
+    w0 = mp.ellipf(beta / 2, m)
+    return _quadratures(kappa, sr, t, at(w0), at(w0 + sr * t / k))
+
+
+def _seeded():
+    """(group, covector) on N1, N2+- and N3+-, moduli log-uniform down to 1e-3."""
+    rng = random.Random(SEED)
+    out = []
+    for _ in range(16):
+        r = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+        sr = math.sqrt(r)
+        for lo, hi, small in ((1e-3, 0.05, " k < 0.05"), (0.05, 0.999, "")):
+            k = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            out.append(("N1" + small, n1(k, rng.uniform(0.0, 8.0) / sr, r)))
+            out.append(("N2" + small, n2(k, rng.uniform(0.0, 4.0) / sr, r, rng.choice((1, -1)))))
+        out.append(("N3", n3(rng.uniform(-6.0, 6.0) / sr, r, rng.choice((1, -1)))))
+    return out
+
+
+def _exact(lam, t):
+    s = stratify(lam)
+    if s.family in (1, 2, 3):
+        return reference(lam.beta, lam.c, lam.r, t, s.family, s.sign or 1)
+    if s.family == 6:
+        c = mp.mpf(lam.c)
+        return mp.sin(c * t) / c, (1 - mp.cos(c * t)) / c, c * t, c * c * t / 2
+    return mp.mpf(t), 0, 0, 0
+
+
+@pytest.fixture(scope="module")
+def worst(fixture25, cell_covectors):
+    """Worst (endpoint, energy) error of each group over TIMES."""
+    cases = [("fixtures", lam) for lam in (*fixture25, *cell_covectors.values())] + _seeded()
+    out = {}
+    with mp.workdps(40):
+        for group, lam in cases:
+            for t in TIMES:
+                x, y, theta, J = _exact(lam, t)
+                q = exp_map(lam, t)
+                dq = max(abs(q.x - float(x)), abs(q.y - float(y)),
+                         abs(wrap_angle(q.theta - float(theta)))) / max(1.0, t)
+                dJ = abs(elastic_energy_closed(lam, t) - float(J)) / max(1.0, abs(float(J)))
+                e, j = out.get(group, (0.0, 0.0))
+                out[group] = (max(e, dq), max(j, dJ))
+    print("\n".join(f"{g}: endpoint {e:.2e}, energy {j:.2e}" for g, (e, j) in sorted(out.items())))
+    return out
+
+
+@pytest.mark.parametrize("group", sorted(INVERTING_MAP_WORST))
+def test_no_worse_than_the_inverting_map(worst, group):
+    endpoint, energy = worst[group]
+    bound_endpoint, bound_energy = INVERTING_MAP_WORST[group]
+    assert endpoint <= bound_endpoint and energy <= bound_energy
+
+
+def test_rotating_small_modulus_keeps_digits(worst):
+    # the inverting map lost digits as 1/k^2 here; what is left grows as
+    # 1/k, the conditioning of theta ~ c t = 2 sqrt(r) t / k
+    assert worst["N2 k < 0.05"][0] < 1e-12
+
+
+@pytest.mark.parametrize("k", [1e-2, 1e-3, 1e-4])
+def test_reciprocal_modulus_eps_keeps_digits(k):
+    # eps(u, 1/k) = u + (eps(w) - w)/k at w = u/k.  Formed as eps(w)/k -
+    # (1 - k^2) u/k^2 it is off by about 1e-16 u/k^2, and with the zeta sum
+    # over the scale's c_i, half differences that cancel as k -> 0, by
+    # about 1e-16/k
+    with mp.workdps(40):
+        for u in (0.3, 2.0, 9.5):
+            w = mp.mpf(u) / mp.mpf(k)
+            exact = u + (_values(w, mp.mpf(k) ** 2)[3] - w) / k
+            assert abs(jacobi_recip_modulus(u, k).eps - float(exact)) < 4e-16 * max(1.0, u)
