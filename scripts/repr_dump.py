@@ -13,7 +13,10 @@ through `exp_map`, `elastic_energy_closed`, `to_elliptic`,
 `sample_elastica`, `cut_time_bound` and `in_maxwell`; a call that raises
 prints the exception instead.  With --bvp, `bvp_shoot` follows on the 20
 criterion-8 targets, the README example and the shooting tests' targets,
-and the outcome of every start on the knife-edge target (about a minute).
+each with the number of endpoint evaluations it made (calls of
+`oracle._residual`, which the script wraps to count them), the criterion-8
+total, and the outcome of every start on the knife-edge target (about a
+minute).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from elastica import oracle  # noqa: E402
 from elastica import (  # noqa: E402
     Covector,
     State,
@@ -86,7 +90,7 @@ CELL_COVECTORS = (
 )
 
 # criterion 8's forward targets (covector, t1); (n1(0.9, 1.6, 1.0), 1.1) is
-# the knife edge, solved by four starts of the 100
+# the knife edge, solved by two starts of the 100
 CRITERION_8 = (
     (n1(0.3, 0.5, 1.0), 1.0), (n1(0.55, 1.2, 1.0), 1.4), (n1(0.62, 0.9, 1.0), 1.2),
     (n1(0.75, 0.2, 2.0), 0.9), (n1(0.9, 1.6, 1.0), 1.1), (n1(0.45, 2.4, 0.5), 2.2),
@@ -161,11 +165,29 @@ def dump_covector(lam: Covector, write) -> None:
 
 
 def dump_bvp(write) -> None:
-    for lam, t1 in CRITERION_8:
-        q1 = exp_map(lam, t1)
-        write(f"bvp_shoot {lam!r} {t1!r} 100 {show(bvp_shoot, q1, t1, 100)}")
-    for q1, t1, starts in SHOOTING:
-        write(f"bvp_shoot {q1!r} {t1!r} {starts} {show(bvp_shoot, q1, t1, starts)}")
+    calls = 0
+    residual = oracle._residual
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return residual(*args)
+
+    def shoot(head: str, q1, t1, starts) -> int:
+        nonlocal calls
+        calls = 0
+        write(f"bvp_shoot {head} {starts} {show(bvp_shoot, q1, t1, starts)}")
+        write(f"  residual_evaluations {calls}")
+        return calls
+
+    oracle._residual = counted
+    try:
+        total = sum(shoot(f"{lam!r} {t1!r}", exp_map(lam, t1), t1, 100) for lam, t1 in CRITERION_8)
+        write(f"criterion_8 residual_evaluations {total}")
+        for q1, t1, starts in SHOOTING:
+            shoot(f"{q1!r} {t1!r}", q1, t1, starts)
+    finally:
+        oracle._residual = residual
     lam, t1 = KNIFE_EDGE
     q1 = exp_map(lam, t1)
     for i, start in enumerate(start_grid()[:100]):

@@ -84,11 +84,13 @@ def _agm_scale(k: float):
 
     With a_0 = 1, b_0 = k', c_0 = k and a_i, b_i, c_i the arithmetic mean,
     geometric mean and half difference of a_(i-1) and b_(i-1), truncated at
-    the first |c_n| < AGM_TOL, returns (K, E, 2^n a_n, a, b, c, sigma): the
-    complete integrals K(k) and E(k), the factor from u to the phase at the
-    bottom of the scale, the tuples a = (a_0, ..., a_n),
-    b = (b_0, ..., b_(n-1)) and c = (c_1, ..., c_n), and
-    sigma = 1 - E/K, summed directly so that it keeps its digits as k -> 0.
+    the first |c_n| < AGM_TOL, returns (K, E, 2^n a_n, a, b, c, sigma, z):
+    the complete integrals K(k) and E(k), the factor from u to the phase at
+    the bottom of the scale, the tuples a = (a_0, ..., a_n),
+    b = (b_0, ..., b_(n-1)) and c = (c_1, ..., c_n), sigma = 1 - E/K,
+    summed directly so that it keeps its digits as k -> 0, and the weights
+    z_1 = k^2/(4 a_1), z_(i+1) = z_i^2/(4 a_(i+1)) of `_jacobi_agm`'s
+    shifted pass, equal to the c_i without their cancellation as k -> 0.
     """
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     a, b, c = (1.0,), (kp,), ()
@@ -106,7 +108,11 @@ def _agm_scale(k: float):
             break
         b += (bn,)
     K = math.pi / (2.0 * an)
-    return K, K * (1.0 - s), 2.0 ** len(c) * an, a, b, c, s
+    zi, z = k, ()
+    for ai in a[1:]:
+        zi = zi * zi / (4.0 * ai)
+        z += (zi,)
+    return K, K * (1.0 - s), 2.0 ** len(c) * an, a, b, c, s, z
 
 
 def ellint_K(k) -> float:
@@ -144,7 +150,7 @@ def _incomplete_agm(phi: float, k: float):
     sign = 1.0
     if phi < 0.0:
         sign, phi = -1.0, -phi
-    K, E, unit, a_, b_, c_, _ = _agm_scale(k)
+    K, E, unit, a_, b_, c_, _, _ = _agm_scale(k)
     phi_i = phi
     sp = math.sin(phi_i)
     zeta = 0.0
@@ -196,16 +202,13 @@ def _jacobi_agm(u: float, k: float, shifted: bool = False) -> JacobiValues:
     The zeta sum of the pass is the Jacobi zeta function Z (A&S 17.6), and
     eps = Z + (E/K) u.  With shifted=True the last value is eps(u) - u =
     Z(u) - sigma u instead, with sigma = 1 - E/K from the scale, and Z is
-    summed over c_1 = k^2/(4 a_1), c_(i+1) = c_i^2/(4 a_(i+1)) rather than
-    the scale's half differences c_i, which cancel as k -> 0.  So it keeps
-    its digits as k -> 0, where eps(u) - u formed from eps(u) would not.
+    summed over the scale's weights z_i rather than its half differences
+    c_i, which cancel as k -> 0.  So it keeps its digits as k -> 0, where
+    eps(u) - u formed from eps(u) would not.
     """
-    K, E, unit, a_, b_, c_, sigma = _agm_scale(k)
+    K, E, unit, a_, b_, c_, sigma, z_ = _agm_scale(k)
     if shifted:
-        c, c_ = k, ()
-        for a in a_[1:]:
-            c = c * c / (4.0 * a)
-            c_ += (c,)
+        c_ = z_
     m = math.floor(u / (2.0 * K) + 0.5)
     u_red = u - 2.0 * K * m
 
@@ -270,18 +273,44 @@ def jacobi_recip_modulus(u: float, k) -> JacobiValues:
         raise EllipticDomainError("reciprocal-modulus transform undefined at k = 0")
     if kf == 1.0:
         return jacobi(u, 1.0)
-    w = u / kf
+    sn, cn, dn, d = _recip_shifted(u, kf)
+    return JacobiValues(sn, cn, dn, math.atan2(sn, cn), u + d)
+
+
+def _shifted(u: float, k: float):
+    """(sn, cn, dn, d) at real u and modulus k in (0, 1].
+
+    Below k = 1, d = eps(u) - u from the shifted descending pass, which keeps
+    its digits as k -> 0.  At k = 1, d = eps(u) = tanh u, which is bounded,
+    where eps(u) - u would lose the digits of tanh u to u.
+    """
+    if k == 1.0:
+        sn, cn, dn, _, eps = jacobi(u, 1.0)
+        return sn, cn, dn, eps
+    if not math.isfinite(u):
+        raise EllipticDomainError(f"Jacobi functions need a finite argument, got {u}")
+    sn, cn, dn, _, d = _jacobi_agm(u, k, True)
+    return sn, cn, dn, d
+
+
+def _recip_shifted(u: float, k: float):
+    """(sn, cn, dn, eps(u) - u) at modulus 1/k > 1, through modulus k in (0, 1).
+
+    The transform of `jacobi_recip_modulus`: eps(u, 1/k) - u = (eps(w) - w)/k
+    at w = u/k.
+    """
+    w = u / k
     if not math.isfinite(w):
         raise EllipticDomainError(f"Jacobi functions need a finite argument, got u/k = {w}")
-    sn, cn, dn, _, d = _jacobi_agm(w, kf, True)
-    sn *= kf
-    return JacobiValues(sn, dn, cn, math.atan2(sn, dn), u + d / kf)
+    sn, cn, dn, _, d = _jacobi_agm(w, k, True)
+    return k * sn, dn, cn, d / k
 
 
 def _add(a, b, k: float):
     """(sn, cn, dn, eps) at u + v from those at u and at v (DLMF 22.8).
 
-    eps(u + v) = eps u + eps v - k^2 sn u sn v sn(u + v).  The formulas are
+    eps(u + v) = eps u + eps v - k^2 sn u sn v sn(u + v), a rule that holds
+    unchanged for eps(u) - u in place of eps u.  The formulas are
     the group law of the curve sn^2 + cn^2 = 1, dn^2 + k^2 sn^2 = 1, so they
     hold off the real branch too: a minus-branch pendulum state carries its
     sign in (sn, cn), and k > 1 is a reciprocal modulus.  The denominator

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .elliptic import _add, jacobi, jacobi_recip_modulus
+from .elliptic import _add, _recip_shifted, _shifted
 from .phase import (
     CIRCULAR,
     ROTATING,
@@ -74,14 +74,17 @@ class ElasticaClass(Enum):
 
 
 def _endpoint_oscillating(
-    k: float, sr: float, t: float, a0: tuple, sn: float, cn: float, dn: float, dE: float,
+    k: float, sr: float, t: float, a0: tuple, sn: float, cn: float, dn: float, d: float,
 ):
     """Endpoint and bending energy from the oscillating-stratum quadratures.
 
     Written for algebraic modulus k, with the start values a0 = (sn, cn, dn,
-    0) and (sn, cn, dn) at t with the epsilon increment dE over [0, t]; at
-    k = 1 they are the hyperbolic ones of the separatrix, and at k > 1 (the
-    reciprocal modulus) those of the rotating strata.
+    0) and (sn, cn, dn, d) at t, where d = dE - sqrt(r) t and dE is the
+    epsilon increment over [0, t]; at k = 1 they are the hyperbolic ones of
+    the separatrix, and at k > 1 (the reciprocal modulus) those of the
+    rotating strata.  d is carried whole because dE and sqrt(r) t cancel in
+    x and in the energy as k -> 0.  At k = 1, where epsilon = tanh is
+    bounded, d is dE itself.
     """
     s0, c0, d0, _ = a0
     k2 = k * k
@@ -92,11 +95,17 @@ def _endpoint_oscillating(
     # digits the difference loses where c0 and cn are both near +-1, as on
     # the rotating strata (k > 1), where they differ by O(1/k^2)
     dc = (sn - s0) * (sn + s0) / (c0 + cn) if c0 * cn > 0.5 else c0 - cn
-    x = t - (2.0 / sr) * (
-        d0 * d0 * (sr * t - dE) - 2.0 * k2 * d0 * s0 * dc + k2 * s0 * s0 * dE
-    )
-    y = (2.0 * k / sr) * ((2.0 * d0 * d0 - 1.0) * dc - s0 * d0 * (2.0 * dE - sr * t))
-    return x, y, theta, 2.0 * sr * (dE - (1.0 - k2) * sr * t)
+    w = sr * t
+    if k == 1.0:
+        dE = energy = d
+        dw = d - w
+    else:
+        dE = d + w
+        dw = d
+        energy = d + k2 * w
+    x = t - (2.0 / sr) * (-d0 * d0 * dw - 2.0 * k2 * d0 * s0 * dc + k2 * s0 * s0 * dE)
+    y = (2.0 * k / sr) * ((2.0 * d0 * d0 - 1.0) * dc - s0 * d0 * (2.0 * dE - w))
+    return x, y, theta, 2.0 * sr * energy
 
 
 def _pointwise(at: Callable[[float], tuple]) -> Callable[[float, int], list]:
@@ -105,18 +114,19 @@ def _pointwise(at: Callable[[float], tuple]) -> Callable[[float, int], list]:
 
 
 def _prepare(lam: Covector, grid: bool = False) -> Callable:
-    """Precompute the per-covector data; return t -> (x, y, theta, J).
+    """Precompute the per-covector data; return t -> (x, y, theta, J, c_t).
 
-    With grid=True it returns (step, n) -> the States at t = i*step for
-    i < n instead.  On N1, N2+- and N3+- that path steps by the addition
-    formulas from anchors; elsewhere it evaluates each point.
+    c_t is the curvature at t, the pendulum velocity.  With grid=True it
+    returns (step, n) -> the States at t = i*step for i < n instead.  On N1,
+    N2+- and N3+- that path steps by the addition formulas from anchors;
+    elsewhere it evaluates each point.
     """
     s = stratify(lam)
 
     if s in STRAIGHT:
 
         def line(t: float):
-            return t, 0.0, 0.0, 0.0
+            return t, 0.0, 0.0, 0.0, 0.0
 
         return _pointwise(line) if grid else line
 
@@ -125,7 +135,7 @@ def _prepare(lam: Covector, grid: bool = False) -> Callable:
 
         def circle(t: float):
             ct = c * t
-            return math.sin(ct) / c, (1.0 - math.cos(ct)) / c, ct, 0.5 * c * c * t
+            return math.sin(ct) / c, (1.0 - math.cos(ct)) / c, ct, 0.5 * c * c * t, c
 
         return _pointwise(circle) if grid else circle
 
@@ -142,17 +152,19 @@ def _prepare(lam: Covector, grid: bool = False) -> Callable:
         a0 = (sb / kap, ch / kap, cb, 0.0)
     # the rotating strata, kap > 1, are evaluated through modulus 1/kap
     rotating = s in ROTATING
-    k, jac = (1.0 / kap, jacobi_recip_modulus) if rotating else (kap, jacobi)
+    k, jac = (1.0 / kap, _recip_shifted) if rotating else (kap, _shifted)
 
     def at(w: float):
-        """(sn, cn, dn, eps increment) at u0 + w."""
-        sn, cn, dn, _, eps = jac(w, k)
-        return _add(a0, (sn, cn, dn, eps), kap)
+        """(sn, cn, dn, d) at u0 + w, d as `_endpoint_oscillating` takes it."""
+        return _add(a0, jac(w, k), kap)
 
     if not grid:
+        # the curvature c_t = 2 sqrt(r) kap cn
+        c_f = 2.0 * sr * kap
 
         def elliptic(t: float):
-            return _endpoint_oscillating(kap, sr, t, a0, *at(sr * t))
+            sn, cn, dn, d = at(sr * t)
+            return (*_endpoint_oscillating(kap, sr, t, a0, sn, cn, dn, d), c_f * cn)
 
         return elliptic
 
@@ -164,8 +176,7 @@ def _prepare(lam: Covector, grid: bool = False) -> Callable:
         else:
             run = 1 + int(REANCHOR_SPAN // hw)
         if run > 1:
-            sn, cn, dn, _, eps = jac(sr * step, k)
-            jh = sn, cn, dn, eps
+            jh = jac(sr * step, k)
         out = []
         for i in range(n):
             t = i * step
@@ -184,7 +195,7 @@ def exp_map(lam: Covector, t: float) -> State:
     """Endpoint of the elastica of lam at a finite arc length t >= 0."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"exp_map needs finite t >= 0, got {t}")
-    x, y, theta, _ = _prepare(lam)(t)
+    x, y, theta = _prepare(lam)(t)[:3]
     return State(x, y, theta)
 
 

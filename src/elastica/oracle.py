@@ -5,8 +5,9 @@ integrated by fixed-step RK4 (fixed, not adaptive, so golden values are
 reproducible), to cross-validate the analytic modules.  The boundary-value
 problem is solved by multi-start damped Newton iteration on the forward map.
 
-numpy (the Newton step's least squares) and the worker pool are imported by
-the BVP solver on first use, so importing the package loads neither.
+The Newton step takes two of the three Jacobian columns in closed form from
+the problem's symmetries and solves its 3x3 least squares in pure Python, so
+the solver needs no numpy.  The worker pool is imported on first use.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import logging
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
-from .expmap import State, elastic_energy_closed, exp_map, wrap_angle
+from .expmap import State, _prepare, elastic_energy_closed, exp_map, wrap_angle
 from .maxwell import MaxwellReport, cut_time_bound
-from .phase import Covector
+from .phase import CIRCULAR, Covector, stratify
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +32,15 @@ BVP_DAMPING = 0.5
 BVP_POLISH_ITER = 12
 BVP_POLISH_STEP = 1e-12
 FD_STEP = 1e-7
+# the Newton step falls back to six central differences where the flow or
+# dilation direction is shorter than JAC_DIR_MIN, or the sine of the angle
+# between them is below JAC_SIN_MIN
+JAC_DIR_MIN = 1e-3
+JAC_SIN_MIN = 1e-2
+# the 3x3 solve takes Cramer's rule where |det| exceeds this times the
+# product of the column norms, and the SVD otherwise
+CRAMER_MIN = 1e-10
+SVD_SWEEPS = 30
 RK4_MAX_STEPS = 10_000_000
 ATTAINABLE_TOL = 1e-12
 
@@ -172,10 +183,13 @@ def start_grid() -> list[Covector]:
 
 
 def _residual(vec, q1: State, t1: float):
-    """Endpoint miss (dx, dy, dtheta) of the covector vec = (beta, c, r) at t1."""
+    """Endpoint miss (dx, dy, dtheta) of vec = (beta, c, r) at t1, and (x, y, theta, c_t) there.
+
+    c_t is the curvature at t1; the Newton step reuses the endpoint.
+    """
     beta, c, r = vec
-    q = exp_map(Covector(beta, c, max(r, 0.0)), t1)
-    return (q.x - q1.x, q.y - q1.y, wrap_angle(q.theta - q1.theta))
+    x, y, theta, _, ct = _prepare(Covector(beta, c, max(r, 0.0)))(t1)
+    return (x - q1.x, y - q1.y, wrap_angle(theta - q1.theta)), (x, y, theta, ct)
 
 
 def _max_norm(res) -> float:
@@ -185,10 +199,61 @@ def _max_norm(res) -> float:
     return max(map(abs, res))
 
 
-def _newton_step(v, res, q1: State, t1: float):
-    """Least-squares Newton step at v from a central-difference Jacobian, or None."""
-    import numpy as np
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _lstsq3(cols, b):
+    """Minimum-norm least-squares solution of A x = b, A given by its three columns.
+
+    Cramer's rule where |det A| > CRAMER_MIN |A_1| |A_2| |A_3|.  Otherwise a
+    one-sided Jacobi SVD: rotations V orthogonalize the columns, A V = U S,
+    and x = V S+ U^T b, with the singular values at or below 3 eps s_max
+    dropped, the cutoff of numpy.linalg.lstsq with rcond=None.  So a zero
+    column, as beta's on the r = 0 plane, gets a zero component.
+    """
+    a1, a2, a3 = cols
+    c23 = _cross(a2, a3)
+    det = _dot(a1, c23)
+    if abs(det) > CRAMER_MIN * math.sqrt(_dot(a1, a1) * _dot(a2, a2) * _dot(a3, a3)):
+        return [_dot(b, c23) / det, _dot(a1, _cross(b, a3)) / det, _dot(a1, _cross(a2, b)) / det]
+    eps = sys.float_info.epsilon
+    a = [list(col) for col in cols]
+    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # the columns of V
+    for _ in range(SVD_SWEEPS):
+        rotated = False
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            p, q, g = _dot(a[i], a[i]), _dot(a[j], a[j]), _dot(a[i], a[j])
+            if not abs(g) > eps * math.sqrt(p * q):
+                continue
+            rotated = True
+            zeta = (q - p) / (2.0 * g)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            cs = 1.0 / math.hypot(1.0, t)
+            sn = cs * t
+            for m in (a, v):
+                m[i], m[j] = (
+                    [cs * e - sn * f for e, f in zip(m[i], m[j])],
+                    [sn * e + cs * f for e, f in zip(m[i], m[j])],
+                )
+        if not rotated:
+            break
+    s2 = [_dot(col, col) for col in a]
+    cut = (3.0 * eps) ** 2 * max(s2)
+    x = [0.0, 0.0, 0.0]
+    for col, vi, si in zip(a, v, s2):
+        if si > cut:
+            f = _dot(col, b) / si
+            x = [e + f * w for e, w in zip(x, vi)]
+    return x
+
+
+def _fd_jacobian(v, q1: State, t1: float):
+    """The three Jacobian columns by central differences, six evaluations."""
     cols = []
     for j in range(3):
         h = FD_STEP * max(1.0, abs(v[j]))
@@ -198,51 +263,120 @@ def _newton_step(v, res, q1: State, t1: float):
         if j == 2 and vm[2] < 0.0:
             vm[2] = 0.0
             h = (vp[2] - vm[2]) / 2.0 or FD_STEP
-        rp, rm = _residual(vp, q1, t1), _residual(vm, q1, t1)
+        rp, rm = _residual(vp, q1, t1)[0], _residual(vm, q1, t1)[0]
         cols.append([(a - b) / (2.0 * h) for a, b in zip(rp, rm)])
-    try:
-        step, *_ = np.linalg.lstsq(list(zip(*cols)), [-x for x in res], rcond=None)
-    except np.linalg.LinAlgError:
-        return None
-    step = step.tolist()
+    return cols
+
+
+def _symmetry_columns(c: float, end, t1: float):
+    """J d_f and J d_s at a covector with curvature c, from end = (x, y, theta, c_t) at t1.
+
+    See `_jacobian`.
+    """
+    x, y, theta, ct = end
+    cos, sin = math.cos(theta), math.sin(theta)
+    return (cos - 1.0 + c * y, sin - c * x, ct - c), (t1 * cos - x, t1 * sin - y, t1 * ct)
+
+
+def _jacobian(v, res, end, q1: State, t1: float):
+    """The Jacobian columns at v from two exact directional derivatives and one difference.
+
+    With end = (x, y, theta, c_t) at v = (beta, c, r):
+    - left-invariance, exp(lam, s + t) = exp(lam, s) exp(flow(lam, s), t),
+      gives along the pendulum flow d_f = (c, -r sin beta, 0)
+      J d_f = (cos theta - 1 + c y, sin theta - c x, c_t - c);
+    - dilation, (beta, s c, s^2 r) at t/s reaching (x/s, y/s, theta), gives
+      along d_s = (0, c, 2r) J d_s = (t cos theta - x, t sin theta - y, t c_t);
+    - along n = d_f x d_s, a central difference, or a forward one where
+      v - h n would leave r >= 0.
+    On the circles beta has no effect: r is taken as 0 and J d_f as 0
+    exactly.  Where |d_f| or |d_s| is below JAC_DIR_MIN, or the sine of the
+    angle between them below JAC_SIN_MIN, all three columns are differences.
+    """
+    beta, c, r = v[0], v[1], max(v[2], 0.0)
+    circle = stratify(Covector(beta, c, r)) in CIRCULAR
+    if circle:
+        r = 0.0
+    df = (c, -r * math.sin(beta), 0.0)
+    ds = (0.0, c, 2.0 * r)
+    n = _cross(df, ds)
+    nf, ns, nn = (math.sqrt(_dot(d, d)) for d in (df, ds, n))
+    if min(nf, ns) < JAC_DIR_MIN or nn < JAC_SIN_MIN * nf * ns:
+        return _fd_jacobian(v, q1, t1)
+    jf, js = _symmetry_columns(c, end, t1)
+    if circle:
+        jf = (0.0, 0.0, 0.0)
+    n = tuple(e / nn for e in n)
+    h = FD_STEP * max(1.0, *map(abs, v))
+    rp = _residual([a + h * b for a, b in zip(v, n)], q1, t1)[0]
+    vm = [a - h * b for a, b in zip(v, n)]
+    if vm[2] < 0.0:
+        jn = [(a - b) / h for a, b in zip(rp, res)]
+    else:
+        jn = [(a - b) / (2.0 * h) for a, b in zip(rp, _residual(vm, q1, t1)[0])]
+    # J = [J d_f, J d_s, J n] [d_f, d_s, n]^-1, whose rows are
+    # (d_s x n)/nn, (n x d_f)/nn and n, as det [d_f, d_s, n] = nn
+    a, b = _cross(ds, n), _cross(n, df)
+    return [
+        [(f * a[j] + s * b[j]) / nn + e * n[j] for f, s, e in zip(jf, js, jn)]
+        for j in range(3)
+    ]
+
+
+def _newton_step(v, res, end, q1: State, t1: float):
+    """Minimum-norm least-squares Newton step at v, or None if it is not finite.
+
+    end is the (x, y, theta, c_t) that `_residual` returned with res at v.
+    """
+    step = _lstsq3(_jacobian(v, res, end, q1, t1), [-e for e in res])
     return step if all(map(math.isfinite, step)) else None
 
 
-def _polish(v, res, q1: State, t1: float):
+def _gap(a: State, b: State) -> float:
+    """Max-norm distance between two states, theta wrapped."""
+    return max(abs(a.x - b.x), abs(a.y - b.y), abs(wrap_angle(a.theta - b.theta)))
+
+
+def _polish(v, res, end, q1: State, t1: float):
     """Certify a converged start by undamped Newton steps; None if it fails.
 
     At most BVP_POLISH_ITER steps, stopping once one moves v by less than
     BVP_POLISH_STEP * max(1, |v|).  Where the endpoint map is singular (the
     conjugate locus of the line) the residual is quadratic in the distance
     to the root, so a start can pass BVP_RESIDUAL_TOL far from any solution;
-    the polish then runs on toward the root.  A start the polish moves by
-    BVP_MERGE_DIST or more is dropped.
+    the polish then runs on toward the root.  The move is measured as the
+    merge measures trajectories, by the gap between the states at t1/2, so
+    a gauge freedom (beta at r = 0) or a weakly determined direction of v
+    does not count.  A start the polish moves by BVP_MERGE_DIST * max(1, t1)
+    or more is dropped.
     """
     v0 = v
     for _ in range(BVP_POLISH_ITER):
-        step = _newton_step(v, res, q1, t1)
+        step = _newton_step(v, res, end, q1, t1)
         if step is None:
             return None
         prev, v = v, [a + b for a, b in zip(v, step)]
         v[2] = max(v[2], 0.0)
-        res = _residual(v, q1, t1)
+        res, end = _residual(v, q1, t1)
         if max(abs(a - b) for a, b in zip(v, prev)) < BVP_POLISH_STEP * max(1.0, *map(abs, v)):
             break
     norm = _max_norm(res)
-    if max(abs(a - b) for a, b in zip(v, v0)) < BVP_MERGE_DIST and norm < BVP_RESIDUAL_TOL:
-        return Covector(*v), norm
+    lam = Covector(*v)
+    qa, qb = exp_map(Covector(*v0), 0.5 * t1), exp_map(lam, 0.5 * t1)
+    if _gap(qa, qb) < BVP_MERGE_DIST * max(1.0, t1) and norm < BVP_RESIDUAL_TOL:
+        return lam, norm
     return None
 
 
 def _newton_from(start: Covector, q1: State, t1: float):
     """Damped Newton iteration from one start, then `_polish`; None unless certified."""
     v = (start.beta, start.c, start.r)
-    res = _residual(v, q1, t1)
+    res, end = _residual(v, q1, t1)
     best = _max_norm(res)
     for _ in range(BVP_MAX_ITER):
         if best < BVP_RESIDUAL_TOL:
             break
-        step = _newton_step(v, res, q1, t1)
+        step = _newton_step(v, res, end, q1, t1)
         if step is None:
             return None
         # backtracking with fixed damping ratio
@@ -250,16 +384,16 @@ def _newton_from(start: Covector, q1: State, t1: float):
         for _ in range(25):
             cand = [a + scale * b for a, b in zip(v, step)]
             cand[2] = max(cand[2], 0.0)
-            cand_res = _residual(cand, q1, t1)
+            cand_res, cand_end = _residual(cand, q1, t1)
             cand_norm = _max_norm(cand_res)
             if math.isfinite(cand_norm) and cand_norm < best:
-                v, res, best = cand, cand_res, cand_norm
+                v, res, end, best = cand, cand_res, cand_end, cand_norm
                 break
             scale *= BVP_DAMPING
         else:
             return None
     if best < BVP_RESIDUAL_TOL:
-        return _polish(v, res, q1, t1)
+        return _polish(v, res, end, q1, t1)
     return None
 
 
@@ -269,8 +403,9 @@ def bvp_shoot(
     """Invert the endpoint map: all distinct covectors steering to q1 in time t1.
 
     Multi-start damped Newton over (beta, c, r); converged solutions
-    (max-norm residual < 1e-9) are certified by a polish that moves them by
-    less than 1e-6, de-duplicated at distance 1e-6, sorted by
+    (max-norm residual < 1e-9) are certified by a polish that moves their
+    state at t1/2 by less than 1e-6 max(1, t1), de-duplicated at distance
+    1e-6, sorted by
     bending energy, and annotated with their cut-time bound and whether
     t1 <= bound.  Straight-line solutions (J = 0) are canonicalized to the
     frozen covector, collapsing the degenerate (beta, r) freedom.
@@ -310,7 +445,7 @@ def bvp_shoot(
             # the gravity-free strata); snap to the canonical representative
             # when it solves the problem equally well
             cand = Covector(0.0, lam.c, 0.0)
-            cand_res = _max_norm(_residual((0.0, lam.c, 0.0), q1, t1))
+            cand_res = _max_norm(_residual((0.0, lam.c, 0.0), q1, t1)[0])
             if cand_res < BVP_RESIDUAL_TOL:
                 lam, res, J = cand, cand_res, elastic_energy_closed(cand, t1)
         converged.append((lam, res, J))
@@ -330,13 +465,9 @@ def bvp_shoot(
             ):
                 dup = True
                 break
-            if abs(J - Jp) < BVP_MERGE_DIST * max(1.0, Jp) and (
-                max(
-                    abs(qm.x - qp.x),
-                    abs(qm.y - qp.y),
-                    abs(wrap_angle(qm.theta - qp.theta)),
-                )
-                < BVP_MERGE_DIST * max(1.0, t1)
+            if (
+                abs(J - Jp) < BVP_MERGE_DIST * max(1.0, Jp)
+                and _gap(qm, qp) < BVP_MERGE_DIST * max(1.0, t1)
             ):
                 dup = True
                 break

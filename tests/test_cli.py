@@ -591,12 +591,23 @@ class TestEntryPoint:
         _assert_version_runs(os.environ)
 
     def test_cold_import_loads_neither_scipy_nor_numpy(self):
-        # numpy is imported by the BVP solver on first use; scipy is test-only
+        # the library has no runtime dependency; scipy and numpy are test-only
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, elastica.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"],
             capture_output=True, text=True,
         )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_bvp_shoot_loads_neither_scipy_nor_numpy(self):
+        # the Newton step's 3x3 least squares is pure Python
+        code = (
+            "import sys, elastica; "
+            "assert elastica.bvp_shoot(elastica.State(0.5, 0.2, 0.3), 1.0, 4); "
+            "print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastica import expmap
 from elastica.elliptic import ellint_K
 from elastica.expmap import (
     REANCHOR_POINTS,
     ElasticaClass,
     State,
-    _prepare,
     classify,
     elastic_energy_closed,
     exp_map,
@@ -217,6 +217,17 @@ def _stepped_sample(draw):
         st.integers(2, 2000),
     ))
     return lam, t1, n
+
+
+def _prepare(lam):
+    """`expmap._prepare` returning (x, y, theta, J), without the curvature c_t.
+
+    It keeps the body of `test_stepped_sample_matches_direct` as it was: the
+    derandomized examples of a Hypothesis test are seeded by a digest of its
+    source.
+    """
+    at = expmap._prepare(lam)
+    return lambda t: at(t)[:4]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -1,4 +1,5 @@
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -6,16 +7,23 @@ import pytest
 from elastica.elliptic import ellint_K
 from elastica.expmap import State, elastic_energy_closed, exp_map
 from elastica.oracle import (
+    BVP_RESIDUAL_TOL,
     IntegratorConfig,
     MaxStepsExceeded,
     UnattainableTargetError,
+    _lstsq3,
+    _max_norm,
+    _newton_step,
+    _polish,
+    _residual,
+    _symmetry_columns,
     attainable,
     bvp_shoot,
     integrate_extremal,
 )
-from elastica.phase import Covector, energy, wrap_angle
+from elastica.phase import SEPARATRIX, Covector, energy, stratify, wrap_angle
 
-from conftest import n1
+from conftest import n1, n2
 from quadrature import quad_E, quad_F
 
 KNIFE_EDGE_GOLDEN = Path(__file__).parent / "golden" / "bvp_knife_edge.txt"
@@ -164,8 +172,8 @@ class TestShooting:
         assert isinstance(info.value, ValueError)
 
     def test_knife_edge_golden(self):
-        # criterion 8's n1(0.9, 1.6, 1.0) at t1 = 1.1 converges from four
-        # starts of 100 (indices 42, 50, 56 and 99 of start_grid()), and
+        # criterion 8's n1(0.9, 1.6, 1.0) at t1 = 1.1 converges from two
+        # starts of 100 (indices 56 and 99 of start_grid()), and
         # rounding-level changes to the solver or the exponential map move or
         # lose them.  A change meant to alter those bits writes
         # repr(sols) + "\n" to the golden file again and gives its reason in
@@ -214,3 +222,121 @@ class TestShooting:
         sols = bvp_shoot(q1, t1, starts=120)
         assert sols
         assert sols[0].energy < J - 1e-4
+
+
+class TestPolish:
+    @pytest.mark.parametrize(
+        "lam, t1, v",
+        [
+            # 1.44e-6 from the solution in r, along a direction the endpoint
+            # barely sees (sigma_min near 5e-4)
+            (n1(0.3, 0.5, 1.0), 1.0, (44.27000428064173, 0.5270612100817914, 1.000001439245769)),
+            # at r = 5e-9, where beta is a gauge freedom
+            (Covector(0.0, 2.0, 0.0), 1.3, (-1.3666611459969504, 1.9999999987877712, 5.353600096412057e-09)),
+        ],
+    )
+    def test_genuine_start_kept_though_the_covector_moves(self, lam, t1, v):
+        # the damped iteration stops at the first point below the residual
+        # tolerance.  The polish may move such a point by more than 1e-6 in
+        # (beta, c, r), but its trajectory by less than 1e-8: the move is
+        # measured by the states at t1/2
+        q1 = exp_map(lam, t1)
+        res, end = _residual(v, q1, t1)
+        assert _max_norm(res) < BVP_RESIDUAL_TOL
+        out = _polish(v, res, end, q1, t1)
+        assert out is not None
+        assert abs(elastic_energy_closed(out[0], t1) - elastic_energy_closed(lam, t1)) < 1e-12
+
+
+def _richardson(lam, d, t, h=1e-4):
+    """Derivative of the endpoint along d at lam: central differences at h and h/2, extrapolated."""
+    v = (lam.beta, lam.c, lam.r)
+
+    def central(h):
+        qp = exp_map(Covector(*(a + h * b for a, b in zip(v, d))), t)
+        qm = exp_map(Covector(*(a - h * b for a, b in zip(v, d))), t)
+        return (qp.x - qm.x, qp.y - qm.y, wrap_angle(qp.theta - qm.theta)), 2.0 * h
+
+    (a, ha), (b, hb) = central(h), central(0.5 * h)
+    return [(4.0 * e / hb - f / ha) / 3.0 for e, f in zip(b, a)]
+
+
+def _seeded_columns_covectors():
+    rng = random.Random(1717)
+    out = []
+    for _ in range(10):
+        r = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        sr = math.sqrt(r)
+        out.append(n1(rng.uniform(0.1, 0.95), rng.uniform(0.0, 8.0) / sr, r))
+        out.append(n2(rng.uniform(0.1, 0.95), rng.uniform(0.0, 4.0) / sr, r, rng.choice((1, -1))))
+        out.append(Covector(rng.uniform(-math.pi, math.pi), rng.choice((1, -1)) * rng.uniform(0.1, 5.0), 0.0))
+    return out
+
+
+class TestNewtonStep:
+    def test_symmetry_columns_match_differences(self, fixture25, cell_covectors):
+        # J d_f from left-invariance and J d_s from dilation, against
+        # Richardson-extrapolated central differences along d_f and d_s.  On
+        # N3 the differences step off the separatrix at O(h^2), so
+        # tests/test_reference.py checks it against the 40-digit closed form
+        lams = [*fixture25, *cell_covectors.values(), *_seeded_columns_covectors()]
+        worst = 0.0
+        for lam in lams:
+            if stratify(lam) in SEPARATRIX:
+                continue
+            for t in (0.37, 1.9, 7.3):
+                end = _residual((lam.beta, lam.c, lam.r), State(0.0, 0.0, 0.0), t)[1]
+                dirs = ((lam.c, -lam.r * math.sin(lam.beta), 0.0), (0.0, lam.c, 2.0 * lam.r))
+                for d, col in zip(dirs, _symmetry_columns(lam.c, end, t)):
+                    ref = _richardson(lam, d, t)
+                    err = max(abs(a - b) for a, b in zip(col, ref))
+                    worst = max(worst, err / max(1.0, *map(abs, ref)))
+        assert worst < 2e-9
+
+    @pytest.mark.parametrize("v", [(0.7, 1.5, 0.0), (-2.0, -3.1, 0.0), (1.1, 0.8, 2e-10)])
+    def test_step_on_the_circles_leaves_beta(self, v):
+        # beta has no effect where r is 0 (or inside the stratify band), so
+        # the minimum-norm step has no beta component, whatever the rounding
+        # of the flow column J d_f
+        t1 = 1.3
+        q1 = exp_map(Covector(0.0, 2.0, 0.0), t1)
+        res, end = _residual(v, q1, t1)
+        step = _newton_step(v, res, end, q1, t1)
+        assert step[0] == 0.0
+        assert step[1] != 0.0
+
+
+def _random_system(rng, kind):
+    cols = [[rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3)]
+            for _ in range(3)]
+    if kind == "zero beta column":
+        cols[0] = [0.0, 0.0, 0.0]
+    elif kind == "zero column":
+        cols[rng.randrange(3)] = [0.0, 0.0, 0.0]
+    elif kind == "two equal columns":
+        i, j = rng.sample(range(3), 2)
+        cols[j] = list(cols[i])
+    elif kind == "three equal columns":
+        cols = [list(cols[0]) for _ in range(3)]
+    elif kind == "zero":
+        cols = [[0.0] * 3 for _ in range(3)]
+    b = [rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3)]
+    return cols, b
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["full rank", "zero beta column", "zero column", "two equal columns",
+     "three equal columns", "zero"],
+)
+def test_lstsq3_matches_numpy(kind):
+    # the rank deficiencies are exact: columns that are merely proportional
+    # leave a singular value of rounding size, near the 3 eps cutoff, which
+    # either solver may keep or drop
+    np = pytest.importorskip("numpy")
+    rng = random.Random(kind)
+    for _ in range(2000):
+        cols, b = _random_system(rng, kind)
+        x = _lstsq3(cols, b)
+        ref = np.linalg.lstsq(np.array(cols).T, np.array(b), rcond=None)[0].tolist()
+        assert max(abs(a - c) for a, c in zip(x, ref)) <= 1e-9 * max(1.0, *map(abs, ref))

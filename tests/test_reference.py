@@ -16,8 +16,9 @@ import random
 import pytest
 
 from elastica.elliptic import jacobi_recip_modulus
-from elastica.expmap import elastic_energy_closed, exp_map
-from elastica.phase import stratify, wrap_angle
+from elastica.expmap import State, elastic_energy_closed, exp_map
+from elastica.oracle import _residual, _symmetry_columns
+from elastica.phase import SEPARATRIX, stratify, wrap_angle
 
 from conftest import n1, n2, n3
 
@@ -144,6 +145,36 @@ def test_rotating_small_modulus_keeps_digits(worst):
     # the inverting map lost digits as 1/k^2 here; what is left grows as
     # 1/k, the conditioning of theta ~ c t = 2 sqrt(r) t / k
     assert worst["N2 k < 0.05"][0] < 1e-12
+
+
+def test_oscillating_small_modulus_energy_keeps_digits(worst):
+    # the energy is 2 sqrt(r) (d + k^2 sqrt(r) t) with d = eps increment -
+    # sqrt(r) t carried whole; formed as 2 sqrt(r) (dE - (1 - k^2) sqrt(r) t)
+    # it lost digits as 1/k^2 (1.0e-13 here)
+    assert worst["N1 k < 0.05"][1] <= INVERTING_MAP_WORST["N1"][1]
+
+
+def test_separatrix_symmetry_columns(fixture25, cell_covectors):
+    # J d_f and J d_s of the Newton step against the derivatives of the
+    # 40-digit closed form along the flow and the dilation, both of which
+    # keep a covector on the separatrix
+    lams = [lam for lam in (*fixture25, *cell_covectors.values()) if stratify(lam) in SEPARATRIX]
+    lams += [lam for group, lam in _seeded() if group == "N3"]
+    worst = 0.0
+    with mp.workdps(40):
+        for lam in lams:
+            sign = stratify(lam).sign
+            b, c, r = mp.mpf(lam.beta), mp.mpf(lam.c), mp.mpf(lam.r)
+            for t in TIMES:
+                end = _residual((lam.beta, lam.c, lam.r), State(0.0, 0.0, 0.0), t)[1]
+                dirs = ((c, -r * mp.sin(b), 0), (0, c, 2 * r))
+                for d, col in zip(dirs, _symmetry_columns(lam.c, end, t)):
+                    ref = [float(mp.diff(
+                        lambda e: reference(b + e * d[0], c + e * d[1], r + e * d[2], t, 3, sign)[i], 0
+                    )) for i in range(3)]
+                    err = max(abs(a - x) for a, x in zip(col, ref))
+                    worst = max(worst, err / max(1.0, *map(abs, ref)))
+    assert worst < 1e-13
 
 
 @pytest.mark.parametrize("k", [1e-2, 1e-3, 1e-4])

@@ -2,6 +2,7 @@ import importlib.util
 import io
 from pathlib import Path
 
+from elastica import oracle
 from elastica.phase import Stratum
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "repr_dump.py"
@@ -33,3 +34,40 @@ def test_default_dump_covers_every_stratum_and_repeats():
     assert raised
     assert all(line.startswith("  to_elliptic !UnsupportedStratumError") for line in raised)
     assert _dump(module) == lines
+
+
+def test_bvp_dump_counts_residual_evaluations(monkeypatch):
+    module = _repr_dump()
+    # two cheap criterion-8 targets, one shooting target, three knife-edge starts
+    monkeypatch.setattr(module, "CRITERION_8", module.CRITERION_8[17:19])
+    monkeypatch.setattr(module, "SHOOTING", module.SHOOTING[-1:])
+    grid = module.start_grid()[:3]
+    monkeypatch.setattr(module, "start_grid", lambda: grid)
+    residual = oracle._residual
+    lines = []
+    module.dump_bvp(lines.append)
+    assert oracle._residual is residual
+
+    shots = [i for i, line in enumerate(lines) if line.startswith("bvp_shoot ")]
+    assert len(shots) == 3
+    counts = []
+    for i in shots:
+        head, count = lines[i + 1].split()
+        assert head == "residual_evaluations"
+        counts.append(int(count))
+    assert all(n > 0 for n in counts)
+    assert lines[shots[2] - 1] == f"criterion_8 residual_evaluations {counts[0] + counts[1]}"
+    assert sum(line.startswith("knife_edge start ") for line in lines) == 3
+
+    # the count is the number of oracle._residual calls bvp_shoot makes
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return residual(*args)
+
+    monkeypatch.setattr(oracle, "_residual", counted)
+    q1, t1, starts = module.SHOOTING[0]
+    oracle.bvp_shoot(q1, t1, starts)
+    assert calls == counts[2]
