@@ -4,6 +4,8 @@ The integrator reuses none of the closed forms: the extremal system is
 integrated by fixed-step RK4 (fixed, not adaptive, so golden values are
 reproducible), to cross-validate the analytic modules.  The boundary-value
 problem is solved by multi-start damped Newton iteration on the forward map.
+Each line search starts near the scale the previous one accepted, and a
+start whose residual stalls is dropped.
 
 The Newton step takes two of the three Jacobian columns in closed form from
 the problem's symmetries and solves its 3x3 least squares in pure Python, so
@@ -29,6 +31,12 @@ BVP_RESIDUAL_TOL = 1e-9
 BVP_MERGE_DIST = 1e-6
 BVP_MAX_ITER = 60
 BVP_DAMPING = 0.5
+# the line search and stall rules of `_newton_from`; BVP_MIN_SCALE is the
+# 25th halving from 1, the smallest scale a search that starts at 1 tries
+BVP_SCALE_GROWTH = 4.0
+BVP_MIN_SCALE = 2.0**-24
+BVP_STALL_RATIO = 0.99
+BVP_STALL_ITER = 8
 BVP_POLISH_ITER = 12
 BVP_POLISH_STEP = 1e-12
 FD_STEP = 1e-7
@@ -369,19 +377,29 @@ def _polish(v, res, end, q1: State, t1: float):
 
 
 def _newton_from(start: Covector, q1: State, t1: float):
-    """Damped Newton iteration from one start, then `_polish`; None unless certified."""
+    """Damped Newton iteration from one start, then `_polish`; None unless certified.
+
+    Each line search tries the scales min(1, BVP_SCALE_GROWTH s), halved by
+    BVP_DAMPING down to BVP_MIN_SCALE, where s is the scale the previous
+    iteration accepted (1 before the first).  A start is dropped when no
+    scale lowers the residual, or when its best max-norm residual is above
+    BVP_STALL_RATIO times its value BVP_STALL_ITER iterations earlier.
+    """
     v = (start.beta, start.c, start.r)
     res, end = _residual(v, q1, t1)
     best = _max_norm(res)
+    history = [best]  # best after each iteration
+    scale = 1.0
     for _ in range(BVP_MAX_ITER):
         if best < BVP_RESIDUAL_TOL:
             break
+        if len(history) > BVP_STALL_ITER and best > BVP_STALL_RATIO * history[-1 - BVP_STALL_ITER]:
+            return None
         step = _newton_step(v, res, end, q1, t1)
         if step is None:
             return None
-        # backtracking with fixed damping ratio
-        scale = 1.0
-        for _ in range(25):
+        scale = min(1.0, BVP_SCALE_GROWTH * scale)
+        while scale >= BVP_MIN_SCALE:
             cand = [a + scale * b for a, b in zip(v, step)]
             cand[2] = max(cand[2], 0.0)
             cand_res, cand_end = _residual(cand, q1, t1)
@@ -392,6 +410,7 @@ def _newton_from(start: Covector, q1: State, t1: float):
             scale *= BVP_DAMPING
         else:
             return None
+        history.append(best)
     if best < BVP_RESIDUAL_TOL:
         return _polish(v, res, end, q1, t1)
     return None
@@ -402,10 +421,13 @@ def bvp_shoot(
 ) -> list[BvpSolution]:
     """Invert the endpoint map: all distinct covectors steering to q1 in time t1.
 
-    Multi-start damped Newton over (beta, c, r); converged solutions
-    (max-norm residual < 1e-9) are certified by a polish that moves their
-    state at t1/2 by less than 1e-6 max(1, t1), de-duplicated at distance
-    1e-6, sorted by
+    Multi-start damped Newton over (beta, c, r).  Each line search starts at
+    four times the scale the previous iteration accepted (at most 1) and
+    halves down to 2^-24; a start is dropped when no scale lowers its
+    residual, or when its best residual falls by less than 1 % over 8
+    iterations.  Converged solutions (max-norm residual < 1e-9) are
+    certified by a polish that moves their state at t1/2 by less than
+    1e-6 max(1, t1), de-duplicated at distance 1e-6, sorted by
     bending energy, and annotated with their cut-time bound and whether
     t1 <= bound.  Straight-line solutions (J = 0) are canonicalized to the
     frozen covector, collapsing the degenerate (beta, r) freedom.

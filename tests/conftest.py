@@ -20,6 +20,13 @@ def n3(phi, r, sign=1):
     return from_elliptic(EllipticCoords(s, Modulus(1.0), phi, r))
 
 
+# (covector, t1, n): N2 at k = 7.4e-4, where theta runs to |c| t1 = 4000 and
+# a stepped sample and the direct path differ by 1.73e-12 at point 9751
+STEPPED_N2_SMALL_K = (
+    Covector(0.0, 2716.1399471948966, 1.8443540531869744), 1.4726781674600435, 10_000
+)
+
+
 @pytest.fixture(scope="session")
 def cell_covectors():
     """One representative covector per stratum cell."""

@@ -28,7 +28,7 @@ from elastica.phase import (
     wrap_angle,
 )
 
-from conftest import n1, n2, n3
+from conftest import STEPPED_N2_SMALL_K, n1, n2, n3
 from quadrature import adaptive_simpson
 
 
@@ -240,6 +240,21 @@ def test_stepped_sample_matches_direct(case):
     for i, q in enumerate(sample_elastica(lam, t1, n)):
         x, y, theta, _ = at(i * step)
         assert endpoint_gap(q, State(x, y, theta)) < 1e-12 * max(1.0, t1)
+
+
+def test_stepped_sample_large_theta_within_its_conditioning():
+    # theta grows as about c t, so a float theta carries a few ulps of
+    # |c| t1: on N2 at small k one ulp of the direct path's argument
+    # sqrt(r) t / k moves theta by about ulp(|c| t1), and the stepped path
+    # builds that argument from anchors and steps.  Here the two paths differ
+    # by more than 1e-12 max(1, t1) but by less than 4 more ulps of |c| t1;
+    # tests/test_reference.py puts both within 4 ulps of the 40-digit theta
+    lam, t1, n = STEPPED_N2_SMALL_K
+    at = expmap._prepare(lam)
+    step = t1 / (n - 1)
+    samples = sample_elastica(lam, t1, n)
+    gap = max(endpoint_gap(q, State(*at(i * step)[:3])) for i, q in enumerate(samples))
+    assert 1e-12 * max(1.0, t1) < gap < 1e-12 * max(1.0, t1) + 4.0 * math.ulp(abs(lam.c) * t1)
 
 
 class TestClassify:

@@ -4,15 +4,19 @@ from pathlib import Path
 
 import pytest
 
+from elastica import oracle
 from elastica.elliptic import ellint_K
 from elastica.expmap import State, elastic_energy_closed, exp_map
 from elastica.oracle import (
+    BVP_MIN_SCALE,
     BVP_RESIDUAL_TOL,
+    BVP_STALL_ITER,
     IntegratorConfig,
     MaxStepsExceeded,
     UnattainableTargetError,
     _lstsq3,
     _max_norm,
+    _newton_from,
     _newton_step,
     _polish,
     _residual,
@@ -173,14 +177,27 @@ class TestShooting:
 
     def test_knife_edge_golden(self):
         # criterion 8's n1(0.9, 1.6, 1.0) at t1 = 1.1 converges from two
-        # starts of 100 (indices 56 and 99 of start_grid()), and
-        # rounding-level changes to the solver or the exponential map move or
-        # lose them.  A change meant to alter those bits writes
-        # repr(sols) + "\n" to the golden file again and gives its reason in
-        # CHANGES.md.
+        # starts of 100 (indices 56 and 99 of start_grid(); the merge keeps
+        # the smaller residual, start 99's), and rounding-level changes to
+        # the solver or the exponential map move or lose them.  A change
+        # meant to alter those bits writes repr(sols) + "\n" to the golden
+        # file again and gives its reason in CHANGES.md.
         lam, t1 = n1(0.9, 1.6, 1.0), 1.1
         sols = bvp_shoot(exp_map(lam, t1), t1, starts=100, jobs=1)
         assert repr(sols) + "\n" == KNIFE_EDGE_GOLDEN.read_text(encoding="utf-8")
+
+    def test_knife_edge_neighbourhood(self):
+        # a target near the knife edge (perfbench bvp's held-out target at
+        # seed 160) that one start of 100 solves, start 38.  A line search
+        # whose remembered scale grows by 2 per iteration, not 4, loses it
+        lam = Covector(2.114295495268944, 0.4832953211073882, 1.0494349207219336)
+        t1 = 1.097968866602552
+        q1, J = exp_map(lam, t1), elastic_energy_closed(lam, t1)
+        sols = bvp_shoot(q1, t1, starts=100, jobs=1)
+        assert any(
+            endpoint_gap(exp_map(s.lam, t1), q1) < 1e-9 and abs(s.energy - J) < 1e-8
+            for s in sols
+        )
 
     @pytest.mark.parametrize(
         "lam, t1", [(Covector(0.0, 0.0, 0.0), 1.0), (Covector(0.0, 0.0, 2.0), 1.7)]
@@ -246,6 +263,59 @@ class TestPolish:
         out = _polish(v, res, end, q1, t1)
         assert out is not None
         assert abs(elastic_energy_closed(out[0], t1) - elastic_energy_closed(lam, t1)) < 1e-12
+
+
+class TestLineSearch:
+    """The damped iteration's rules on a model: every Newton step is (1, 0, 0),
+    so a candidate's beta minus the current one is its scale, and
+    oracle._residual is replaced by (norm(beta), 0, 0), recording the beta
+    of each call."""
+
+    @staticmethod
+    def _model(monkeypatch, norm):
+        seen = []
+
+        def residual(vec, q1, t1):
+            seen.append(vec[0])
+            return (norm(vec[0]), 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)
+
+        monkeypatch.setattr(oracle, "_residual", residual)
+        monkeypatch.setattr(oracle, "_newton_step", lambda *args: [1.0, 0.0, 0.0])
+        return seen
+
+    def test_plateau_is_dropped(self, monkeypatch):
+        # the residual halves over the first `plateau` steps, then falls by
+        # 0.1 % per step: the start is dropped within BVP_STALL_ITER + 1
+        # iterations of reaching the plateau, not run to BVP_MAX_ITER
+        plateau = 5
+
+        def norm(beta):
+            if beta < plateau:
+                return 2.0**-beta
+            return 2.0**-plateau * (1.0 - 1e-3 * (beta - plateau))
+
+        seen = self._model(monkeypatch, norm)
+        assert _newton_from(Covector(0.0, 1.0, 1.0), State(0.0, 0.0, 0.0), 1.0) is None
+        # every step was taken whole, one evaluation per iteration
+        assert seen == [float(i) for i in range(len(seen))]
+        assert len(seen) - 1 <= plateau + BVP_STALL_ITER + 1
+
+    def test_no_candidate_below_min_scale(self, monkeypatch):
+        # the first line search accepts scale 2^-20; the second starts at
+        # 4 times that and gives up at BVP_MIN_SCALE, as a search from 1 does
+        accepted = 2.0**-20
+
+        def norm(beta):
+            if beta == 0.0:
+                return 1.0
+            return 1.0 - beta if beta <= accepted else 2.0
+
+        seen = self._model(monkeypatch, norm)
+        assert _newton_from(Covector(0.0, 1.0, 1.0), State(0.0, 0.0, 0.0), 1.0) is None
+        first = [2.0**-i for i in range(21)]
+        second = [accepted + 2.0**-i for i in range(18, 25)]
+        assert seen == [0.0, *first, *second]
+        assert seen[-1] - accepted == BVP_MIN_SCALE
 
 
 def _richardson(lam, d, t, h=1e-4):

@@ -16,11 +16,12 @@ import random
 import pytest
 
 from elastica.elliptic import jacobi_recip_modulus
-from elastica.expmap import State, elastic_energy_closed, exp_map
+from elastica import expmap
+from elastica.expmap import State, elastic_energy_closed, exp_map, sample_elastica
 from elastica.oracle import _residual, _symmetry_columns
 from elastica.phase import SEPARATRIX, stratify, wrap_angle
 
-from conftest import n1, n2, n3
+from conftest import STEPPED_N2_SMALL_K, n1, n2, n3
 
 mp = pytest.importorskip("mpmath")
 
@@ -188,3 +189,19 @@ def test_reciprocal_modulus_eps_keeps_digits(k):
             w = mp.mpf(u) / mp.mpf(k)
             exact = u + (_values(w, mp.mpf(k) ** 2)[3] - w) / k
             assert abs(jacobi_recip_modulus(u, k).eps - float(exact)) < 4e-16 * max(1.0, u)
+
+
+def test_stepped_and_direct_theta_within_ulps_of_the_truth():
+    # where theta runs to |c| t1 = 4000 neither path is exact: against the
+    # 40-digit theta both are within 4 ulps of |c| t1, at every 100th point
+    # and at 9751, where they differ most (stepped 1.40e-12, direct 3.25e-13)
+    lam, t1, n = STEPPED_N2_SMALL_K
+    at = expmap._prepare(lam)
+    step = t1 / (n - 1)
+    samples = sample_elastica(lam, t1, n)
+    ulps = 4.0 * math.ulp(abs(lam.c) * t1)
+    with mp.workdps(40):
+        for i in (*range(0, n, 100), 9751):
+            theta = float(_exact(lam, i * step)[2])
+            assert abs(wrap_angle(samples[i].theta - theta)) < ulps
+            assert abs(wrap_angle(at(i * step)[2] - theta)) < ulps
