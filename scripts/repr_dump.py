@@ -15,8 +15,9 @@ prints the exception instead.  With --bvp, `bvp_shoot` follows on the 20
 criterion-8 targets, the README example, the shooting tests' targets and
 three targets near criterion 8's knife edge, each with the number of
 endpoint evaluations it made (calls of `oracle._residual`, which the script
-wraps to count them), the criterion-8 total, and the outcome of every start
-on the knife-edge target (about half a minute).
+wraps to count them) and how many of those the Jacobian made (the calls
+inside `oracle._jacobian`, wrapped too), the criterion-8 totals, and the
+outcome of every start on the knife-edge target (about ten seconds).
 """
 
 from __future__ import annotations
@@ -173,29 +174,40 @@ def dump_covector(lam: Covector, write) -> None:
 
 
 def dump_bvp(write) -> None:
-    calls = 0
-    residual = oracle._residual
+    calls = jac_calls = 0
+    residual, jacobian = oracle._residual, oracle._jacobian
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return residual(*args)
 
-    def shoot(head: str, q1, t1, starts) -> int:
-        nonlocal calls
-        calls = 0
+    def counted_jacobian(*args):
+        # the evaluations made for the Jacobian, by differences
+        nonlocal jac_calls
+        before = calls
+        try:
+            return jacobian(*args)
+        finally:
+            jac_calls += calls - before
+
+    def shoot(head: str, q1, t1, starts) -> tuple[int, int]:
+        nonlocal calls, jac_calls
+        calls = jac_calls = 0
         write(f"bvp_shoot {head} {starts} {show(bvp_shoot, q1, t1, starts)}")
         write(f"  residual_evaluations {calls}")
-        return calls
+        write(f"  jacobian_evaluations {jac_calls}")
+        return calls, jac_calls
 
-    oracle._residual = counted
+    oracle._residual, oracle._jacobian = counted, counted_jacobian
     try:
-        total = sum(shoot(f"{lam!r} {t1!r}", exp_map(lam, t1), t1, 100) for lam, t1 in CRITERION_8)
-        write(f"criterion_8 residual_evaluations {total}")
+        counts = [shoot(f"{lam!r} {t1!r}", exp_map(lam, t1), t1, 100) for lam, t1 in CRITERION_8]
+        write(f"criterion_8 residual_evaluations {sum(n for n, _ in counts)}")
+        write(f"criterion_8 jacobian_evaluations {sum(n for _, n in counts)}")
         for q1, t1, starts in SHOOTING:
             shoot(f"{q1!r} {t1!r}", q1, t1, starts)
     finally:
-        oracle._residual = residual
+        oracle._residual, oracle._jacobian = residual, jacobian
     lam, t1 = KNIFE_EDGE
     q1 = exp_map(lam, t1)
     for i, start in enumerate(start_grid()[:100]):

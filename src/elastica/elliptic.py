@@ -93,26 +93,26 @@ def _agm_scale(k: float):
     shifted pass, equal to the c_i without their cancellation as k -> 0.
     """
     kp = math.sqrt((1.0 - k) * (1.0 + k))
-    a, b, c = (1.0,), (kp,), ()
-    an, bn = 1.0, kp
-    # E = K (1 - sum of 2^(i-1) c_i^2 over i = 0..n), summed in that order
+    a, b, c, z = [1.0], [kp], [], []
+    an, bn, zi = 1.0, kp, k
+    # E = K (1 - sum of 2^(i-1) c_i^2 over i = 0..n), summed in that order;
+    # the weight w ends at 2^n
     w, s = 1.0, 0.5 * k * k
     for _ in range(AGM_MAX_ITER):
         cn = 0.5 * (an - bn)
         an, bn = 0.5 * (an + bn), math.sqrt(an * bn)
-        a += (an,)
-        c += (cn,)
+        zi = zi * zi / (4.0 * an)
+        a.append(an)
+        c.append(cn)
+        z.append(zi)
         s += w * cn * cn
         w *= 2.0
         if abs(cn) < AGM_TOL:
             break
-        b += (bn,)
+        b.append(bn)
     K = math.pi / (2.0 * an)
-    zi, z = k, ()
-    for ai in a[1:]:
-        zi = zi * zi / (4.0 * ai)
-        z += (zi,)
-    return K, K * (1.0 - s), 2.0 ** len(c) * an, a, b, c, s, z
+    # tuples: the cache holds each scale, and a tuple is smaller than a list
+    return K, K * (1.0 - s), w * an, tuple(a), tuple(b), tuple(c), s, tuple(z)
 
 
 def ellint_K(k) -> float:

@@ -108,25 +108,86 @@ def _endpoint_oscillating(
     return x, y, theta, 2.0 * sr * energy
 
 
+def _modulus_column(
+    k: float, sr: float, t: float, a0: tuple, sn: float, cn: float, dn: float, d: float,
+):
+    """The modulus direction D at a covector, and the derivative of its endpoint along D.
+
+    Takes the arguments of `_endpoint_oscillating`, at k != 1.  With
+    A(u) = (u - eps(u)/k'^2)/k, D is d/dk at fixed u0 and sqrt(r) minus
+    A(u0) d/du0: the A(u0) term is a multiple of the pendulum flow, so
+    neither u0 nor eps(u0) is needed.  With g = k/k'^2, the Jacobi values
+    move along D as
+    - D sn u0 = g sn cn^2, D cn u0 = -g sn^2 cn, D dn u0 = -g sn^2 dn at u0;
+    - at u0 + w, with dA = A(u0 + w) - A(u0) = (w - dE/k'^2)/k, as
+      D sn = dA cn dn + g sn cn^2, D cn = -dA sn dn - g sn^2 cn,
+      D dn = -dA k^2 sn cn - g sn^2 dn and
+      D d = dA dn^2 + g (sn cn dn - sn0 cn0 dn0) + d/k.
+    These hold unchanged on the rotating strata, k > 1 and k'^2 < 0.
+    Returns (D, J D): D = (2 sn0 dn0, 2 sqrt(r) cn0 (dn0^2 - k^2), 0)/k'^2 in
+    (beta, c, r), and J D the derivative of (x, y, theta) along it, the
+    chain rule through `_endpoint_oscillating`.
+    """
+    s0, c0, d0, _ = a0
+    k2 = k * k
+    kp2 = (1.0 - k) * (1.0 + k)
+    g = k / kp2
+    w = sr * t
+    dE = d + w
+    # w - dE/k'^2 = -(d + k^2 w)/k'^2, which does not cancel as k -> 0
+    da = -(d + k2 * w) / (k * kp2)
+    gs2 = g * s0 * s0
+    ds0, dc0, dd0 = g * s0 * c0 * c0, -gs2 * c0, -gs2 * d0
+    gsn = g * sn
+    dsn = da * cn * dn + gsn * cn * cn
+    dcn = -da * sn * dn - gsn * sn * cn
+    ddn = -da * k2 * sn * cn - gsn * sn * dn
+    dd = da * dn * dn + g * (sn * cn * dn - s0 * c0 * d0) + d / k
+    # theta = 2 atan2(sin_half, cos_half), both explicit in k
+    p = d0 * sn - s0 * dn
+    sin_half = k * p
+    cos_half = d0 * dn + k2 * s0 * sn
+    dsin = p + k * (dd0 * sn + d0 * dsn - ds0 * dn - s0 * ddn)
+    dcos = dd0 * dn + d0 * ddn + 2.0 * k * s0 * sn + k2 * (ds0 * sn + s0 * dsn)
+    dtheta = 2.0 * (cos_half * dsin - sin_half * dcos) / (sin_half * sin_half + cos_half * cos_half)
+    dc = c0 - cn
+    ddc = dc0 - dcn
+    dx = (-2.0 / sr) * (
+        -2.0 * d0 * dd0 * d - d0 * d0 * dd
+        - 4.0 * k * d0 * s0 * dc - 2.0 * k2 * ((dd0 * s0 + d0 * ds0) * dc + d0 * s0 * ddc)
+        + 2.0 * k * s0 * s0 * dE + k2 * s0 * (2.0 * ds0 * dE + s0 * dd)
+    )
+    h = 2.0 * dE - w
+    y_k = (2.0 * d0 * d0 - 1.0) * dc - s0 * d0 * h
+    dy = (2.0 / sr) * (y_k + k * (
+        4.0 * d0 * dd0 * dc + (2.0 * d0 * d0 - 1.0) * ddc
+        - (ds0 * d0 + s0 * dd0) * h - 2.0 * s0 * d0 * dd
+    ))
+    direction = (2.0 * s0 * d0 / kp2, 2.0 * sr * c0 * (d0 * d0 - k2) / kp2, 0.0)
+    return direction, (dx, dy, dtheta)
+
+
 def _pointwise(at: Callable[[float], tuple]) -> Callable[[float, int], list]:
     """(step, n) -> the States of the closure `at` at t = i*step for i < n."""
     return lambda step, n: [State(*at(i * step)[:3]) for i in range(n)]
 
 
 def _prepare(lam: Covector, grid: bool = False) -> Callable:
-    """Precompute the per-covector data; return t -> (x, y, theta, J, c_t).
+    """Precompute the per-covector data; return t -> (x, y, theta, J, c_t, stratum, jac).
 
-    c_t is the curvature at t, the pendulum velocity.  With grid=True it
-    returns (step, n) -> the States at t = i*step for i < n instead.  On N1,
-    N2+- and N3+- that path steps by the addition formulas from anchors;
-    elsewhere it evaluates each point.
+    c_t is the curvature at t, the pendulum velocity.  On N1, N2+- and N3+-
+    jac = (kappa, a0, (sn, cn, dn, d)) holds the modulus and the arguments
+    `_endpoint_oscillating` took, for `_modulus_column`; elsewhere it is
+    None.  With grid=True it returns (step, n) -> the States at t = i*step
+    for i < n instead.  On N1, N2+- and N3+- that path steps by the addition
+    formulas from anchors; elsewhere it evaluates each point.
     """
     s = stratify(lam)
 
     if s in STRAIGHT:
 
         def line(t: float):
-            return t, 0.0, 0.0, 0.0, 0.0
+            return t, 0.0, 0.0, 0.0, 0.0, s, None
 
         return _pointwise(line) if grid else line
 
@@ -135,7 +196,7 @@ def _prepare(lam: Covector, grid: bool = False) -> Callable:
 
         def circle(t: float):
             ct = c * t
-            return math.sin(ct) / c, (1.0 - math.cos(ct)) / c, ct, 0.5 * c * c * t, c
+            return math.sin(ct) / c, (1.0 - math.cos(ct)) / c, ct, 0.5 * c * c * t, c, s, None
 
         return _pointwise(circle) if grid else circle
 
@@ -163,8 +224,8 @@ def _prepare(lam: Covector, grid: bool = False) -> Callable:
         c_f = 2.0 * sr * kap
 
         def elliptic(t: float):
-            sn, cn, dn, d = at(sr * t)
-            return (*_endpoint_oscillating(kap, sr, t, a0, sn, cn, dn, d), c_f * cn)
+            a = at(sr * t)
+            return (*_endpoint_oscillating(kap, sr, t, a0, *a), c_f * a[1], s, (kap, a0, a))
 
         return elliptic
 

@@ -7,9 +7,12 @@ problem is solved by multi-start damped Newton iteration on the forward map.
 Each line search starts near the scale the previous one accepted, and a
 start whose residual stalls is dropped.
 
-The Newton step takes two of the three Jacobian columns in closed form from
-the problem's symmetries and solves its 3x3 least squares in pure Python, so
-the solver needs no numpy.  The worker pool is imported on first use.
+The Newton step takes the Jacobian in the paper's natural coordinates: its
+columns along the pendulum flow and the dilation come in closed form from
+the problem's symmetries, and on N1 and N2+- its column along the modulus
+from the Jacobi values the residual already holds, so there it makes no
+endpoint evaluation.  It solves its 3x3 least squares in pure Python, so the
+solver needs no numpy.  The worker pool is imported on first use.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import sys
 from dataclasses import dataclass
 from itertools import repeat
 
-from .expmap import State, _prepare, elastic_energy_closed, exp_map, wrap_angle
+from .expmap import State, _modulus_column, _prepare, elastic_energy_closed, exp_map, wrap_angle
 from .maxwell import MaxwellReport, cut_time_bound
-from .phase import CIRCULAR, Covector, stratify
+from .phase import CIRCULAR, Covector
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +48,10 @@ FD_STEP = 1e-7
 # between them is below JAC_SIN_MIN
 JAC_DIR_MIN = 1e-3
 JAC_SIN_MIN = 1e-2
+# the modulus column is closed form where kappa and |1 - kappa^2| are at
+# least JAC_MODULUS_MIN and kappa is at most JAC_MODULUS_MAX
+JAC_MODULUS_MIN = 1e-6
+JAC_MODULUS_MAX = 6.0
 # the 3x3 solve takes Cramer's rule where |det| exceeds this times the
 # product of the column norms, and the SVD otherwise
 CRAMER_MIN = 1e-10
@@ -191,13 +198,14 @@ def start_grid() -> list[Covector]:
 
 
 def _residual(vec, q1: State, t1: float):
-    """Endpoint miss (dx, dy, dtheta) of vec = (beta, c, r) at t1, and (x, y, theta, c_t) there.
+    """Endpoint miss (dx, dy, dtheta) of vec = (beta, c, r) at t1, and end.
 
-    c_t is the curvature at t1; the Newton step reuses the endpoint.
+    end = (x, y, theta, J, c_t, stratum, jac) is what `expmap._prepare`
+    returns at t1, c_t the curvature there; the Newton step reuses it.
     """
     beta, c, r = vec
-    x, y, theta, _, ct = _prepare(Covector(beta, c, max(r, 0.0)))(t1)
-    return (x - q1.x, y - q1.y, wrap_angle(theta - q1.theta)), (x, y, theta, ct)
+    end = _prepare(Covector(beta, c, max(r, 0.0)))(t1)
+    return (end[0] - q1.x, end[1] - q1.y, wrap_angle(end[2] - q1.theta)), end
 
 
 def _max_norm(res) -> float:
@@ -277,32 +285,37 @@ def _fd_jacobian(v, q1: State, t1: float):
 
 
 def _symmetry_columns(c: float, end, t1: float):
-    """J d_f and J d_s at a covector with curvature c, from end = (x, y, theta, c_t) at t1.
+    """J d_f and J d_s at a covector with curvature c, from the end `_residual` returned at t1.
 
     See `_jacobian`.
     """
-    x, y, theta, ct = end
+    x, y, theta, _, ct = end[:5]
     cos, sin = math.cos(theta), math.sin(theta)
     return (cos - 1.0 + c * y, sin - c * x, ct - c), (t1 * cos - x, t1 * sin - y, t1 * ct)
 
 
 def _jacobian(v, res, end, q1: State, t1: float):
-    """The Jacobian columns at v from two exact directional derivatives and one difference.
+    """The Jacobian columns at v from three directional derivatives.
 
-    With end = (x, y, theta, c_t) at v = (beta, c, r):
+    With end as `_residual` returned it at v = (beta, c, r):
     - left-invariance, exp(lam, s + t) = exp(lam, s) exp(flow(lam, s), t),
       gives along the pendulum flow d_f = (c, -r sin beta, 0)
       J d_f = (cos theta - 1 + c y, sin theta - c x, c_t - c);
     - dilation, (beta, s c, s^2 r) at t/s reaching (x/s, y/s, theta), gives
       along d_s = (0, c, 2r) J d_s = (t cos theta - x, t sin theta - y, t c_t);
-    - along n = d_f x d_s, a central difference, or a forward one where
-      v - h n would leave r >= 0.
-    On the circles beta has no effect: r is taken as 0 and J d_f as 0
-    exactly.  Where |d_f| or |d_s| is below JAC_DIR_MIN, or the sine of the
-    angle between them below JAC_SIN_MIN, all three columns are differences.
+    - on N1 and N2+-, the modulus direction D and J D of
+      `expmap._modulus_column`, in closed form from the Jacobi values in
+      end, where JAC_MODULUS_MIN <= kappa <= JAC_MODULUS_MAX and
+      |1 - kappa^2| >= JAC_MODULUS_MIN;
+    - elsewhere, along n = d_f x d_s, a central difference, or a forward one
+      where v - h n would leave r >= 0.
+    Then J = [J d_f, J d_s, J d_3] [d_f, d_s, d_3]^-1.  On the circles beta
+    has no effect: r is taken as 0 and J d_f as 0 exactly.  Where |d_f| or
+    |d_s| is below JAC_DIR_MIN, or the sine of the angle between them below
+    JAC_SIN_MIN, all three columns are differences.
     """
     beta, c, r = v[0], v[1], max(v[2], 0.0)
-    circle = stratify(Covector(beta, c, r)) in CIRCULAR
+    circle = end[5] in CIRCULAR
     if circle:
         r = 0.0
     df = (c, -r * math.sin(beta), 0.0)
@@ -314,6 +327,13 @@ def _jacobian(v, res, end, q1: State, t1: float):
     jf, js = _symmetry_columns(c, end, t1)
     if circle:
         jf = (0.0, 0.0, 0.0)
+    jac = end[6]
+    if jac is not None:
+        kap, a0, a = jac
+        if (JAC_MODULUS_MIN <= kap <= JAC_MODULUS_MAX
+                and abs((1.0 - kap) * (1.0 + kap)) >= JAC_MODULUS_MIN):
+            dm, jm = _modulus_column(kap, math.sqrt(r), t1, a0, *a)
+            return _assemble((jf, js, jm), (df, ds, dm), _dot(df, _cross(ds, dm)))
     n = tuple(e / nn for e in n)
     h = FD_STEP * max(1.0, *map(abs, v))
     rp = _residual([a + h * b for a, b in zip(v, n)], q1, t1)[0]
@@ -322,11 +342,20 @@ def _jacobian(v, res, end, q1: State, t1: float):
         jn = [(a - b) / h for a, b in zip(rp, res)]
     else:
         jn = [(a - b) / (2.0 * h) for a, b in zip(rp, _residual(vm, q1, t1)[0])]
-    # J = [J d_f, J d_s, J n] [d_f, d_s, n]^-1, whose rows are
-    # (d_s x n)/nn, (n x d_f)/nn and n, as det [d_f, d_s, n] = nn
-    a, b = _cross(ds, n), _cross(n, df)
+    # det [d_f, d_s, n] = n . (d_f x d_s) = nn
+    return _assemble((jf, js, jn), (df, ds, n), nn)
+
+
+def _assemble(cols, dirs, det):
+    """The Jacobian columns J = [J d_1, J d_2, J d_3] [d_1, d_2, d_3]^-1.
+
+    cols are the J d_i, det = det [d_1, d_2, d_3]; the rows of the inverse
+    are (d_2 x d_3)/det, (d_3 x d_1)/det and (d_1 x d_2)/det.
+    """
+    d1, d2, d3 = dirs
+    rows = (_cross(d2, d3), _cross(d3, d1), _cross(d1, d2))
     return [
-        [(f * a[j] + s * b[j]) / nn + e * n[j] for f, s, e in zip(jf, js, jn)]
+        [(a * rows[0][j] + b * rows[1][j] + e * rows[2][j]) / det for a, b, e in zip(*cols)]
         for j in range(3)
     ]
 
@@ -334,7 +363,7 @@ def _jacobian(v, res, end, q1: State, t1: float):
 def _newton_step(v, res, end, q1: State, t1: float):
     """Minimum-norm least-squares Newton step at v, or None if it is not finite.
 
-    end is the (x, y, theta, c_t) that `_residual` returned with res at v.
+    end is what `_residual` returned with res at v.
     """
     step = _lstsq3(_jacobian(v, res, end, q1, t1), [-e for e in res])
     return step if all(map(math.isfinite, step)) else None

@@ -6,7 +6,7 @@ import pytest
 
 from elastica import oracle
 from elastica.elliptic import ellint_K
-from elastica.expmap import State, elastic_energy_closed, exp_map
+from elastica.expmap import State, _modulus_column, elastic_energy_closed, exp_map
 from elastica.oracle import (
     BVP_MIN_SCALE,
     BVP_RESIDUAL_TOL,
@@ -14,6 +14,7 @@ from elastica.oracle import (
     IntegratorConfig,
     MaxStepsExceeded,
     UnattainableTargetError,
+    _jacobian,
     _lstsq3,
     _max_norm,
     _newton_from,
@@ -25,7 +26,7 @@ from elastica.oracle import (
     bvp_shoot,
     integrate_extremal,
 )
-from elastica.phase import SEPARATRIX, Covector, energy, stratify, wrap_angle
+from elastica.phase import OSCILLATING, ROTATING, SEPARATRIX, Covector, energy, stratify, wrap_angle
 
 from conftest import n1, n2
 from quadrature import quad_E, quad_F
@@ -343,6 +344,41 @@ def _seeded_columns_covectors():
     return out
 
 
+# (covector, closed): covectors on both sides of the thresholds of the
+# closed-form modulus column, and whether `_jacobian` takes it there, each
+# evaluated at sqrt(r) t1 = 1.5.  kappa >= JAC_MODULUS_MIN has no case: the
+# N4 band of `stratify` keeps kappa above 2.2e-5 on N1.
+THRESHOLD_CASES = [
+    # N1 and N2 with |1 - kappa^2| = 5.5e-7, 7.1e-7 (below JAC_MODULUS_MIN)
+    # and 1.9e-6, 2.8e-6
+    (Covector(3.1398433776394614, 0.0013488537315744635, 2.0906965156320476), False),
+    (Covector(2.8701316748260775, 0.453899674858833, 2.812915642455954), False),
+    (Covector(3.135920804940667, -0.00820158297120526, 2.757929002278856), True),
+    (Covector(-2.3659756288991995, -0.7338345777232538, 0.9414021918324044), True),
+    # N2 with kappa = 7 (above JAC_MODULUS_MAX) and 5
+    (Covector(0.9737119752250449, 0.5908958702764515, 0.001789411313732718), False),
+    (Covector(-1.8395061332611176, 1.3192033903391593, 0.017854878455095508), True),
+]
+
+
+def _modulus_case(lam, t):
+    """(D, J D) of `expmap._modulus_column` at lam and t, from the end `_residual` returns."""
+    kap, a0, a = _residual((lam.beta, lam.c, lam.r), State(0.0, 0.0, 0.0), t)[1][6]
+    return _modulus_column(kap, math.sqrt(lam.r), t, a0, *a)
+
+
+def _modulus_cases(fixture25, cell_covectors):
+    """(covector, t) on N1 and N2+-, the threshold cases included."""
+    lams = [*fixture25, *cell_covectors.values(), *_seeded_columns_covectors()]
+    cases = [(lam, t) for lam in lams if stratify(lam) in OSCILLATING + ROTATING
+             for t in (0.37, 1.9, 7.3)]
+    return cases + [(lam, 1.5 / math.sqrt(lam.r)) for lam, _ in THRESHOLD_CASES]
+
+
+def _rel_err(a, ref) -> float:
+    return max(abs(x - y) for x, y in zip(a, ref)) / max(1.0, *map(abs, ref))
+
+
 class TestNewtonStep:
     def test_symmetry_columns_match_differences(self, fixture25, cell_covectors):
         # J d_f from left-invariance and J d_s from dilation, against
@@ -362,6 +398,58 @@ class TestNewtonStep:
                     err = max(abs(a - b) for a, b in zip(col, ref))
                     worst = max(worst, err / max(1.0, *map(abs, ref)))
         assert worst < 2e-9
+
+    def test_modulus_column_matches_differences(self, fixture25, cell_covectors):
+        # J D in closed form against Richardson differences along D/|D|.
+        # Worst measured 1.1e-10, on N2 at kappa = 5.0, the differences' own
+        # error
+        worst = 0.0
+        for lam, t in _modulus_cases(fixture25, cell_covectors):
+            d, jd = _modulus_case(lam, t)
+            norm = math.sqrt(sum(e * e for e in d))
+            ref = _richardson(lam, [e / norm for e in d], t)
+            worst = max(worst, _rel_err([e / norm for e in jd], ref))
+        assert worst < 5e-10
+
+    @pytest.mark.parametrize("lam, closed", THRESHOLD_CASES)
+    def test_jacobian_takes_the_closed_form_where_conditioned(self, monkeypatch, lam, closed):
+        # no endpoint evaluation on the closed-form side of each threshold;
+        # either side agrees with Richardson differences along each axis.
+        # Worst measured 9.1e-10, on the one-difference side
+        t = 1.5 / math.sqrt(lam.r)
+        v, q1 = (lam.beta, lam.c, lam.r), State(0.0, 0.0, 0.0)
+        res, end = _residual(v, q1, t)
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _residual(*args)
+
+        monkeypatch.setattr(oracle, "_residual", counted)
+        cols = _jacobian(v, res, end, q1, t)
+        assert (calls == 0) == closed
+        for j, col in enumerate(cols):
+            axis = [0.0, 0.0, 0.0]
+            axis[j] = 1.0
+            assert _rel_err(col, _richardson(lam, axis, t)) < 3e-9
+
+    def test_dilation_identity(self, fixture25, cell_covectors):
+        # c dq/dc + 2r dq/dr = t dq/dt - (x, y, 0), dq/dt = (cos theta,
+        # sin theta, c_t), on the assembled Jacobian: J d_s is one of its
+        # inputs, so only the rounding of the assembly is left.  Worst
+        # measured 4.6e-12, at |1 - kappa^2| = 2.8e-6, where |D| grows as
+        # 1/|1 - kappa^2|; 1.3e-15 elsewhere
+        worst = 0.0
+        for lam, t in _modulus_cases(fixture25, cell_covectors):
+            v = (lam.beta, lam.c, lam.r)
+            res, end = _residual(v, State(0.0, 0.0, 0.0), t)
+            cols = _jacobian(v, res, end, State(0.0, 0.0, 0.0), t)
+            x, y, theta, _, ct = end[:5]
+            lhs = [lam.c * a + 2.0 * lam.r * b for a, b in zip(cols[1], cols[2])]
+            rhs = [t * math.cos(theta) - x, t * math.sin(theta) - y, t * ct]
+            worst = max(worst, _rel_err(lhs, rhs))
+        assert worst < 1e-11
 
     @pytest.mark.parametrize("v", [(0.7, 1.5, 0.0), (-2.0, -3.1, 0.0), (1.1, 0.8, 2e-10)])
     def test_step_on_the_circles_leaves_beta(self, v):

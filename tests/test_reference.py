@@ -17,9 +17,9 @@ import pytest
 
 from elastica.elliptic import jacobi_recip_modulus
 from elastica import expmap
-from elastica.expmap import State, elastic_energy_closed, exp_map, sample_elastica
+from elastica.expmap import State, _modulus_column, elastic_energy_closed, exp_map, sample_elastica
 from elastica.oracle import _residual, _symmetry_columns
-from elastica.phase import SEPARATRIX, stratify, wrap_angle
+from elastica.phase import OSCILLATING, ROTATING, SEPARATRIX, stratify, wrap_angle
 
 from conftest import STEPPED_N2_SMALL_K, n1, n2, n3
 
@@ -176,6 +176,32 @@ def test_separatrix_symmetry_columns(fixture25, cell_covectors):
                     err = max(abs(a - x) for a, x in zip(col, ref))
                     worst = max(worst, err / max(1.0, *map(abs, ref)))
     assert worst < 1e-13
+
+
+def test_modulus_column(fixture25, cell_covectors):
+    # J D of the Newton step's third column against the derivative of the
+    # 40-digit closed form along D, a central difference of step 1e-15 at
+    # 40 digits, on N1 and N2+-, moduli down to 1e-3 and up to 1/1e-3
+    # included.  Worst measured 2.2e-14, on N1 at k = 0.99 and t = 40
+    lams = [lam for lam in (*fixture25, *cell_covectors.values())
+            if stratify(lam) in OSCILLATING + ROTATING]
+    lams += [lam for group, lam in _seeded() if group != "N3"]
+    worst = 0.0
+    with mp.workdps(40):
+        h = mp.mpf(10) ** -15
+        for lam in lams:
+            s = stratify(lam)
+            v = [mp.mpf(e) for e in (lam.beta, lam.c, lam.r)]
+            for t in TIMES:
+                end = _residual((lam.beta, lam.c, lam.r), State(0.0, 0.0, 0.0), t)[1]
+                kap, a0, a = end[6]
+                d, jd = _modulus_column(kap, math.sqrt(lam.r), t, a0, *a)
+                qp, qm = (reference(*(x + e * h * y for x, y in zip(v, d)), t, s.family,
+                                    s.sign or 1) for e in (1, -1))
+                ref = [float((p - m) / (2 * h)) for p, m in zip(qp[:3], qm[:3])]
+                err = max(abs(x - y) for x, y in zip(jd, ref))
+                worst = max(worst, err / max(1.0, *map(abs, ref)))
+    assert worst < 5e-14
 
 
 @pytest.mark.parametrize("k", [1e-2, 1e-3, 1e-4])
