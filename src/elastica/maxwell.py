@@ -445,7 +445,8 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
 
     Strata are measure-zero, so membership is meaningful only with a
     tolerance contract: lattice conditions compare p to the nearest lattice
-    point, function conditions compare residuals against tol.
+    point, function conditions compare residuals against tol.  A circle
+    whose turning angle c t overflows raises ValueError.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"in_maxwell needs finite t > 0, got {t}")
@@ -453,7 +454,10 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
     if s in _NEVER_MEETS:
         return set()
     if s in CIRCULAR:
-        if _on_lattice(lam.c * t, 2.0 * math.pi, tol):
+        turn = lam.c * t
+        if not math.isfinite(turn):
+            raise ValueError(f"in_maxwell: the turning angle c*t overflows at c = {lam.c}, t = {t}")
+        if _on_lattice(turn, 2.0 * math.pi, tol):
             return {MaxwellStratum.MAX1, MaxwellStratum.MAX3_PLUS}
         return set()
 

@@ -7,11 +7,13 @@ problem is solved by multi-start damped Newton iteration on the forward map.
 Each line search starts near the scale the previous one accepted, and a
 start whose residual stalls is dropped.
 
-The Newton step takes the Jacobian in the paper's natural coordinates: its
-columns along the pendulum flow and the dilation come in closed form from
-the problem's symmetries, and on N1 and N2+- its column along the modulus
-from the Jacobi values the residual already holds, so there it makes no
-endpoint evaluation.  It solves its 3x3 least squares in pure Python, so the
+The Newton step is solved in the paper's natural directions and mapped
+back: the derivatives of the endpoint along the pendulum flow and the
+dilation come in closed form from the problem's symmetries, and on N1 and
+N2+- the one along the modulus from the Jacobi values the residual already
+holds, so there it makes no endpoint evaluation.  Every other derivative is
+one difference along its direction.  No Jacobian in (beta, c, r) is formed
+and no matrix is inverted; the 3x3 least squares is pure Python, so the
 solver needs no numpy.  The worker pool is imported on first use.
 """
 
@@ -43,7 +45,7 @@ BVP_STALL_ITER = 8
 BVP_POLISH_ITER = 12
 BVP_POLISH_STEP = 1e-12
 FD_STEP = 1e-7
-# the Newton step falls back to six central differences where the flow or
+# the Newton step differences along the three axes where the flow or
 # dilation direction is shorter than JAC_DIR_MIN, or the sine of the angle
 # between them is below JAC_SIN_MIN
 JAC_DIR_MIN = 1e-3
@@ -201,10 +203,10 @@ def _residual(vec, q1: State, t1: float):
     """Endpoint miss (dx, dy, dtheta) of vec = (beta, c, r) at t1, and end.
 
     end = (x, y, theta, J, c_t, stratum, jac) is what `expmap._prepare`
-    returns at t1, c_t the curvature there; the Newton step reuses it.
+    returns at t1, c_t the curvature there; the Newton step reuses it.  An r
+    below 0 raises in `Covector`.
     """
-    beta, c, r = vec
-    end = _prepare(Covector(beta, c, max(r, 0.0)))(t1)
+    end = _prepare(Covector(*vec))(t1)
     return (end[0] - q1.x, end[1] - q1.y, wrap_angle(end[2] - q1.theta)), end
 
 
@@ -230,7 +232,7 @@ def _lstsq3(cols, b):
     one-sided Jacobi SVD: rotations V orthogonalize the columns, A V = U S,
     and x = V S+ U^T b, with the singular values at or below 3 eps s_max
     dropped, the cutoff of numpy.linalg.lstsq with rcond=None.  So a zero
-    column, as beta's on the r = 0 plane, gets a zero component.
+    column, as J d_f's on the circles, gets a zero component.
     """
     a1, a2, a3 = cols
     c23 = _cross(a2, a3)
@@ -268,20 +270,18 @@ def _lstsq3(cols, b):
     return x
 
 
-def _fd_jacobian(v, q1: State, t1: float):
-    """The three Jacobian columns by central differences, six evaluations."""
-    cols = []
-    for j in range(3):
-        h = FD_STEP * max(1.0, abs(v[j]))
-        vp, vm = list(v), list(v)
-        vp[j] += h
-        vm[j] -= h
-        if j == 2 and vm[2] < 0.0:
-            vm[2] = 0.0
-            h = (vp[2] - vm[2]) / 2.0 or FD_STEP
-        rp, rm = _residual(vp, q1, t1)[0], _residual(vm, q1, t1)[0]
-        cols.append([(a - b) / (2.0 * h) for a, b in zip(rp, rm)])
-    return cols
+def _difference(v, res, d, q1: State, t1: float):
+    """The derivative of the residual at v along d by one difference.
+
+    The step is FD_STEP * max(1, |beta|, |c|, r); the difference is central,
+    or forward from res where v - h d would leave r >= 0.
+    """
+    h = FD_STEP * max(1.0, *map(abs, v))
+    rp = _residual([a + h * b for a, b in zip(v, d)], q1, t1)[0]
+    vm = [a - h * b for a, b in zip(v, d)]
+    if vm[2] < 0.0:
+        return [(a - b) / h for a, b in zip(rp, res)]
+    return [(a - b) / (2.0 * h) for a, b in zip(rp, _residual(vm, q1, t1)[0])]
 
 
 def _symmetry_columns(c: float, end, t1: float):
@@ -295,7 +295,7 @@ def _symmetry_columns(c: float, end, t1: float):
 
 
 def _jacobian(v, res, end, q1: State, t1: float):
-    """The Jacobian columns at v from three directional derivatives.
+    """Three directions d_1, d_2, d_3 at v and the residual's derivatives J d_i along them.
 
     With end as `_residual` returned it at v = (beta, c, r):
     - left-invariance, exp(lam, s + t) = exp(lam, s) exp(flow(lam, s), t),
@@ -303,18 +303,18 @@ def _jacobian(v, res, end, q1: State, t1: float):
       J d_f = (cos theta - 1 + c y, sin theta - c x, c_t - c);
     - dilation, (beta, s c, s^2 r) at t/s reaching (x/s, y/s, theta), gives
       along d_s = (0, c, 2r) J d_s = (t cos theta - x, t sin theta - y, t c_t);
-    - on N1 and N2+-, the modulus direction D and J D of
-      `expmap._modulus_column`, in closed form from the Jacobi values in
-      end, where JAC_MODULUS_MIN <= kappa <= JAC_MODULUS_MAX and
+    - on N1 and N2+-, the third direction is the modulus direction D, and J D
+      comes from `expmap._modulus_column` in closed form from the Jacobi
+      values in end, where JAC_MODULUS_MIN <= kappa <= JAC_MODULUS_MAX and
       |1 - kappa^2| >= JAC_MODULUS_MIN;
-    - elsewhere, along n = d_f x d_s, a central difference, or a forward one
-      where v - h n would leave r >= 0.
-    Then J = [J d_f, J d_s, J d_3] [d_f, d_s, d_3]^-1.  On the circles beta
-    has no effect: r is taken as 0 and J d_f as 0 exactly.  Where |d_f| or
-    |d_s| is below JAC_DIR_MIN, or the sine of the angle between them below
-    JAC_SIN_MIN, all three columns are differences.
+    - elsewhere it is n = d_f x d_s / |d_f x d_s|, with r component
+      c^2 / |d_f x d_s| >= 0, and J n is a `_difference`.
+    On the circles beta has no effect: r is taken as 0 and J d_f as 0
+    exactly.  Where |d_f| or |d_s| is below JAC_DIR_MIN, or the sine of the
+    angle between them below JAC_SIN_MIN, the directions are the axes and
+    all three derivatives are differences.  Returns (directions, columns).
     """
-    beta, c, r = v[0], v[1], max(v[2], 0.0)
+    beta, c, r = v
     circle = end[5] in CIRCULAR
     if circle:
         r = 0.0
@@ -323,7 +323,8 @@ def _jacobian(v, res, end, q1: State, t1: float):
     n = _cross(df, ds)
     nf, ns, nn = (math.sqrt(_dot(d, d)) for d in (df, ds, n))
     if min(nf, ns) < JAC_DIR_MIN or nn < JAC_SIN_MIN * nf * ns:
-        return _fd_jacobian(v, q1, t1)
+        axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        return axes, [_difference(v, res, d, q1, t1) for d in axes]
     jf, js = _symmetry_columns(c, end, t1)
     if circle:
         jf = (0.0, 0.0, 0.0)
@@ -333,39 +334,22 @@ def _jacobian(v, res, end, q1: State, t1: float):
         if (JAC_MODULUS_MIN <= kap <= JAC_MODULUS_MAX
                 and abs((1.0 - kap) * (1.0 + kap)) >= JAC_MODULUS_MIN):
             dm, jm = _modulus_column(kap, math.sqrt(r), t1, a0, *a)
-            return _assemble((jf, js, jm), (df, ds, dm), _dot(df, _cross(ds, dm)))
+            return (df, ds, dm), (jf, js, jm)
     n = tuple(e / nn for e in n)
-    h = FD_STEP * max(1.0, *map(abs, v))
-    rp = _residual([a + h * b for a, b in zip(v, n)], q1, t1)[0]
-    vm = [a - h * b for a, b in zip(v, n)]
-    if vm[2] < 0.0:
-        jn = [(a - b) / h for a, b in zip(rp, res)]
-    else:
-        jn = [(a - b) / (2.0 * h) for a, b in zip(rp, _residual(vm, q1, t1)[0])]
-    # det [d_f, d_s, n] = n . (d_f x d_s) = nn
-    return _assemble((jf, js, jn), (df, ds, n), nn)
-
-
-def _assemble(cols, dirs, det):
-    """The Jacobian columns J = [J d_1, J d_2, J d_3] [d_1, d_2, d_3]^-1.
-
-    cols are the J d_i, det = det [d_1, d_2, d_3]; the rows of the inverse
-    are (d_2 x d_3)/det, (d_3 x d_1)/det and (d_1 x d_2)/det.
-    """
-    d1, d2, d3 = dirs
-    rows = (_cross(d2, d3), _cross(d3, d1), _cross(d1, d2))
-    return [
-        [(a * rows[0][j] + b * rows[1][j] + e * rows[2][j]) / det for a, b, e in zip(*cols)]
-        for j in range(3)
-    ]
+    return (df, ds, n), (jf, js, _difference(v, res, n, q1, t1))
 
 
 def _newton_step(v, res, end, q1: State, t1: float):
-    """Minimum-norm least-squares Newton step at v, or None if it is not finite.
+    """Least-squares Newton step at v, or None if it is not finite.
 
-    end is what `_residual` returned with res at v.
+    end is what `_residual` returned with res at v.  The step is solved in
+    the directions of `_jacobian`: [J d_1, J d_2, J d_3] y = -res by
+    `_lstsq3`, minimum norm in y, and the step is y_1 d_1 + y_2 d_2 + y_3 d_3.
+    On the circles J d_f is exactly 0, so y_1 is 0 and the step leaves beta.
     """
-    step = _lstsq3(_jacobian(v, res, end, q1, t1), [-e for e in res])
+    dirs, cols = _jacobian(v, res, end, q1, t1)
+    y = _lstsq3(cols, [-e for e in res])
+    step = [y[0] * a + y[1] * b + y[2] * e for a, b, e in zip(*dirs)]
     return step if all(map(math.isfinite, step)) else None
 
 

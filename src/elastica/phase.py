@@ -134,14 +134,16 @@ def stratify(lam: Covector) -> Stratum:
 
     The measure-zero boundaries (E = +-r, r = 0, the unstable equilibrium)
     absorb a band of half-width tol = STRATIFY_TOL * max(r, c^2, 1) so the
-    classification is deterministic near the separatrices.
+    classification is deterministic near the separatrices.  Inside the r = 0
+    band a circle is told from the frozen line by |c| > STRATIFY_TOL, not by
+    tol, which grows as c^2 and would make every |c| >= 1e9 a line.
     """
     r, c = lam.r, lam.c
     tol = STRATIFY_TOL * max(r, c * c, 1.0)
     if r <= tol:
         return (
             (Stratum.N6_PLUS if c > 0 else Stratum.N6_MINUS)
-            if abs(c) > tol
+            if abs(c) > STRATIFY_TOL
             else Stratum.N7
         )
     E = energy(lam)

@@ -131,6 +131,16 @@ class TestExp:
                 dth = (a["theta"] - b["theta"]) % (2 * math.pi)
                 assert min(dth, 2 * math.pi - dth) < 1e-7
 
+    def test_fast_circle_matches_oracle(self, capsys):
+        # |c| = 1e10 at r = 0 is a circle, not the frozen line: it turns by
+        # c t = 1 over t = 1e-10
+        flags = ["--beta", "0", "--c", "1e10", "--r", "0", "--t", "1e-10"]
+        _, out1 = run_cli(["exp", *flags], capsys)
+        _, out2 = run_cli(["oracle-exp", *flags, "--step", "1e-12"], capsys)
+        a, b = json.loads(out1), json.loads(out2)
+        assert a["stratum"] == "N6plus"
+        assert abs(a["theta"] - b["theta"]) < 1e-9
+
     def test_separatrix_next_to_saddle(self, capsys):
         # sin(beta/2) rounds to 1 on this N3plus covector: its elliptic phase
         # must still be finite
@@ -459,6 +469,8 @@ class TestInvalidInput:
                          None, 3, id="oracle-exp-max-steps"),
             pytest.param(["maxwell", "--beta", "0", "--c", "1", "--r", "1", "--t", "inf"],
                          None, 3, id="maxwell-t-inf"),
+            pytest.param(["maxwell", "--beta", "1", "--c", "2", "--r", "0", "--t", "1e308"],
+                         None, 3, id="maxwell-circle-turn-overflow"),
             pytest.param(["elastica", "--beta", "0", "--c", "1", "--r", "1", "--t1", "nan"],
                          None, 3, id="elastica-t1-nan"),
             pytest.param(["elastica", "--beta", "0", "--c", "1", "--r", "1", "--n", "1"],

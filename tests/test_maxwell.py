@@ -368,6 +368,11 @@ class TestMembership:
         with pytest.raises(ValueError):
             in_maxwell(Covector(0.0, 1.0, 1.0), 0.0)
 
+    def test_circle_turn_overflow_raises(self):
+        # c t = inf cannot be placed on the lattice of full turns
+        with pytest.raises(ValueError, match="overflows"):
+            in_maxwell(Covector(1.0, 2.0, 0.0), 1e308)
+
 
 class TestMaxwellSemantics:
     # membership certifies a genuine meeting of distinct equal-cost extremals

@@ -361,6 +361,11 @@ THRESHOLD_CASES = [
 ]
 
 
+# N1 with |d_f| = 5.8e-4 < JAC_DIR_MIN, where `_jacobian` differences along
+# the axes; at sqrt(r) t1 = 1.5
+AXIS_CASE = (Covector(0.3, 5e-4, 1e-3), 1.5 / math.sqrt(1e-3))
+
+
 def _modulus_case(lam, t):
     """(D, J D) of `expmap._modulus_column` at lam and t, from the end `_residual` returns."""
     kap, a0, a = _residual((lam.beta, lam.c, lam.r), State(0.0, 0.0, 0.0), t)[1][6]
@@ -414,8 +419,10 @@ class TestNewtonStep:
     @pytest.mark.parametrize("lam, closed", THRESHOLD_CASES)
     def test_jacobian_takes_the_closed_form_where_conditioned(self, monkeypatch, lam, closed):
         # no endpoint evaluation on the closed-form side of each threshold;
-        # either side agrees with Richardson differences along each axis.
-        # Worst measured 9.1e-10, on the one-difference side
+        # on either side each column J d agrees with Richardson differences
+        # along its own direction d, both taken per unit |d|.  Worst measured
+        # 8.2e-10, on the one-difference side at kappa = 7; 1.9e-11 on the
+        # closed-form side
         t = 1.5 / math.sqrt(lam.r)
         v, q1 = (lam.beta, lam.c, lam.r), State(0.0, 0.0, 0.0)
         res, end = _residual(v, q1, t)
@@ -427,29 +434,66 @@ class TestNewtonStep:
             return _residual(*args)
 
         monkeypatch.setattr(oracle, "_residual", counted)
-        cols = _jacobian(v, res, end, q1, t)
+        dirs, cols = _jacobian(v, res, end, q1, t)
         assert (calls == 0) == closed
-        for j, col in enumerate(cols):
-            axis = [0.0, 0.0, 0.0]
-            axis[j] = 1.0
-            assert _rel_err(col, _richardson(lam, axis, t)) < 3e-9
-
-    def test_dilation_identity(self, fixture25, cell_covectors):
-        # c dq/dc + 2r dq/dr = t dq/dt - (x, y, 0), dq/dt = (cos theta,
-        # sin theta, c_t), on the assembled Jacobian: J d_s is one of its
-        # inputs, so only the rounding of the assembly is left.  Worst
-        # measured 4.6e-12, at |1 - kappa^2| = 2.8e-6, where |D| grows as
-        # 1/|1 - kappa^2|; 1.3e-15 elsewhere
         worst = 0.0
-        for lam, t in _modulus_cases(fixture25, cell_covectors):
+        for d, col in zip(dirs, cols):
+            norm = math.sqrt(sum(e * e for e in d))
+            ref = _richardson(lam, [e / norm for e in d], t)
+            worst = max(worst, _rel_err([e / norm for e in col], ref))
+        assert worst < 3e-9
+
+    def test_step_solves_the_linearization(self, fixture25, cell_covectors):
+        # the step x solves J x = -res: the Richardson derivative of the
+        # endpoint along x/|x|, times |x|, is -res, relative to |res|.  Each
+        # target is reached from the covector moved by 1e-6 max(1, |v|) in
+        # each coordinate; AXIS_CASE steps along the axes.  Worst measured
+        # 8.7e-9, at |1 - kappa^2| = 5.5e-7 on the one-difference side, where
+        # the step is 140 times the move; 1.9e-10 elsewhere
+        worst = 0.0
+        for lam, t in [*_modulus_cases(fixture25, cell_covectors), AXIS_CASE]:
             v = (lam.beta, lam.c, lam.r)
-            res, end = _residual(v, State(0.0, 0.0, 0.0), t)
-            cols = _jacobian(v, res, end, State(0.0, 0.0, 0.0), t)
-            x, y, theta, _, ct = end[:5]
-            lhs = [lam.c * a + 2.0 * lam.r * b for a, b in zip(cols[1], cols[2])]
-            rhs = [t * math.cos(theta) - x, t * math.sin(theta) - y, t * ct]
-            worst = max(worst, _rel_err(lhs, rhs))
-        assert worst < 1e-11
+            h = 1e-6 * max(1.0, *map(abs, v))
+            q1 = exp_map(Covector(lam.beta + h, lam.c - h, lam.r + h), t)
+            res, end = _residual(v, q1, t)
+            step = _newton_step(v, res, end, q1, t)
+            norm = math.sqrt(sum(e * e for e in step))
+            jx = _richardson(lam, [e / norm for e in step], t)
+            err = max(abs(norm * a + b) for a, b in zip(jx, res)) / _max_norm(res)
+            worst = max(worst, err)
+        assert worst < 3e-8
+        lam, t = AXIS_CASE
+        v, q1 = (lam.beta, lam.c, lam.r), State(0.0, 0.0, 0.0)
+        res, end = _residual(v, q1, t)
+        assert _jacobian(v, res, end, q1, t)[0][0] == (1.0, 0.0, 0.0)
+
+    def test_differences_keep_r_nonnegative(self, monkeypatch, fixture25, cell_covectors):
+        # every direction `_jacobian` differences, the axes or n = d_f x d_s
+        # normalized, has d_r >= 0, so no difference leaves r >= 0 from a
+        # point in it: over the fixture covectors, the circles and the axis
+        # case, and over two shootings
+        seen = []
+        difference = oracle._difference
+
+        def recording(v, res, d, q1, t1):
+            seen.append(tuple(d))
+            return difference(v, res, d, q1, t1)
+
+        monkeypatch.setattr(oracle, "_difference", recording)
+        lams = [*fixture25, *cell_covectors.values(), *(lam for lam, _ in THRESHOLD_CASES),
+                Covector(0.7, 1.5, 0.0), Covector(-2.0, -3.1, 0.0), Covector(1.1, -0.8, 2e-10),
+                AXIS_CASE[0]]
+        q1 = State(0.0, 0.0, 0.0)
+        for lam in lams:
+            v = (lam.beta, lam.c, lam.r)
+            for t in (0.37, 1.9):
+                res, end = _residual(v, q1, t)
+                _jacobian(v, res, end, q1, t)
+        bvp_shoot(State(0.0, 0.6366, 3.1415926), 1.0, starts=20)
+        bvp_shoot(exp_map(n1(0.62, 0.9, 1.0), 1.2), 1.2, starts=20)
+        axes = {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
+        assert axes <= set(seen) and set(seen) - axes
+        assert all(d[2] >= 0.0 for d in seen)
 
     @pytest.mark.parametrize("v", [(0.7, 1.5, 0.0), (-2.0, -3.1, 0.0), (1.1, 0.8, 2e-10)])
     def test_step_on_the_circles_leaves_beta(self, v):

@@ -92,6 +92,13 @@ class TestStratify:
         assert stratify(Covector(0.3, -0.5, 0.0)) is Stratum.N6_MINUS
         assert stratify(Covector(1.0, 0.0, 0.0)) is Stratum.N7
 
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    def test_fast_circle_is_not_a_line(self, r):
+        # the band around r = 0 grows as c^2, but a circle is told from the
+        # frozen line by |c| alone: at |c| = 1e10 it still turns
+        assert stratify(Covector(0.0, 1e10, r)) is Stratum.N6_PLUS
+        assert stratify(Covector(0.0, -1e10, r)) is Stratum.N6_MINUS
+
     def test_equilibria(self):
         assert stratify(Covector(0.0, 0.0, 2.0)) is Stratum.N4
         assert stratify(Covector(math.pi, 0.0, 2.0)) is Stratum.N5
