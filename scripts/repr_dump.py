@@ -16,8 +16,9 @@ criterion-8 targets, the README example, the shooting tests' targets and
 three targets near criterion 8's knife edge, each with the number of
 endpoint evaluations it made (calls of `oracle._residual`, which the script
 wraps to count them) and how many of those the Jacobian made (the calls
-inside `oracle._jacobian`, wrapped too), the criterion-8 totals, and the
-outcome of every start on the knife-edge target (about ten seconds).
+inside `oracle._jacobian`, wrapped too), the criterion-8 totals, and
+each seed `bvp_shoot` takes on the knife-edge target with its outcome
+(about three seconds).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from elastica import (  # noqa: E402
     sample_elastica,
 )
 from elastica.elliptic import Modulus  # noqa: E402
-from elastica.oracle import _newton_from, start_grid  # noqa: E402
+from elastica.oracle import BVP_SEEDS, _newton_from, _seeds  # noqa: E402
 from elastica.phase import (  # noqa: E402
     STRATIFY_TOL,
     EllipticCoords,
@@ -91,7 +92,7 @@ CELL_COVECTORS = (
 )
 
 # criterion 8's forward targets (covector, t1); (n1(0.9, 1.6, 1.0), 1.1) is
-# the knife edge, solved by two starts of the 100 (56 and 99 of start_grid())
+# the knife edge, within 0.1 % of the boundary of the attainable set
 CRITERION_8 = (
     (n1(0.3, 0.5, 1.0), 1.0), (n1(0.55, 1.2, 1.0), 1.4), (n1(0.62, 0.9, 1.0), 1.2),
     (n1(0.75, 0.2, 2.0), 0.9), (n1(0.9, 1.6, 1.0), 1.1), (n1(0.45, 2.4, 0.5), 2.2),
@@ -106,7 +107,7 @@ KNIFE_EDGE = CRITERION_8[4]
 
 # (target, t1, starts): the README `bvp` example, the shooting tests, and
 # three targets near the knife edge, perfbench bvp's held-out targets at
-# seeds 18, 75 and 160 (no start of 100 solves the first two)
+# seeds 18, 75 and 160
 SHOOTING = (
     (State(0.0, 0.6366, 3.1415926), 1.0, 200),
     (State(1.0, 0.0, 0.0), 1.0, 40),
@@ -210,8 +211,8 @@ def dump_bvp(write) -> None:
         oracle._residual, oracle._jacobian = residual, jacobian
     lam, t1 = KNIFE_EDGE
     q1 = exp_map(lam, t1)
-    for i, start in enumerate(start_grid()[:100]):
-        write(f"knife_edge start {i} {show(_newton_from, start, q1, t1)}")
+    for i, start in enumerate(_seeds(q1, t1, min(100, BVP_SEEDS))):
+        write(f"knife_edge start {i} {start!r} {show(_newton_from, start, q1, t1)}")
 
 
 def main(argv=None, out=sys.stdout) -> int:

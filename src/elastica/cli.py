@@ -300,7 +300,7 @@ def cmd_maxwell(args):
 
 def cmd_bvp(args):
     q1 = State(args.x, args.y, args.theta)
-    sols = bvp_shoot(q1, args.t1, starts=args.starts, jobs=args.jobs)
+    sols = bvp_shoot(q1, args.t1, starts=args.starts)
     keys = ["beta", "c", "r", "energy", "residual", "cut_time_bound", "optimal_candidate"]
     rows = [
         (s.lam.beta, s.lam.c, s.lam.r, s.energy, s.residual, _fin(s.report.bound), s.optimal_candidate)
@@ -385,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--starts", type=_count(1), default=200)
-    p.add_argument("--jobs", type=_count(1), default=os.cpu_count() or 1)
     _add_output_flags(p)
     p.set_defaults(func=cmd_bvp)
 

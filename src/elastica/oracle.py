@@ -3,32 +3,37 @@
 The integrator reuses none of the closed forms: the extremal system is
 integrated by fixed-step RK4 (fixed, not adaptive, so golden values are
 reproducible), to cross-validate the analytic modules.  The boundary-value
-problem is solved by multi-start damped Newton iteration on the forward map.
-Each line search starts near the scale the previous one accepted, and a
-start whose residual stalls is dropped.
+problem is solved by damped Newton iteration on the forward map, in the
+paper's Hamiltonian coordinates h = (-r cos beta, c, -r sin beta) of se(2)*,
+where the flow is polynomial and the endpoint map smooth, also at r = 0.
+The starts are seeds from a table of endpoints at t = 1, built on first
+use: the dilation (beta, s c, s^2 r) at t/s reaching (x/s, y/s, theta) lets
+one table serve every length.  Each line search starts near the scale the
+previous one accepted, and a start whose residual stalls is dropped.
 
-The Newton step is solved in the paper's natural directions and mapped
-back: the derivatives of the endpoint along the pendulum flow and the
-dilation come in closed form from the problem's symmetries, and on N1 and
-N2+- the one along the modulus from the Jacobi values the residual already
-holds, so there it makes no endpoint evaluation.  Every other derivative is
-one difference along its direction.  No Jacobian in (beta, c, r) is formed
-and no matrix is inverted; the 3x3 least squares is pure Python, so the
-solver needs no numpy.  The worker pool is imported on first use.
+The Newton step is solved in the paper's natural directions, written in h:
+the derivatives of the endpoint along the pendulum flow and the dilation
+come in closed form from the problem's symmetries, and on N1 and N2+- the
+one along the modulus from the Jacobi values the residual already holds,
+so there it makes no endpoint evaluation.  Every other derivative is one
+difference along its direction.  No Jacobian matrix is formed and no matrix
+is inverted; the 3x3 least squares is pure Python, so the solver needs no
+numpy.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import random
 import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cache
 
 from .expmap import State, _modulus_column, _prepare, elastic_energy_closed, exp_map, wrap_angle
 from .maxwell import MaxwellReport, cut_time_bound
-from .phase import CIRCULAR, Covector
+from .phase import CIRCULAR, TWO_PI, Covector, stratify
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +63,15 @@ JAC_MODULUS_MAX = 6.0
 # product of the column norms, and the SVD otherwise
 CRAMER_MIN = 1e-10
 SVD_SWEEPS = 30
+# the seed table of `_seed_table`: moduli, (min, max, count) of the
+# log-spaced R = sqrt(r) and |c|, and angles per orbit; `_seeds` weighs
+# the angle by 1/SEED_THETA_WEIGHT and keeps at most BVP_SEEDS cells
+SEED_MODULI = 16
+SEED_RADII = (0.3, 30.0, 14)
+SEED_PHASES = 24
+SEED_CURVATURES = (0.1, 100.0, 40)
+SEED_THETA_WEIGHT = 3.0
+BVP_SEEDS = 30
 RK4_MAX_STEPS = 10_000_000
 ATTAINABLE_TOL = 1e-12
 
@@ -183,30 +197,105 @@ class BvpSolution:
     optimal_candidate: bool  # t1 <= cut-time bound of lam
 
 
-def start_grid() -> list[Covector]:
-    """Deterministic multistart grid over (beta, c, r).
+def _log_grid(lo: float, hi: float, n: int) -> list[float]:
+    return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
 
-    Shuffled with a fixed seed so that any prefix (a smaller `starts` count)
-    still samples all corners of the grid.
+
+def _hamiltonian(lam: Covector):
+    """The paper's coordinates h = (-r cos beta, c, -r sin beta) of lam."""
+    return (-lam.r * math.cos(lam.beta), lam.c, -lam.r * math.sin(lam.beta))
+
+
+def _covector(h) -> Covector:
+    """The covector of h = (-r cos beta, c, -r sin beta)."""
+    return Covector(math.atan2(-h[2], -h[0]), h[1], math.hypot(h[0], h[2]))
+
+
+@cache
+def _seed_table():
+    """The endpoints at t = 1 that seed `bvp_shoot`, built on first use.
+
+    N1 and N2+- covectors on SEED_MODULI moduli k = sin(pi (i + 1/2) / (2
+    SEED_MODULI)), the SEED_RADII values of R = sqrt(r) and SEED_PHASES
+    angles per orbit; N6+- covectors on the SEED_CURVATURES values of |c|;
+    and the straight line.  A cell holds one stratum at one R (the circles
+    and the line one cell each), its entries sorted by x.  Returns (x, y,
+    theta, covectors, cells): flat arrays, the covectors as (beta, c, r)
+    triples, and cells as (start, stop) index pairs.
     """
-    grid = []
-    for beta in (0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi):
-        for mag in (0.5, 1.0, 2.0, 4.0, 8.0):
-            for c in (mag, -mag):
-                for r in (0.0, 0.5, 1.0, 4.0, 16.0):
-                    grid.append(Covector(beta, c, r))
-    random.Random(0).shuffle(grid)
-    return grid
+    moduli = [math.sin(math.pi * (i + 0.5) / (2 * SEED_MODULI)) for i in range(SEED_MODULI)]
+    angles = [2.0 * math.pi * j / SEED_PHASES for j in range(SEED_PHASES)]
+
+    def cells():
+        for R in _log_grid(*SEED_RADII):
+            r = R * R
+            # an orbit is the energy level E + r = 2 r kappa^2, kappa = k on
+            # N1 and 1/k on N2+-, at angles phi uniform in [0, 2 pi): on N1
+            # the amplitude, sin(beta/2) = k sin phi and c = 2 k R cos phi;
+            # on N2+- beta = phi and c = +-2 R sqrt(1/k^2 - sin^2(beta/2))
+            yield [Covector(2.0 * math.asin(k * math.sin(phi)), 2.0 * k * R * math.cos(phi), r)
+                   for k in moduli for phi in angles]
+            for sign in (1.0, -1.0):
+                yield [Covector(phi, sign * 2.0 * R * math.sqrt(1.0 / (k * k) - math.sin(0.5 * phi) ** 2), r)
+                       for k in moduli for phi in angles]
+        for sign in (1.0, -1.0):
+            yield [Covector(0.0, sign * c, 0.0) for c in _log_grid(*SEED_CURVATURES)]
+        yield [Covector(0.0, 0.0, 0.0)]
+
+    xs, ys, ths, covs, bounds = array("d"), array("d"), array("d"), array("d"), []
+    for cell in cells():
+        ends = sorted((_prepare(lam)(1.0)[:3], i) for i, lam in enumerate(cell))
+        bounds.append((len(xs), len(xs) + len(ends)))
+        for (x, y, theta), i in ends:
+            xs.append(x)
+            ys.append(y)
+            ths.append(theta)
+            covs.extend((cell[i].beta, cell[i].c, cell[i].r))
+    return xs, ys, ths, covs, bounds
 
 
-def _residual(vec, q1: State, t1: float):
-    """Endpoint miss (dx, dy, dtheta) of vec = (beta, c, r) at t1, and end.
+def _seeds(q1: State, t1: float, n: int) -> list[Covector]:
+    """The n best seeds for the target q1 at t1, from `_seed_table` by dilation.
+
+    (beta, s c, s^2 r) at t/s reaches (x/s, y/s, theta), so the target is
+    looked up at t = 1 as (x/t1, y/t1, theta) and each entry's covector is
+    mapped back as (beta, c/t1, r/t1^2).  Each cell gives its entry nearest
+    the target in max(|dx|, |dy|, |dtheta|/SEED_THETA_WEIGHT), and the n
+    nearest of those are kept, the nearest first.
+    """
+    xs, ys, ths, covs, cells = _seed_table()
+    x, y, theta = q1.x / t1, q1.y / t1, q1.theta
+    best = []
+    for lo, hi in cells:
+        # scan out from x both ways: the entries are sorted by x, and |dx|
+        # bounds the distance below
+        mid = bisect_left(xs, x, lo, hi)
+        d, near = math.inf, -1
+        for side in (range(mid, hi), range(mid - 1, lo - 1, -1)):
+            for i in side:
+                dx = abs(xs[i] - x)
+                if dx >= d:
+                    break
+                dy = abs(ys[i] - y)
+                if dy >= d:
+                    continue
+                dt = abs(ths[i] - theta)
+                di = max(dx, dy, min(dt, TWO_PI - dt) / SEED_THETA_WEIGHT)
+                if di < d:
+                    d, near = di, i
+        best.append((d, near))
+    best.sort()
+    t2 = t1 * t1
+    return [Covector(covs[3 * i], covs[3 * i + 1] / t1, covs[3 * i + 2] / t2) for _, i in best[:n]]
+
+
+def _residual(h, q1: State, t1: float):
+    """Endpoint miss (dx, dy, dtheta) of h = (-r cos beta, c, -r sin beta) at t1, and end.
 
     end = (x, y, theta, J, c_t, stratum, jac) is what `expmap._prepare`
-    returns at t1, c_t the curvature there; the Newton step reuses it.  An r
-    below 0 raises in `Covector`.
+    returns at t1, c_t the curvature there; the Newton step reuses it.
     """
-    end = _prepare(Covector(*vec))(t1)
+    end = _prepare(_covector(h))(t1)
     return (end[0] - q1.x, end[1] - q1.y, wrap_angle(end[2] - q1.theta)), end
 
 
@@ -232,7 +321,7 @@ def _lstsq3(cols, b):
     one-sided Jacobi SVD: rotations V orthogonalize the columns, A V = U S,
     and x = V S+ U^T b, with the singular values at or below 3 eps s_max
     dropped, the cutoff of numpy.linalg.lstsq with rcond=None.  So a zero
-    column, as J d_f's on the circles, gets a zero component.
+    column gets a zero component.
     """
     a1, a2, a3 = cols
     c23 = _cross(a2, a3)
@@ -270,18 +359,16 @@ def _lstsq3(cols, b):
     return x
 
 
-def _difference(v, res, d, q1: State, t1: float):
-    """The derivative of the residual at v along d by one difference.
+def _difference(h, d, q1: State, t1: float):
+    """The derivative of the residual at h along d by one central difference.
 
-    The step is FD_STEP * max(1, |beta|, |c|, r); the difference is central,
-    or forward from res where v - h d would leave r >= 0.
+    The step is FD_STEP * max(1, |h|); every h is a covector, so no step
+    leaves the domain.
     """
-    h = FD_STEP * max(1.0, *map(abs, v))
-    rp = _residual([a + h * b for a, b in zip(v, d)], q1, t1)[0]
-    vm = [a - h * b for a, b in zip(v, d)]
-    if vm[2] < 0.0:
-        return [(a - b) / h for a, b in zip(rp, res)]
-    return [(a - b) / (2.0 * h) for a, b in zip(rp, _residual(vm, q1, t1)[0])]
+    step = FD_STEP * max(1.0, *map(abs, h))
+    rp = _residual([a + step * b for a, b in zip(h, d)], q1, t1)[0]
+    rm = _residual([a - step * b for a, b in zip(h, d)], q1, t1)[0]
+    return [(a - b) / (2.0 * step) for a, b in zip(rp, rm)]
 
 
 def _symmetry_columns(c: float, end, t1: float):
@@ -294,60 +381,55 @@ def _symmetry_columns(c: float, end, t1: float):
     return (cos - 1.0 + c * y, sin - c * x, ct - c), (t1 * cos - x, t1 * sin - y, t1 * ct)
 
 
-def _jacobian(v, res, end, q1: State, t1: float):
-    """Three directions d_1, d_2, d_3 at v and the residual's derivatives J d_i along them.
+def _jacobian(h, end, q1: State, t1: float):
+    """Three directions d_1, d_2, d_3 at h and the residual's derivatives J d_i along them.
 
-    With end as `_residual` returned it at v = (beta, c, r):
+    The directions are written in h = (h1, c, h3) = (-r cos beta, c, -r sin
+    beta).  With end as `_residual` returned it at h:
     - left-invariance, exp(lam, s + t) = exp(lam, s) exp(flow(lam, s), t),
-      gives along the pendulum flow d_f = (c, -r sin beta, 0)
+      gives along the pendulum flow d_f = (-c h3, h3, c h1)
       J d_f = (cos theta - 1 + c y, sin theta - c x, c_t - c);
     - dilation, (beta, s c, s^2 r) at t/s reaching (x/s, y/s, theta), gives
-      along d_s = (0, c, 2r) J d_s = (t cos theta - x, t sin theta - y, t c_t);
+      along d_s = (2 h1, c, 2 h3) J d_s = (t cos theta - x, t sin theta - y, t c_t);
     - on N1 and N2+-, the third direction is the modulus direction D, and J D
       comes from `expmap._modulus_column` in closed form from the Jacobi
       values in end, where JAC_MODULUS_MIN <= kappa <= JAC_MODULUS_MAX and
-      |1 - kappa^2| >= JAC_MODULUS_MIN;
-    - elsewhere it is n = d_f x d_s / |d_f x d_s|, with r component
-      c^2 / |d_f x d_s| >= 0, and J n is a `_difference`.
-    On the circles beta has no effect: r is taken as 0 and J d_f as 0
-    exactly.  Where |d_f| or |d_s| is below JAC_DIR_MIN, or the sine of the
-    angle between them below JAC_SIN_MIN, the directions are the axes and
-    all three derivatives are differences.  Returns (directions, columns).
+      |1 - kappa^2| >= JAC_MODULUS_MIN; D = (D_beta, D_c, 0) in (beta, c,
+      r) is (-h3 D_beta, D_c, h1 D_beta) in h;
+    - elsewhere it is n = d_f x d_s / |d_f x d_s|, and J n is a `_difference`.
+    Where |d_f| or |d_s| is below JAC_DIR_MIN, or the sine of the angle
+    between them below JAC_SIN_MIN, as at and near r = 0 where |d_f| is
+    O(r), the directions are the axes and all three derivatives are
+    differences.  Returns (directions, columns).
     """
-    beta, c, r = v
-    circle = end[5] in CIRCULAR
-    if circle:
-        r = 0.0
-    df = (c, -r * math.sin(beta), 0.0)
-    ds = (0.0, c, 2.0 * r)
+    h1, c, h3 = h
+    df = (-c * h3, h3, c * h1)
+    ds = (2.0 * h1, c, 2.0 * h3)
     n = _cross(df, ds)
     nf, ns, nn = (math.sqrt(_dot(d, d)) for d in (df, ds, n))
     if min(nf, ns) < JAC_DIR_MIN or nn < JAC_SIN_MIN * nf * ns:
         axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-        return axes, [_difference(v, res, d, q1, t1) for d in axes]
+        return axes, [_difference(h, d, q1, t1) for d in axes]
     jf, js = _symmetry_columns(c, end, t1)
-    if circle:
-        jf = (0.0, 0.0, 0.0)
     jac = end[6]
     if jac is not None:
         kap, a0, a = jac
         if (JAC_MODULUS_MIN <= kap <= JAC_MODULUS_MAX
                 and abs((1.0 - kap) * (1.0 + kap)) >= JAC_MODULUS_MIN):
-            dm, jm = _modulus_column(kap, math.sqrt(r), t1, a0, *a)
-            return (df, ds, dm), (jf, js, jm)
+            (db, dc, _), jm = _modulus_column(kap, math.sqrt(math.hypot(h1, h3)), t1, a0, *a)
+            return (df, ds, (-h3 * db, dc, h1 * db)), (jf, js, jm)
     n = tuple(e / nn for e in n)
-    return (df, ds, n), (jf, js, _difference(v, res, n, q1, t1))
+    return (df, ds, n), (jf, js, _difference(h, n, q1, t1))
 
 
-def _newton_step(v, res, end, q1: State, t1: float):
-    """Least-squares Newton step at v, or None if it is not finite.
+def _newton_step(h, res, end, q1: State, t1: float):
+    """Least-squares Newton step in h, or None if it is not finite.
 
-    end is what `_residual` returned with res at v.  The step is solved in
+    end is what `_residual` returned with res at h.  The step is solved in
     the directions of `_jacobian`: [J d_1, J d_2, J d_3] y = -res by
     `_lstsq3`, minimum norm in y, and the step is y_1 d_1 + y_2 d_2 + y_3 d_3.
-    On the circles J d_f is exactly 0, so y_1 is 0 and the step leaves beta.
     """
-    dirs, cols = _jacobian(v, res, end, q1, t1)
+    dirs, cols = _jacobian(h, end, q1, t1)
     y = _lstsq3(cols, [-e for e in res])
     step = [y[0] * a + y[1] * b + y[2] * e for a, b, e in zip(*dirs)]
     return step if all(map(math.isfinite, step)) else None
@@ -358,39 +440,38 @@ def _gap(a: State, b: State) -> float:
     return max(abs(a.x - b.x), abs(a.y - b.y), abs(wrap_angle(a.theta - b.theta)))
 
 
-def _polish(v, res, end, q1: State, t1: float):
+def _polish(h, res, end, q1: State, t1: float):
     """Certify a converged start by undamped Newton steps; None if it fails.
 
-    At most BVP_POLISH_ITER steps, stopping once one moves v by less than
-    BVP_POLISH_STEP * max(1, |v|).  Where the endpoint map is singular (the
+    At most BVP_POLISH_ITER steps, stopping once one moves h by less than
+    BVP_POLISH_STEP * max(1, |h|).  Where the endpoint map is singular (the
     conjugate locus of the line) the residual is quadratic in the distance
     to the root, so a start can pass BVP_RESIDUAL_TOL far from any solution;
     the polish then runs on toward the root.  The move is measured as the
     merge measures trajectories, by the gap between the states at t1/2, so
-    a gauge freedom (beta at r = 0) or a weakly determined direction of v
-    does not count.  A start the polish moves by BVP_MERGE_DIST * max(1, t1)
-    or more is dropped.
+    a weakly determined direction of h does not count.  A start the polish
+    moves by BVP_MERGE_DIST * max(1, t1) or more is dropped.  Returns (the
+    covector, its max-norm residual).
     """
-    v0 = v
+    h0 = h
     for _ in range(BVP_POLISH_ITER):
-        step = _newton_step(v, res, end, q1, t1)
+        step = _newton_step(h, res, end, q1, t1)
         if step is None:
             return None
-        prev, v = v, [a + b for a, b in zip(v, step)]
-        v[2] = max(v[2], 0.0)
-        res, end = _residual(v, q1, t1)
-        if max(abs(a - b) for a, b in zip(v, prev)) < BVP_POLISH_STEP * max(1.0, *map(abs, v)):
+        h = [a + b for a, b in zip(h, step)]
+        res, end = _residual(h, q1, t1)
+        if max(map(abs, step)) < BVP_POLISH_STEP * max(1.0, *map(abs, h)):
             break
     norm = _max_norm(res)
-    lam = Covector(*v)
-    qa, qb = exp_map(Covector(*v0), 0.5 * t1), exp_map(lam, 0.5 * t1)
+    lam = _covector(h)
+    qa, qb = exp_map(_covector(h0), 0.5 * t1), exp_map(lam, 0.5 * t1)
     if _gap(qa, qb) < BVP_MERGE_DIST * max(1.0, t1) and norm < BVP_RESIDUAL_TOL:
         return lam, norm
     return None
 
 
 def _newton_from(start: Covector, q1: State, t1: float):
-    """Damped Newton iteration from one start, then `_polish`; None unless certified.
+    """Damped Newton iteration in h from one start, then `_polish`; None unless certified.
 
     Each line search tries the scales min(1, BVP_SCALE_GROWTH s), halved by
     BVP_DAMPING down to BVP_MIN_SCALE, where s is the scale the previous
@@ -398,8 +479,8 @@ def _newton_from(start: Covector, q1: State, t1: float):
     scale lowers the residual, or when its best max-norm residual is above
     BVP_STALL_RATIO times its value BVP_STALL_ITER iterations earlier.
     """
-    v = (start.beta, start.c, start.r)
-    res, end = _residual(v, q1, t1)
+    h = _hamiltonian(start)
+    res, end = _residual(h, q1, t1)
     best = _max_norm(res)
     history = [best]  # best after each iteration
     scale = 1.0
@@ -408,24 +489,23 @@ def _newton_from(start: Covector, q1: State, t1: float):
             break
         if len(history) > BVP_STALL_ITER and best > BVP_STALL_RATIO * history[-1 - BVP_STALL_ITER]:
             return None
-        step = _newton_step(v, res, end, q1, t1)
+        step = _newton_step(h, res, end, q1, t1)
         if step is None:
             return None
         scale = min(1.0, BVP_SCALE_GROWTH * scale)
         while scale >= BVP_MIN_SCALE:
-            cand = [a + scale * b for a, b in zip(v, step)]
-            cand[2] = max(cand[2], 0.0)
+            cand = [a + scale * b for a, b in zip(h, step)]
             cand_res, cand_end = _residual(cand, q1, t1)
             cand_norm = _max_norm(cand_res)
             if math.isfinite(cand_norm) and cand_norm < best:
-                v, res, end, best = cand, cand_res, cand_end, cand_norm
+                h, res, end, best = cand, cand_res, cand_end, cand_norm
                 break
             scale *= BVP_DAMPING
         else:
             return None
         history.append(best)
     if best < BVP_RESIDUAL_TOL:
-        return _polish(v, res, end, q1, t1)
+        return _polish(h, res, end, q1, t1)
     return None
 
 
@@ -434,16 +514,22 @@ def bvp_shoot(
 ) -> list[BvpSolution]:
     """Invert the endpoint map: all distinct covectors steering to q1 in time t1.
 
-    Multi-start damped Newton over (beta, c, r).  Each line search starts at
-    four times the scale the previous iteration accepted (at most 1) and
-    halves down to 2^-24; a start is dropped when no scale lowers its
-    residual, or when its best residual falls by less than 1 % over 8
-    iterations.  Converged solutions (max-norm residual < 1e-9) are
-    certified by a polish that moves their state at t1/2 by less than
-    1e-6 max(1, t1), de-duplicated at distance 1e-6, sorted by
-    bending energy, and annotated with their cut-time bound and whether
-    t1 <= bound.  Straight-line solutions (J = 0) are canonicalized to the
-    frozen covector, collapsing the degenerate (beta, r) freedom.
+    Damped Newton iteration in the paper's coordinates h = (-r cos beta, c,
+    -r sin beta), from at most min(starts, BVP_SEEDS) seeds that `_seeds`
+    looks up by dilation in a table of endpoints at t = 1, built on the
+    first call.  Each line search starts at four times the scale the
+    previous iteration accepted (at most 1) and halves down to 2^-24; a
+    start is dropped when no scale lowers its residual, or when its best
+    residual falls by less than 1 % over 8 iterations.  Converged solutions
+    (max-norm residual < 1e-9) are certified by a polish that moves their
+    state at t1/2 by less than 1e-6 max(1, t1), de-duplicated at distance
+    1e-6, sorted by bending energy, and annotated with their cut-time bound
+    and whether t1 <= bound.  Straight-line solutions (J = 0) are
+    canonicalized to the frozen covector, and a circle (stratum N6), whose
+    endpoint depends on c alone, is reported as (0, c, 0).
+
+    The search is serial.  jobs is accepted for callers that pass it and
+    must be >= 1; it has no other effect.
 
     Returns an empty list (with a logged diagnostic) when no start converges.
     A target that `attainable` rejects raises UnattainableTargetError, a
@@ -458,31 +544,18 @@ def bvp_shoot(
         raise UnattainableTargetError(
             "target unattainable; need x^2 + y^2 < t1^2 or (x, y, theta) = (t1, 0, 0)"
         )
-    grid = start_grid()[:starts]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_newton_from, grid, repeat(q1), repeat(t1), chunksize=4))
-    else:
-        raw = [_newton_from(s, q1, t1) for s in grid]
-
+    seeds = _seeds(q1, t1, min(starts, BVP_SEEDS))
     converged: list[tuple[Covector, float, float]] = []
-    for item in raw:
+    for start in seeds:
+        item = _newton_from(start, q1, t1)
         if item is None:
             continue
         lam, res = item
         J = elastic_energy_closed(lam, t1)
         if J < 1e-12:
             lam, J = Covector(0.0, 0.0, 0.0), 0.0
-        elif lam.r < 1e-5:
-            # near r = 0 the residual is flat in beta and r (gauge freedom of
-            # the gravity-free strata); snap to the canonical representative
-            # when it solves the problem equally well
-            cand = Covector(0.0, lam.c, 0.0)
-            cand_res = _max_norm(_residual((0.0, lam.c, 0.0), q1, t1)[0])
-            if cand_res < BVP_RESIDUAL_TOL:
-                lam, res, J = cand, cand_res, elastic_energy_closed(cand, t1)
+        elif stratify(lam) in CIRCULAR:
+            lam = Covector(0.0, lam.c, 0.0)
         converged.append((lam, res, J))
 
     # merge duplicates: same point in (beta, c, r), or same trajectory
@@ -516,7 +589,7 @@ def bvp_shoot(
             q1.y,
             q1.theta,
             t1,
-            len(grid),
+            len(seeds),
         )
         return []
 

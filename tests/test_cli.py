@@ -400,7 +400,7 @@ class TestBvp:
     def test_line_solution(self, capsys):
         code, out = run_cli(
             ["bvp", "--x", "1", "--y", "0", "--theta", "0", "--t1", "1",
-             "--starts", "20", "--jobs", "1"],
+             "--starts", "20"],
             capsys,
         )
         assert code == 0
@@ -439,6 +439,7 @@ class TestInvalidInput:
                          None, 3, id="sweep-kmin-above-kmax"),
             pytest.param(["bvp", "--x", "1", "--y", "0", "--theta", "0", "--t1", "1",
                           "--starts", "0"], None, 2, id="bvp-starts-0"),
+            # bvp has no --jobs flag any more: argparse rejects it, as sweep's
             pytest.param(["bvp", "--x", "0.5", "--y", "0", "--theta", "0", "--t1", "1",
                           "--starts", "2", "--jobs", "0"], None, 2, id="bvp-jobs-0"),
             pytest.param(["bvp", "--x", "0.5", "--y", "0", "--theta", "0", "--t1", "1",
@@ -476,11 +477,11 @@ class TestInvalidInput:
             pytest.param(["elastica", "--beta", "0", "--c", "1", "--r", "1", "--n", "1"],
                          None, 2, id="elastica-n-1"),
             pytest.param(["bvp", "--x", "0.5", "--y", "0", "--theta", "nan", "--t1", "1",
-                          "--starts", "2", "--jobs", "1"], None, 3, id="bvp-theta-nan"),
+                          "--starts", "2"], None, 3, id="bvp-theta-nan"),
             pytest.param(["bvp", "--x", "nan", "--y", "0", "--theta", "0", "--t1", "1",
-                          "--starts", "2", "--jobs", "1"], None, 3, id="bvp-x-nan"),
+                          "--starts", "2"], None, 3, id="bvp-x-nan"),
             pytest.param(["bvp", "--x", "0.5", "--y", "0", "--theta", "0", "--t1", "inf",
-                          "--starts", "2", "--jobs", "1"], None, 3, id="bvp-t1-inf"),
+                          "--starts", "2"], None, 3, id="bvp-t1-inf"),
             pytest.param(["exp", "--beta=1e300", "--c", "1", "--r", "1e154", "--t", "1e300"],
                          None, 3, id="exp-jacobi-argument-overflow"),
             pytest.param(["elastica", "--beta=1e300", "--c", "1", "--r", "1e154",

@@ -17,8 +17,8 @@ import pytest
 
 from elastica.elliptic import jacobi_recip_modulus
 from elastica import expmap
-from elastica.expmap import State, _modulus_column, elastic_energy_closed, exp_map, sample_elastica
-from elastica.oracle import _residual, _symmetry_columns
+from elastica.expmap import _modulus_column, _prepare, elastic_energy_closed, exp_map, sample_elastica
+from elastica.oracle import _symmetry_columns
 from elastica.phase import OSCILLATING, ROTATING, SEPARATRIX, stratify, wrap_angle
 
 from conftest import STEPPED_N2_SMALL_K, n1, n2, n3
@@ -167,7 +167,7 @@ def test_separatrix_symmetry_columns(fixture25, cell_covectors):
             sign = stratify(lam).sign
             b, c, r = mp.mpf(lam.beta), mp.mpf(lam.c), mp.mpf(lam.r)
             for t in TIMES:
-                end = _residual((lam.beta, lam.c, lam.r), State(0.0, 0.0, 0.0), t)[1]
+                end = _prepare(lam)(t)
                 dirs = ((c, -r * mp.sin(b), 0), (0, c, 2 * r))
                 for d, col in zip(dirs, _symmetry_columns(lam.c, end, t)):
                     ref = [float(mp.diff(
@@ -193,7 +193,7 @@ def test_modulus_column(fixture25, cell_covectors):
             s = stratify(lam)
             v = [mp.mpf(e) for e in (lam.beta, lam.c, lam.r)]
             for t in TIMES:
-                end = _residual((lam.beta, lam.c, lam.r), State(0.0, 0.0, 0.0), t)[1]
+                end = _prepare(lam)(t)
                 kap, a0, a = end[6]
                 d, jd = _modulus_column(kap, math.sqrt(lam.r), t, a0, *a)
                 qp, qm = (reference(*(x + e * h * y for x, y in zip(v, d)), t, s.family,

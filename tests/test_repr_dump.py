@@ -38,11 +38,10 @@ def test_default_dump_covers_every_stratum_and_repeats():
 
 def test_bvp_dump_counts_residual_evaluations(monkeypatch):
     module = _repr_dump()
-    # two cheap criterion-8 targets, one shooting target, three knife-edge starts
+    # two cheap criterion-8 targets, one shooting target, and the
+    # knife edge's seeds
     monkeypatch.setattr(module, "CRITERION_8", module.CRITERION_8[17:19])
     monkeypatch.setattr(module, "SHOOTING", module.SHOOTING[-1:])
-    grid = module.start_grid()[:3]
-    monkeypatch.setattr(module, "start_grid", lambda: grid)
     residual, jacobian = oracle._residual, oracle._jacobian
     lines = []
     module.dump_bvp(lines.append)
@@ -63,7 +62,7 @@ def test_bvp_dump_counts_residual_evaluations(monkeypatch):
     assert lines[shots[2] - 2] == f"criterion_8 residual_evaluations {counts[0] + counts[1]}"
     jac_total = jac_counts[0] + jac_counts[1]
     assert lines[shots[2] - 1] == f"criterion_8 jacobian_evaluations {jac_total}"
-    assert sum(line.startswith("knife_edge start ") for line in lines) == 3
+    assert sum(line.startswith("knife_edge start ") for line in lines) == module.BVP_SEEDS
 
     # the counts are the number of oracle._residual calls bvp_shoot makes,
     # and the number of those made inside oracle._jacobian
