@@ -15,10 +15,8 @@ prints the exception instead.  With --bvp, `bvp_shoot` follows on the 20
 criterion-8 targets, the README example, the shooting tests' targets and
 three targets near criterion 8's knife edge, each with the number of
 endpoint evaluations it made (calls of `oracle._residual`, which the script
-wraps to count them) and how many of those the Jacobian made (the calls
-inside `oracle._jacobian`, wrapped too), the criterion-8 totals, and
-each seed `bvp_shoot` takes on the knife-edge target with its outcome
-(about three seconds).
+wraps to count them), the criterion-8 total, and each seed `bvp_shoot`
+takes on the knife-edge target with its outcome (about two seconds).
 """
 
 from __future__ import annotations
@@ -175,40 +173,29 @@ def dump_covector(lam: Covector, write) -> None:
 
 
 def dump_bvp(write) -> None:
-    calls = jac_calls = 0
-    residual, jacobian = oracle._residual, oracle._jacobian
+    calls = 0
+    residual = oracle._residual
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return residual(*args)
 
-    def counted_jacobian(*args):
-        # the evaluations made for the Jacobian, by differences
-        nonlocal jac_calls
-        before = calls
-        try:
-            return jacobian(*args)
-        finally:
-            jac_calls += calls - before
-
-    def shoot(head: str, q1, t1, starts) -> tuple[int, int]:
-        nonlocal calls, jac_calls
-        calls = jac_calls = 0
+    def shoot(head: str, q1, t1, starts) -> int:
+        nonlocal calls
+        calls = 0
         write(f"bvp_shoot {head} {starts} {show(bvp_shoot, q1, t1, starts)}")
         write(f"  residual_evaluations {calls}")
-        write(f"  jacobian_evaluations {jac_calls}")
-        return calls, jac_calls
+        return calls
 
-    oracle._residual, oracle._jacobian = counted, counted_jacobian
+    oracle._residual = counted
     try:
         counts = [shoot(f"{lam!r} {t1!r}", exp_map(lam, t1), t1, 100) for lam, t1 in CRITERION_8]
-        write(f"criterion_8 residual_evaluations {sum(n for n, _ in counts)}")
-        write(f"criterion_8 jacobian_evaluations {sum(n for _, n in counts)}")
+        write(f"criterion_8 residual_evaluations {sum(counts)}")
         for q1, t1, starts in SHOOTING:
             shoot(f"{q1!r} {t1!r}", q1, t1, starts)
     finally:
-        oracle._residual, oracle._jacobian = residual, jacobian
+        oracle._residual = residual
     lam, t1 = KNIFE_EDGE
     q1 = exp_map(lam, t1)
     for i, start in enumerate(_seeds(q1, t1, min(100, BVP_SEEDS))):

@@ -47,6 +47,7 @@ CLASS_K_TOL = 1e-9
 # e^(argument advance).
 REANCHOR_POINTS = 32
 REANCHOR_SPAN = 4.0
+CIRCLE_SERIES_MAX = 1.0
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,39 @@ def _modulus_column(
     return direction, (dx, dy, dtheta)
 
 
+def _circle_columns(c: float, t: float):
+    """The derivatives of the endpoint at t along the axes of h = (-r cos beta, c, -r sin beta) at r = 0.
+
+    There the curve is the circle of curvature c (the line at c = 0), and to
+    first order c' = -r sin beta = h3 cos(c s) + h1 sin(c s).  Integrated
+    twice, with z = i c t and S(m0, a) the sum over m >= m0 of a(m) z^(m -
+    m0)/(m + 1)!: dtheta along h3 + i dtheta along h1 is t^2 S(1, 1), and
+    dx + i dy is i t^2 S(1, m) along c, i c t^4 S(3, 2^(m-1) - m) along h1
+    and i t^3 S(2, 2^(m-1) - 1) along h3.  S is summed as a series below
+    |z| = CIRCLE_SERIES_MAX, where its closed form in e^z cancels.  Returns
+    the three columns (dx, dy, dtheta).
+    """
+    u = c * t
+    z = 1j * u
+
+    def series(m0, a0, a1, a2):
+        # S(m0, a) for a(m) = a0 + a1 m + a2 2^m; the sum over m >= 0 is
+        # a0 (e^z - 1)/z + a1 (e^z - (e^z - 1)/z) + a2 (e^2z - 1)/(2 z)
+        coef = [(a0 + a1 * m + a2 * 2.0**m) / math.factorial(m + 1) for m in range(m0 + 24)]
+        if abs(z) < CIRCLE_SERIES_MAX:  # the terms are below 1e-18 from m = 24
+            return sum(coef[m] * z ** (m - m0) for m in range(m0, m0 + 24))
+        e = complex(math.cos(u), math.sin(u))  # e^z
+        full = (a0 * (e - 1.0) + 0.5 * a2 * (e * e - 1.0)) / z + a1 * (e - (e - 1.0) / z)
+        return (full - sum(coef[m] * z**m for m in range(m0))) / z**m0
+
+    t2 = t * t
+    th = t2 * series(1, 1.0, 0.0, 0.0)
+    zc = 1j * t2 * series(1, 0.0, 1.0, 0.0)
+    z1 = 1j * c * t2 * t2 * series(3, 0.0, -1.0, 0.5)
+    z3 = 1j * t2 * t * series(2, -1.0, 0.0, 0.5)
+    return (z1.real, z1.imag, th.imag), (zc.real, zc.imag, t), (z3.real, z3.imag, th.real)
+
+
 def _pointwise(at: Callable[[float], tuple]) -> Callable[[float, int], list]:
     """(step, n) -> the States of the closure `at` at t = i*step for i < n."""
     return lambda step, n: [State(*at(i * step)[:3]) for i in range(n)]
@@ -175,8 +209,8 @@ def _pointwise(at: Callable[[float], tuple]) -> Callable[[float, int], list]:
 def _prepare(lam: Covector, grid: bool = False) -> Callable:
     """Precompute the per-covector data; return t -> (x, y, theta, J, c_t, stratum, jac).
 
-    c_t is the curvature at t, the pendulum velocity.  On N1, N2+- and N3+-
-    jac = (kappa, a0, (sn, cn, dn, d)) holds the modulus and the arguments
+    c_t is the curvature at t, the pendulum velocity.  On N1 and N2+- jac =
+    (kappa, a0, (sn, cn, dn, d)) holds the modulus and the arguments
     `_endpoint_oscillating` took, for `_modulus_column`; elsewhere it is
     None.  With grid=True it returns (step, n) -> the States at t = i*step
     for i < n instead.  On N1, N2+- and N3+- that path steps by the addition
@@ -225,7 +259,8 @@ def _prepare(lam: Covector, grid: bool = False) -> Callable:
 
         def elliptic(t: float):
             a = at(sr * t)
-            return (*_endpoint_oscillating(kap, sr, t, a0, *a), c_f * a[1], s, (kap, a0, a))
+            return (*_endpoint_oscillating(kap, sr, t, a0, *a), c_f * a[1], s,
+                    (kap, a0, a) if kap != 1.0 else None)
 
         return elliptic
 

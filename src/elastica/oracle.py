@@ -11,14 +11,14 @@ use: the dilation (beta, s c, s^2 r) at t/s reaching (x/s, y/s, theta) lets
 one table serve every length.  Each line search starts near the scale the
 previous one accepted, and a start whose residual stalls is dropped.
 
-The Newton step is solved in the paper's natural directions, written in h:
-the derivatives of the endpoint along the pendulum flow and the dilation
-come in closed form from the problem's symmetries, and on N1 and N2+- the
-one along the modulus from the Jacobi values the residual already holds,
-so there it makes no endpoint evaluation.  Every other derivative is one
-difference along its direction.  No Jacobian matrix is formed and no matrix
-is inverted; the 3x3 least squares is pure Python, so the solver needs no
-numpy.
+The Newton step is solved in the paper's natural directions, written in h,
+and makes no endpoint evaluation: the derivatives of the endpoint along the
+pendulum flow and the dilation come in closed form from the problem's
+symmetries, on N1 and N2+- the one along the modulus from the Jacobi values
+the residual already holds, and on the circles and the frozen line those
+along the axes of h from elementary integrals.  No Jacobian matrix is formed
+and no matrix is inverted; the 3x3 least squares is pure Python, so the
+solver needs no numpy.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 
-from .expmap import State, _modulus_column, _prepare, elastic_energy_closed, exp_map, wrap_angle
+from .expmap import State, _circle_columns, _modulus_column, _prepare, elastic_energy_closed, exp_map
 from .maxwell import MaxwellReport, cut_time_bound
-from .phase import CIRCULAR, TWO_PI, Covector, stratify
+from .phase import CIRCULAR, TWO_PI, Covector, Stratum, stratify, wrap_angle
 
 log = logging.getLogger(__name__)
 
@@ -49,16 +49,6 @@ BVP_STALL_RATIO = 0.99
 BVP_STALL_ITER = 8
 BVP_POLISH_ITER = 12
 BVP_POLISH_STEP = 1e-12
-FD_STEP = 1e-7
-# the Newton step differences along the three axes where the flow or
-# dilation direction is shorter than JAC_DIR_MIN, or the sine of the angle
-# between them is below JAC_SIN_MIN
-JAC_DIR_MIN = 1e-3
-JAC_SIN_MIN = 1e-2
-# the modulus column is closed form where kappa and |1 - kappa^2| are at
-# least JAC_MODULUS_MIN and kappa is at most JAC_MODULUS_MAX
-JAC_MODULUS_MIN = 1e-6
-JAC_MODULUS_MAX = 6.0
 # the 3x3 solve takes Cramer's rule where |det| exceeds this times the
 # product of the column norms, and the SVD otherwise
 CRAMER_MIN = 1e-10
@@ -359,77 +349,50 @@ def _lstsq3(cols, b):
     return x
 
 
-def _difference(h, d, q1: State, t1: float):
-    """The derivative of the residual at h along d by one central difference.
-
-    The step is FD_STEP * max(1, |h|); every h is a covector, so no step
-    leaves the domain.
-    """
-    step = FD_STEP * max(1.0, *map(abs, h))
-    rp = _residual([a + step * b for a, b in zip(h, d)], q1, t1)[0]
-    rm = _residual([a - step * b for a, b in zip(h, d)], q1, t1)[0]
-    return [(a - b) / (2.0 * step) for a, b in zip(rp, rm)]
-
-
 def _symmetry_columns(c: float, end, t1: float):
-    """J d_f and J d_s at a covector with curvature c, from the end `_residual` returned at t1.
-
-    See `_jacobian`.
-    """
+    """J d_f and J d_s of `_jacobian` at curvature c, from the end `_residual` returned at t1."""
     x, y, theta, _, ct = end[:5]
     cos, sin = math.cos(theta), math.sin(theta)
     return (cos - 1.0 + c * y, sin - c * x, ct - c), (t1 * cos - x, t1 * sin - y, t1 * ct)
 
 
-def _jacobian(h, end, q1: State, t1: float):
+def _jacobian(h, end, t1: float):
     """Three directions d_1, d_2, d_3 at h and the residual's derivatives J d_i along them.
 
-    The directions are written in h = (h1, c, h3) = (-r cos beta, c, -r sin
-    beta).  With end as `_residual` returned it at h:
-    - left-invariance, exp(lam, s + t) = exp(lam, s) exp(flow(lam, s), t),
-      gives along the pendulum flow d_f = (-c h3, h3, c h1)
-      J d_f = (cos theta - 1 + c y, sin theta - c x, c_t - c);
-    - dilation, (beta, s c, s^2 r) at t/s reaching (x/s, y/s, theta), gives
-      along d_s = (2 h1, c, 2 h3) J d_s = (t cos theta - x, t sin theta - y, t c_t);
-    - on N1 and N2+-, the third direction is the modulus direction D, and J D
-      comes from `expmap._modulus_column` in closed form from the Jacobi
-      values in end, where JAC_MODULUS_MIN <= kappa <= JAC_MODULUS_MAX and
-      |1 - kappa^2| >= JAC_MODULUS_MIN; D = (D_beta, D_c, 0) in (beta, c,
-      r) is (-h3 D_beta, D_c, h1 D_beta) in h;
-    - elsewhere it is n = d_f x d_s / |d_f x d_s|, and J n is a `_difference`.
-    Where |d_f| or |d_s| is below JAC_DIR_MIN, or the sine of the angle
-    between them below JAC_SIN_MIN, as at and near r = 0 where |d_f| is
-    O(r), the directions are the axes and all three derivatives are
-    differences.  Returns (directions, columns).
+    All closed form, in h = (h1, c, h3) = (-r cos beta, c, -r sin beta), from
+    end, what `_residual` returned at h.  On N6+- and N7 (r = 0 in the
+    stratify band) they are the axes of h, with `expmap._circle_columns`.
+    Elsewhere: the flow d_f = (-c h3, h3, c h1), where left-invariance,
+    exp(lam, s + t) = exp(lam, s) exp(flow(lam, s), t), gives J d_f =
+    (cos theta - 1 + c y, sin theta - c x, c_t - c); the dilation d_s =
+    (2 h1, c, 2 h3), with J d_s = (t cos theta - x, t sin theta - y, t c_t);
+    and on N1 and N2+- the modulus direction (D_beta, D_c, 0) of
+    `expmap._modulus_column` in (beta, c, r), (-h3 D_beta, D_c, h1 D_beta)
+    in h.  On N3+-, N4 and N5 end holds no modulus, and the third column is
+    zero, which `_lstsq3` gives no component.  Returns (directions, columns).
     """
     h1, c, h3 = h
+    stratum, jac = end[5:]
+    if stratum in CIRCULAR or stratum is Stratum.N7:
+        return ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), _circle_columns(c, t1)
     df = (-c * h3, h3, c * h1)
     ds = (2.0 * h1, c, 2.0 * h3)
-    n = _cross(df, ds)
-    nf, ns, nn = (math.sqrt(_dot(d, d)) for d in (df, ds, n))
-    if min(nf, ns) < JAC_DIR_MIN or nn < JAC_SIN_MIN * nf * ns:
-        axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-        return axes, [_difference(h, d, q1, t1) for d in axes]
     jf, js = _symmetry_columns(c, end, t1)
-    jac = end[6]
-    if jac is not None:
-        kap, a0, a = jac
-        if (JAC_MODULUS_MIN <= kap <= JAC_MODULUS_MAX
-                and abs((1.0 - kap) * (1.0 + kap)) >= JAC_MODULUS_MIN):
-            (db, dc, _), jm = _modulus_column(kap, math.sqrt(math.hypot(h1, h3)), t1, a0, *a)
-            return (df, ds, (-h3 * db, dc, h1 * db)), (jf, js, jm)
-    n = tuple(e / nn for e in n)
-    return (df, ds, n), (jf, js, _difference(h, n, q1, t1))
+    if jac is None:
+        return (df, ds, (0.0, 0.0, 0.0)), (jf, js, (0.0, 0.0, 0.0))
+    kap, a0, a = jac
+    (db, dc, _), jm = _modulus_column(kap, math.sqrt(math.hypot(h1, h3)), t1, a0, *a)
+    return (df, ds, (-h3 * db, dc, h1 * db)), (jf, js, jm)
 
 
-def _newton_step(h, res, end, q1: State, t1: float):
+def _newton_step(h, res, end, t1: float):
     """Least-squares Newton step in h, or None if it is not finite.
 
     end is what `_residual` returned with res at h.  The step is solved in
     the directions of `_jacobian`: [J d_1, J d_2, J d_3] y = -res by
     `_lstsq3`, minimum norm in y, and the step is y_1 d_1 + y_2 d_2 + y_3 d_3.
     """
-    dirs, cols = _jacobian(h, end, q1, t1)
+    dirs, cols = _jacobian(h, end, t1)
     y = _lstsq3(cols, [-e for e in res])
     step = [y[0] * a + y[1] * b + y[2] * e for a, b, e in zip(*dirs)]
     return step if all(map(math.isfinite, step)) else None
@@ -455,7 +418,7 @@ def _polish(h, res, end, q1: State, t1: float):
     """
     h0 = h
     for _ in range(BVP_POLISH_ITER):
-        step = _newton_step(h, res, end, q1, t1)
+        step = _newton_step(h, res, end, t1)
         if step is None:
             return None
         h = [a + b for a, b in zip(h, step)]
@@ -489,7 +452,7 @@ def _newton_from(start: Covector, q1: State, t1: float):
             break
         if len(history) > BVP_STALL_ITER and best > BVP_STALL_RATIO * history[-1 - BVP_STALL_ITER]:
             return None
-        step = _newton_step(h, res, end, q1, t1)
+        step = _newton_step(h, res, end, t1)
         if step is None:
             return None
         scale = min(1.0, BVP_SCALE_GROWTH * scale)

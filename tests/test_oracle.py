@@ -33,9 +33,9 @@ from elastica.oracle import (
     bvp_shoot,
     integrate_extremal,
 )
-from elastica.phase import OSCILLATING, ROTATING, SEPARATRIX, Covector, energy, stratify, wrap_angle
+from elastica.phase import OSCILLATING, ROTATING, SEPARATRIX, Covector, Stratum, energy, stratify, wrap_angle
 
-from conftest import n1, n2
+from conftest import n1, n2, n3
 from quadrature import quad_E, quad_F
 
 KNIFE_EDGE_GOLDEN = Path(__file__).parent / "golden" / "bvp_knife_edge.txt"
@@ -321,6 +321,20 @@ class TestSeeds:
             assert abs(sols[0].energy - J) <= BVP_MERGE_DIST * max(1.0, J), j
 
 
+    def test_readme_minimum_energy_is_covariant_to_rounding(self):
+        # the README target scaled by s = 2^j has the minimum energy J/s to
+        # 1e-14 relative for -24 <= j <= 10; worst measured 9.0e-16.  No
+        # threshold of the Newton step may be absolute.  From j = 11 the
+        # dilated solution's r falls into stratify's absolute N6 band
+        q1, t1 = DILATION_TARGETS[0]
+        J = bvp_shoot(q1, t1)[0].energy
+        for j in range(-24, 11):
+            s = 2.0**j
+            sols = bvp_shoot(State(s * q1.x, s * q1.y, q1.theta), s * t1)
+            assert sols, j
+            assert abs(s * sols[0].energy - J) <= 1e-14 * J, j
+
+
 class TestPolish:
     @pytest.mark.parametrize(
         "lam, t1, v",
@@ -428,26 +442,51 @@ def _seeded_columns_covectors():
     return out
 
 
-# (covector, closed): covectors on both sides of the thresholds of the
-# closed-form modulus column, and whether `_jacobian` takes it there, each
-# evaluated at sqrt(r) t1 = 1.5.  kappa >= JAC_MODULUS_MIN has no case: the
-# N4 band of `stratify` keeps kappa above 2.2e-5 on N1.
-THRESHOLD_CASES = [
-    # N1 and N2 with |1 - kappa^2| = 5.5e-7, 7.1e-7 (below JAC_MODULUS_MIN)
-    # and 1.9e-6, 2.8e-6
-    (Covector(3.1398433776394614, 0.0013488537315744635, 2.0906965156320476), False),
-    (Covector(2.8701316748260775, 0.453899674858833, 2.812915642455954), False),
-    (Covector(3.135920804940667, -0.00820158297120526, 2.757929002278856), True),
-    (Covector(-2.3659756288991995, -0.7338345777232538, 0.9414021918324044), True),
-    # N2 with kappa = 7 (above JAC_MODULUS_MAX) and 5
-    (Covector(0.9737119752250449, 0.5908958702764515, 0.001789411313732718), False),
-    (Covector(-1.8395061332611176, 1.3192033903391593, 0.017854878455095508), True),
+# covectors where the modulus column is hardest, each evaluated at sqrt(r)
+# t1 = 1.5: N1, N2+, N1 and N2- with |1 - kappa^2| = 5.5e-7, 7.1e-7, 1.9e-6
+# and 2.8e-6 (its 1/k'^2 terms), and N2+ with kappa = 7 and 5 (its flow
+# column J d_f cancels as r -> 0)
+MODULUS_EDGES = [
+    Covector(3.1398433776394614, 0.0013488537315744635, 2.0906965156320476),
+    Covector(2.8701316748260775, 0.453899674858833, 2.812915642455954),
+    Covector(3.135920804940667, -0.00820158297120526, 2.757929002278856),
+    Covector(-2.3659756288991995, -0.7338345777232538, 0.9414021918324044),
+    Covector(0.9737119752250449, 0.5908958702764515, 0.001789411313732718),
+    Covector(-1.8395061332611176, 1.3192033903391593, 0.017854878455095508),
 ]
 
 
-# N1 with |d_f| = 5.8e-4 < JAC_DIR_MIN, where `_jacobian` differences along
-# the axes; at sqrt(r) t1 = 1.5
-AXIS_CASE = (Covector(0.3, 5e-4, 1e-3), 1.5 / math.sqrt(1e-3))
+# N1 with |d_f| = 5.8e-4, a short flow direction; at sqrt(r) t1 = 1.5
+SHORT_FLOW_CASE = (Covector(0.3, 5e-4, 1e-3), 1.5 / math.sqrt(1e-3))
+
+# (stratum, covector, t, step) on every stratum, for `_jacobian`: step is
+# the Richardson step in h, 1e-4 but where the endpoint map limits it.  At
+# N1-short-flow |h| is 1e-3, and steps of 1e-4 reach 10 % of it.  At N7 a
+# step along c reaches a circle with |c t| = 2e-4, where the circle's
+# (1 - cos c t)/c loses 8 digits
+JACOBIAN_CASES = [
+    *[pytest.param(stratify(lam), lam, 1.5 / math.sqrt(lam.r), 1e-4, id=name) for lam, name in zip(
+        MODULUS_EDGES,
+        ["N1-kappa2-5.5e-7", "N2-kappa2-7.1e-7", "N1-kappa2-1.9e-6", "N2-kappa2-2.8e-6", "N2-kappa-7",
+         "N2-kappa-5"],
+    )],
+    pytest.param(Stratum.N1, *SHORT_FLOW_CASE, 1e-5, id="N1-short-flow"),
+    pytest.param(Stratum.N1, n1(0.6, 0.37, 1.0), 1.9, 1e-4, id="N1"),
+    pytest.param(Stratum.N2_MINUS, n2(0.4, 0.9, 0.6, -1), 1.9, 1e-4, id="N2-minus"),
+    pytest.param(Stratum.N3_PLUS, n3(0.3, 1.0, +1), 1.9, 1e-4, id="N3-plus"),
+    pytest.param(Stratum.N3_MINUS, n3(-0.8, 2.0, -1), 1.9, 1e-4, id="N3-minus"),
+    pytest.param(Stratum.N4, Covector(0.0, 0.0, 1.0), 1.9, 1e-4, id="N4"),
+    pytest.param(Stratum.N5, Covector(math.pi, 0.0, 2.0), 1.9, 1e-4, id="N5"),
+    # r = 0 with |c| > 100, where a step of 1e-7 |c| in r stays inside the
+    # N6 band r <= 1e-9 c^2, and with |c| < 100
+    pytest.param(Stratum.N6_PLUS, Covector(0.3, 101.0, 0.0), 1.0, 1e-4, id="N6-plus-c-101"),
+    pytest.param(Stratum.N6_PLUS, Covector(0.3, 99.0, 0.0), 1.0, 1e-4, id="N6-plus-c-99"),
+    pytest.param(Stratum.N6_PLUS, Covector(1.1, 0.8, 2e-10), 1.3, 1e-4, id="N6-plus-in-band"),
+    pytest.param(Stratum.N6_MINUS, Covector(2.0, -0.8, 0.0), 7.3, 1e-4, id="N6-minus"),
+    pytest.param(Stratum.N6_MINUS, Covector(0.4, -0.3, 0.0), 1.9, 1e-4, id="N6-minus-series"),
+    pytest.param(Stratum.N7, Covector(0.0, 0.0, 0.0), 1.9, 1e-3, id="N7"),
+    pytest.param(Stratum.N7, Covector(-2.9, 5e-10, 0.0), 1.9, 1e-3, id="N7-in-band"),
+]
 
 
 def _modulus_case(lam, t):
@@ -457,11 +496,11 @@ def _modulus_case(lam, t):
 
 
 def _modulus_cases(fixture25, cell_covectors):
-    """(covector, t) on N1 and N2+-, the threshold cases included."""
+    """(covector, t) on N1 and N2+-, MODULUS_EDGES included."""
     lams = [*fixture25, *cell_covectors.values(), *_seeded_columns_covectors()]
     cases = [(lam, t) for lam in lams if stratify(lam) in OSCILLATING + ROTATING
              for t in (0.37, 1.9, 7.3)]
-    return cases + [(lam, 1.5 / math.sqrt(lam.r)) for lam, _ in THRESHOLD_CASES]
+    return cases + [(lam, 1.5 / math.sqrt(lam.r)) for lam in MODULUS_EDGES]
 
 
 def _rel_err(a, ref) -> float:
@@ -500,17 +539,20 @@ class TestNewtonStep:
             worst = max(worst, _rel_err([e / norm for e in jd], ref))
         assert worst < 5e-10
 
-    @pytest.mark.parametrize("lam, closed", THRESHOLD_CASES)
-    def test_jacobian_takes_the_closed_form_where_conditioned(self, monkeypatch, lam, closed):
-        # no endpoint evaluation on the closed-form side of each threshold;
-        # on either side each column J d agrees with Richardson differences
-        # along its own direction d in h, both taken per unit |d|.  Worst
-        # measured 2.9e-9, on the one-difference side at kappa = 7 and
-        # t = 35, where one difference of step 1e-7 rounds to about that;
-        # 1.3e-11 on the closed-form side
-        t = 1.5 / math.sqrt(lam.r)
-        v, q1 = _hamiltonian(lam), State(0.0, 0.0, 0.0)
-        res, end = _residual(v, q1, t)
+    def test_jacobian_cases_cover_every_stratum(self):
+        assert {case.values[0] for case in JACOBIAN_CASES} == set(Stratum)
+
+    @pytest.mark.parametrize("stratum, lam, t, step", JACOBIAN_CASES)
+    def test_jacobian_takes_the_closed_form_on_every_stratum(self, monkeypatch, stratum, lam, t, step):
+        # no endpoint evaluation on any stratum, and each nonzero column J d
+        # agrees with Richardson differences along its own direction d in h,
+        # both taken per unit |d|.  Worst measured 7.0e-10, on N3+, where
+        # the differences step off the separatrix; 2.4e-10 at N6+ with c =
+        # 101 and 1.3e-11 at the modulus edges.  On N4 and N5 every column
+        # is zero: there the endpoint is the line's, flat inside the band
+        assert stratify(lam) is stratum
+        v = _hamiltonian(lam)
+        res, end = _residual(v, State(0.0, 0.0, 0.0), t)
         calls = 0
 
         def counted(*args):
@@ -519,12 +561,14 @@ class TestNewtonStep:
             return _residual(*args)
 
         monkeypatch.setattr(oracle, "_residual", counted)
-        dirs, cols = _jacobian(v, end, q1, t)
-        assert (calls == 0) == closed
+        dirs, cols = _jacobian(v, end, t)
+        assert calls == 0
         worst = 0.0
         for d, col in zip(dirs, cols):
+            if not any(col):
+                continue
             norm = math.sqrt(sum(e * e for e in d))
-            ref = _richardson(lam, [e / norm for e in d], t, in_h=True)
+            ref = _richardson(lam, [e / norm for e in d], t, step, in_h=True)
             worst = max(worst, _rel_err([e / norm for e in col], ref))
         assert worst < 3e-9
 
@@ -532,42 +576,39 @@ class TestNewtonStep:
         # the step x solves J x = -res: the Richardson derivative of the
         # endpoint along x/|x| in h, times |x|, is -res, relative to |res|.
         # Each target is reached from the covector moved by 1e-6 max(1,
-        # |beta|, |c|, r) in each of (beta, c, r); AXIS_CASE steps along the
-        # axes.  Worst measured 8.9e-9, at |1 - kappa^2| = 5.5e-7 on the
-        # one-difference side, where |x| is 1,100 times |res|
+        # |beta|, |c|, r) in each of (beta, c, r).  Worst measured 5.1e-9,
+        # at SHORT_FLOW_CASE, where the Richardson steps of 1e-4 reach 10 %
+        # of |h|; 3.8e-9 at |1 - kappa^2| = 5.5e-7, where |x| is 1,100
+        # times |res|
         worst = 0.0
-        for lam, t in [*_modulus_cases(fixture25, cell_covectors), AXIS_CASE]:
+        for lam, t in [*_modulus_cases(fixture25, cell_covectors), SHORT_FLOW_CASE]:
             h = 1e-6 * max(1.0, abs(lam.beta), abs(lam.c), lam.r)
             q1 = exp_map(Covector(lam.beta + h, lam.c - h, lam.r + h), t)
             v = _hamiltonian(lam)
             res, end = _residual(v, q1, t)
-            step = _newton_step(v, res, end, q1, t)
+            step = _newton_step(v, res, end, t)
             norm = math.sqrt(sum(e * e for e in step))
             jx = _richardson(lam, [e / norm for e in step], t, in_h=True)
             err = max(abs(norm * a + b) for a, b in zip(jx, res)) / _max_norm(res)
             worst = max(worst, err)
         assert worst < 3e-8
-        lam, t = AXIS_CASE
-        v, q1 = _hamiltonian(lam), State(0.0, 0.0, 0.0)
-        res, end = _residual(v, q1, t)
-        assert _jacobian(v, end, q1, t)[0][0] == (1.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("v", [(0.7, 1.5, 0.0), (-2.0, -3.1, 0.0), (1.1, 0.8, 2e-10)])
     def test_step_on_the_circles_solves_the_linearization(self, v):
         # beta has no effect where r is 0 (or inside the stratify band), so
         # (beta, c, r) is a polar chart there; in h the endpoint map is
-        # smooth.  |d_f| is O(r), so the directions are the axes of h, and
-        # the step x solves J x = -res: the Richardson derivative along
-        # x/|x| in h, whose differences cross r = 0, times |x|, is -res,
-        # relative to |res|.  Worst measured 1.7e-7, at (1.1, 0.8, 2e-10),
-        # where each column is a difference good to about 4e-9 absolute
+        # smooth.  The directions are the axes of h, with the closed-form
+        # columns of `expmap._circle_columns`, and the step x solves
+        # J x = -res: the Richardson derivative along x/|x| in h, whose
+        # differences cross r = 0, times |x|, is -res, relative to |res|.
+        # Worst measured 1.9e-9, at (1.1, 0.8, 2e-10), 2e-10 from r = 0
         t1 = 1.3
         q1 = exp_map(Covector(0.0, 2.0, 0.0), t1)
         lam = Covector(*v)
         h = _hamiltonian(lam)
         res, end = _residual(h, q1, t1)
-        assert _jacobian(h, end, q1, t1)[0][0] == (1.0, 0.0, 0.0)
-        step = _newton_step(h, res, end, q1, t1)
+        assert _jacobian(h, end, t1)[0][0] == (1.0, 0.0, 0.0)
+        step = _newton_step(h, res, end, t1)
         norm = math.sqrt(sum(e * e for e in step))
         jx = _richardson(lam, [e / norm for e in step], t1, in_h=True)
         err = max(abs(norm * a + b) for a, b in zip(jx, res)) / _max_norm(res)

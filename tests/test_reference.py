@@ -12,12 +12,14 @@ max(1, t); energy errors are per max(1, J).
 
 import math
 import random
+import sys
 
 import pytest
 
 from elastica.elliptic import jacobi_recip_modulus
 from elastica import expmap
-from elastica.expmap import _modulus_column, _prepare, elastic_energy_closed, exp_map, sample_elastica
+from elastica.expmap import (CIRCLE_SERIES_MAX, _circle_columns, _modulus_column, _prepare, elastic_energy_closed,
+                             exp_map, sample_elastica)
 from elastica.oracle import _symmetry_columns
 from elastica.phase import OSCILLATING, ROTATING, SEPARATRIX, stratify, wrap_angle
 
@@ -202,6 +204,42 @@ def test_modulus_column(fixture25, cell_covectors):
                 err = max(abs(x - y) for x, y in zip(jd, ref))
                 worst = max(worst, err / max(1.0, *map(abs, ref)))
     assert worst < 5e-14
+
+
+def _circle_linearization(c, t):
+    """The derivatives of the endpoint at t along the axes (h1, c, h3) of h at r = 0, at 40 digits.
+
+    dtheta(s) integrates the curvature's move (1 - cos(c s))/c along h1, 1
+    along c and sin(c s)/c along h3; dx and dy are Gauss-Legendre
+    quadratures of -sin(c s) dtheta(s) and cos(c s) dtheta(s).
+    """
+    c, t = mp.mpf(c), mp.mpf(t)
+    pts = mp.linspace(0, t, int(abs(c * t) / 4) + 2)
+    out = []
+    for dtheta in (lambda s: (c * s - mp.sin(c * s)) / c**2, lambda s: s, lambda s: (1 - mp.cos(c * s)) / c**2):
+        dx = -mp.quad(lambda s: mp.sin(c * s) * dtheta(s), pts, method="gauss-legendre")
+        dy = mp.quad(lambda s: mp.cos(c * s) * dtheta(s), pts, method="gauss-legendre")
+        out.append((dx, dy, dtheta(t)))
+    return out
+
+
+def test_circle_columns():
+    # the Newton step's columns on the circles against the 40-digit
+    # linearization, |c| from 1e-6 to 100, on both sides of the series
+    # cutoff, per the column's largest entry.  The phase c t is rounded by
+    # half an ulp, which moves the columns by about eps |c t|: worst
+    # measured 4.5e-16 for |c t| <= 73, at c t = 1.1 (closed form), and
+    # 9.2e-15 at c t = 190
+    cases = [(c, t) for c in (1e-6, -1e-4, 1e-2, -0.3, 1.0, 3.0, -10.0, 100.0)
+             for t in (0.37, 1.9, 7.3) if abs(c * t) < 200]
+    cases += [(CIRCLE_SERIES_MAX * f / 1.9, 1.9) for f in (0.9, 1.0 - 1e-9, 1.0 + 1e-9, 1.1)]
+    with mp.workdps(40):
+        for c, t in cases:
+            bound = 4.0 * sys.float_info.epsilon * max(1.0, abs(c * t))
+            for col, ref in zip(_circle_columns(c, t), _circle_linearization(c, t)):
+                ref = [float(e) for e in ref]
+                err = max(abs(a - b) for a, b in zip(col, ref)) / max(map(abs, ref))
+                assert err <= bound, (c, t, err)
 
 
 @pytest.mark.parametrize("k", [1e-2, 1e-3, 1e-4])

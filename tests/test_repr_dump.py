@@ -42,46 +42,31 @@ def test_bvp_dump_counts_residual_evaluations(monkeypatch):
     # knife edge's seeds
     monkeypatch.setattr(module, "CRITERION_8", module.CRITERION_8[17:19])
     monkeypatch.setattr(module, "SHOOTING", module.SHOOTING[-1:])
-    residual, jacobian = oracle._residual, oracle._jacobian
+    residual = oracle._residual
     lines = []
     module.dump_bvp(lines.append)
-    assert oracle._residual is residual and oracle._jacobian is jacobian
+    assert oracle._residual is residual
 
     shots = [i for i, line in enumerate(lines) if line.startswith("bvp_shoot ")]
     assert len(shots) == 3
-    counts, jac_counts = [], []
+    counts = []
     for i in shots:
         head, count = lines[i + 1].split()
         assert head == "residual_evaluations"
         counts.append(int(count))
-        head, count = lines[i + 2].split()
-        assert head == "jacobian_evaluations"
-        jac_counts.append(int(count))
     assert all(n > 0 for n in counts)
-    assert all(0 <= j < n for j, n in zip(jac_counts, counts))
-    assert lines[shots[2] - 2] == f"criterion_8 residual_evaluations {counts[0] + counts[1]}"
-    jac_total = jac_counts[0] + jac_counts[1]
-    assert lines[shots[2] - 1] == f"criterion_8 jacobian_evaluations {jac_total}"
+    assert lines[shots[2] - 1] == f"criterion_8 residual_evaluations {counts[0] + counts[1]}"
     assert sum(line.startswith("knife_edge start ") for line in lines) == module.BVP_SEEDS
 
-    # the counts are the number of oracle._residual calls bvp_shoot makes,
-    # and the number of those made inside oracle._jacobian
-    calls = jac_calls = 0
+    # the count is the number of oracle._residual calls bvp_shoot makes
+    calls = 0
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return residual(*args)
 
-    def counted_jacobian(*args):
-        nonlocal jac_calls
-        before = calls
-        out = jacobian(*args)
-        jac_calls += calls - before
-        return out
-
     monkeypatch.setattr(oracle, "_residual", counted)
-    monkeypatch.setattr(oracle, "_jacobian", counted_jacobian)
     q1, t1, starts = module.SHOOTING[0]
     oracle.bvp_shoot(q1, t1, starts)
-    assert (calls, jac_calls) == (counts[2], jac_counts[2])
+    assert calls == counts[2]
