@@ -9,9 +9,10 @@ imports the package from the `src` directory of its own checkout.
 The covectors are the test suite's `fixture25` and `cell_covectors` and a
 seeded set on all ten strata, including covectors inside the tolerance
 bands where `stratify` snaps to a boundary stratum.  Each one is dumped
-through `exp_map`, `elastic_energy_closed`, `to_elliptic`,
-`sample_elastica`, `cut_time_bound` and `in_maxwell`; a call that raises
-prints the exception instead.  With --bvp, `bvp_shoot` follows on the 20
+through `exp_map`, `elastic_energy_closed`, `to_elliptic`, `classify`,
+`sample_elastica`, `cut_time_bound`, `in_maxwell`, `reflect_covector` with
+each reflection and, on N1, N2 and N3, `maxwell_coords`: every call of the
+perfbench `sample` op.  A call that raises prints the exception instead.  With --bvp, `bvp_shoot` follows on the 20
 criterion-8 targets, the README example, the shooting tests' targets and
 three targets near criterion 8's knife edge, each with the number of
 endpoint evaluations it made (calls of `oracle._residual`, which the script
@@ -34,15 +35,19 @@ from elastica import (  # noqa: E402
     Covector,
     State,
     bvp_shoot,
+    classify,
     cut_time_bound,
     elastic_energy_closed,
     exp_map,
     in_maxwell,
+    maxwell_coords,
+    reflect_covector,
     sample_elastica,
 )
 from elastica.elliptic import Modulus  # noqa: E402
 from elastica.oracle import BVP_SEEDS, _newton_from, _seeds  # noqa: E402
 from elastica.phase import (  # noqa: E402
+    ELLIPTIC_STRATA,
     STRATIFY_TOL,
     EllipticCoords,
     Stratum,
@@ -161,12 +166,18 @@ def show(fn, *args) -> str:
 
 
 def dump_covector(lam: Covector, write) -> None:
-    write(f"covector {lam!r} {stratify(lam).value}")
+    s = stratify(lam)
+    write(f"covector {lam!r} {s.value}")
     write(f"  to_elliptic {show(to_elliptic, lam)}")
+    write(f"  classify {show(classify, lam)}")
     for t in TIMES:
         write(f"  exp_map {t!r} {show(exp_map, lam, t)}")
         write(f"  elastic_energy_closed {t!r} {show(elastic_energy_closed, lam, t)}")
         write(f"  in_maxwell {t!r} {show(lambda: sorted(m.value for m in in_maxwell(lam, t)))}")
+        for i in (1, 2, 3):
+            write(f"  reflect_covector {i} {t!r} {show(reflect_covector, i, lam, t)}")
+        if s in ELLIPTIC_STRATA:
+            write(f"  maxwell_coords {t!r} {show(maxwell_coords, lam, t)}")
     write(f"  cut_time_bound {show(cut_time_bound, lam)}")
     samples = show(sample_elastica, lam, SAMPLE_T1, SAMPLE_N)
     write(f"  sample_elastica {SAMPLE_T1!r} {SAMPLE_N} {samples}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -39,22 +38,26 @@ class EllipticDivergenceError(ValueError):
     """The requested integral diverges (k = 1 endpoint)."""
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """Elliptic modulus k in [0, 1] with its cached complement k' = sqrt(1-k^2)."""
-
+class _ModulusFields(NamedTuple):
     k: float
     kprime: float = float("nan")
 
-    def __post_init__(self):
-        k = float(self.k)
-        if not 0.0 <= k <= 1.0 or math.isnan(k):
-            raise EllipticDomainError(f"modulus must lie in [0, 1], got {k}")
-        if math.isnan(self.kprime):
+
+class Modulus(_ModulusFields):
+    """Elliptic modulus k in [0, 1] with its cached complement k' = sqrt(1-k^2)."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: float, kprime: float = float("nan")):
+        kf = float(k)
+        if not 0.0 <= kf <= 1.0 or math.isnan(kf):
+            raise EllipticDomainError(f"modulus must lie in [0, 1], got {kf}")
+        if math.isnan(kprime):
             # (1-k)(1+k) avoids cancellation for k near 1
-            object.__setattr__(self, "kprime", math.sqrt((1.0 - k) * (1.0 + k)))
-        elif abs(k * k + self.kprime**2 - 1.0) > 1e-14:
+            kprime = math.sqrt((1.0 - kf) * (1.0 + kf))
+        elif abs(kf * kf + kprime**2 - 1.0) > 1e-14:
             raise EllipticDomainError("kprime inconsistent with k")
+        return tuple.__new__(cls, (k, kprime))
 
     def __float__(self) -> float:
         return self.k

@@ -22,9 +22,8 @@ The tangent angle always satisfies theta_t = beta_t - beta_0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .elliptic import _add, _recip_shifted, _shifted
 from .phase import (
@@ -50,16 +49,19 @@ REANCHOR_SPAN = 4.0
 CIRCLE_SERIES_MAX = 1.0
 
 
-@dataclass(frozen=True)
-class State:
-    """Group element (x, y, theta) reached by the elastica; theta in (-pi, pi]."""
-
+class _StateFields(NamedTuple):
     x: float
     y: float
     theta: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
+
+class State(_StateFields):
+    """Group element (x, y, theta) reached by the elastica; theta in (-pi, pi]."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, theta: float):
+        return tuple.__new__(cls, (x, y, wrap_angle(theta)))
 
 
 class ElasticaClass(Enum):
@@ -230,7 +232,9 @@ def _prepare(lam: Covector, grid: bool = False) -> Callable:
 
         def circle(t: float):
             ct = c * t
-            return math.sin(ct) / c, (1.0 - math.cos(ct)) / c, ct, 0.5 * c * c * t, c, s, None
+            # 1 - cos ct = 2 sin^2(ct/2), which does not cancel for small ct
+            sh = math.sin(0.5 * ct)
+            return math.sin(ct) / c, 2.0 * sh * sh / c, ct, 0.5 * c * c * t, c, s, None
 
         return _pointwise(circle) if grid else circle
 

@@ -15,9 +15,9 @@ the localization facts encoded here, never by blind scanning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .elliptic import (
     ellint_E,
@@ -142,8 +142,7 @@ class MaxwellStratum(Enum):
 _STRATA = tuple(MaxwellStratum)  # the order of _met's flags and of the report's times
 
 
-@dataclass(frozen=True)
-class MaxwellReport:
+class MaxwellReport(NamedTuple):
     """First Maxwell times per reflection stratum and the cut-time upper bound.
 
     Each time is that of the least searched half-length at which the stratum

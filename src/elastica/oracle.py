@@ -23,19 +23,16 @@ solver needs no numpy.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .expmap import State, _circle_columns, _modulus_column, _prepare, elastic_energy_closed, exp_map
 from .maxwell import MaxwellReport, cut_time_bound
 from .phase import CIRCULAR, TWO_PI, Covector, Stratum, stratify, wrap_angle
-
-log = logging.getLogger(__name__)
 
 BVP_RESIDUAL_TOL = 1e-9
 BVP_MERGE_DIST = 1e-6
@@ -66,15 +63,19 @@ RK4_MAX_STEPS = 10_000_000
 ATTAINABLE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step RK4 configuration; step * RK4_MAX_STEPS bounds the horizon."""
-
+class _IntegratorConfigFields(NamedTuple):
     step: float = 1e-4
 
-    def __post_init__(self):
-        if not 0.0 < self.step < math.inf:
-            raise ValueError(f"step must be finite and positive, got {self.step}")
+
+class IntegratorConfig(_IntegratorConfigFields):
+    """Fixed-step RK4 configuration; step * RK4_MAX_STEPS bounds the horizon."""
+
+    __slots__ = ()
+
+    def __new__(cls, step: float = 1e-4):
+        if not 0.0 < step < math.inf:
+            raise ValueError(f"step must be finite and positive, got {step}")
+        return tuple.__new__(cls, (step,))
 
 
 class MaxStepsExceeded(RuntimeError):
@@ -176,8 +177,7 @@ def attainable(q1: State, t1: float) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class BvpSolution:
+class BvpSolution(NamedTuple):
     """Converged boundary-value solution with its optimality annotations."""
 
     lam: Covector
@@ -546,7 +546,9 @@ def bvp_shoot(
             found.append((lam, res, J, qm))
 
     if not found:
-        log.warning(
+        import logging  # deferred: only a failed search logs
+
+        logging.getLogger(__name__).warning(
             "bvp_shoot: no convergence to (%g, %g, %g) at t1=%g from %d starts",
             q1.x,
             q1.y,

@@ -16,8 +16,8 @@ so that phi_t = phi + t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .elliptic import ellint_F_inc, ellint_K, jacobi
 
@@ -38,23 +38,26 @@ def wrap_angle(a: float) -> float:
     return w
 
 
-@dataclass(frozen=True)
-class Covector:
+class _CovectorFields(NamedTuple):
+    beta: float
+    c: float
+    r: float
+
+
+class Covector(_CovectorFields):
     """Initial vertical state (beta, c, r) of the generalized pendulum.
 
     beta is normalized to (-pi, pi]; all three must be finite and r nonnegative.
     """
 
-    beta: float
-    c: float
-    r: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.beta, self.c, self.r))):
-            raise ValueError(f"covector must be finite, got {self}")
-        if self.r < 0.0:
-            raise ValueError(f"pendulum constant r must be >= 0, got {self.r}")
-        object.__setattr__(self, "beta", wrap_angle(self.beta))
+    def __new__(cls, beta: float, c: float, r: float):
+        if not (math.isfinite(beta) and math.isfinite(c) and math.isfinite(r)):
+            raise ValueError(f"covector must be finite, got {tuple.__new__(cls, (beta, c, r))}")
+        if r < 0.0:
+            raise ValueError(f"pendulum constant r must be >= 0, got {r}")
+        return tuple.__new__(cls, (wrap_angle(beta), c, r))
 
 
 class Stratum(Enum):
@@ -85,8 +88,14 @@ STRAIGHT = (Stratum.N4, Stratum.N5, Stratum.N7)
 CIRCULAR = (Stratum.N6_PLUS, Stratum.N6_MINUS)
 
 
-@dataclass(frozen=True)
-class EllipticCoords:
+class _EllipticCoordsFields(NamedTuple):
+    stratum: Stratum
+    k: float
+    phi: float
+    r: float
+
+
+class EllipticCoords(_EllipticCoordsFields):
     """Rectifying coordinates (stratum, k, phi, r).
 
     phi is the time coordinate, stored reduced to [0, period); in the
@@ -95,26 +104,23 @@ class EllipticCoords:
     float; a Modulus passed in is converted.
     """
 
-    stratum: Stratum
-    k: float
-    phi: float
-    r: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.stratum not in ELLIPTIC_STRATA:
+    def __new__(cls, stratum: Stratum, k: float, phi: float, r: float):
+        if stratum not in ELLIPTIC_STRATA:
             raise UnsupportedStratumError(
-                f"elliptic coordinates exist only on N1/N2/N3, got {self.stratum}"
+                f"elliptic coordinates exist only on N1/N2/N3, got {stratum}"
             )
-        if self.r <= 0.0:
+        if r <= 0.0:
             raise ValueError("elliptic coordinates need r > 0")
-        k = float(self.k)
-        object.__setattr__(self, "k", k)
-        if self.stratum is Stratum.N1 and not 0.0 < k < 1.0:
+        k = float(k)
+        if stratum is Stratum.N1 and not 0.0 < k < 1.0:
             raise ValueError("oscillating stratum needs k in (0, 1)")
-        if self.stratum in ROTATING and not 0.0 < k < 1.0:
+        if stratum in ROTATING and not 0.0 < k < 1.0:
             raise ValueError("rotating strata need k in (0, 1)")
-        if self.stratum in SEPARATRIX and k != 1.0:
+        if stratum in SEPARATRIX and k != 1.0:
             raise ValueError("separatrix strata need k = 1")
+        return tuple.__new__(cls, (stratum, k, phi, r))
 
     @property
     def psi(self) -> float:

@@ -17,8 +17,8 @@ midpoint coordinate tau in each stratum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .elliptic import jacobi
 from .expmap import State
@@ -57,8 +57,7 @@ def compose(i, j) -> int:
     return i ^ j
 
 
-@dataclass(frozen=True)
-class MaxwellCoords:
+class MaxwellCoords(NamedTuple):
     """Midpoint/half-length coordinates (tau, p) of an elastic arc.
 
     tau marks the arc midpoint in the rectified phase, p half the rectified

@@ -613,6 +613,17 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_cold_import_loads_no_dataclasses_inspect_or_logging(self):
+        # the records are named tuples, and only a bvp_shoot that finds no
+        # solution imports logging
+        code = (
+            "import sys; bare = set(sys.modules); import elastica.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'logging'} & (set(sys.modules) - bare)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_bvp_shoot_loads_neither_scipy_nor_numpy(self):
         # the Newton step's 3x3 least squares is pure Python
         code = (

@@ -139,6 +139,20 @@ class TestExpMap:
             )
 
 
+    def test_circle_small_turn_keeps_its_digits(self):
+        # y = 2 sin^2(ct/2)/c: the form 1 - cos ct cancels to 0 here
+        y = exp_map(Covector(0.0, 1e-8, 0.0), 1.0).y
+        assert abs(y - 5e-9) <= math.ulp(5e-9)
+
+    @pytest.mark.parametrize("c, t", [(1.9e-4, 1.0), (-0.95e-4, 2.0)])
+    def test_circle_small_turn_against_series(self, c, t):
+        # y = c t^2/2 (1 - u^2/12 + u^4/360 - ...) at u = ct; the next
+        # term is below 1e-26 of the first
+        u = c * t
+        series = 0.5 * c * t * t * (1.0 - u * u / 12.0 + u**4 / 360.0)
+        assert exp_map(Covector(0.3, c, 0.0), t).y == pytest.approx(series, rel=1e-15, abs=0.0)
+
+
 class TestSampling:
     def test_two_point_line(self):
         pts = sample_elastica(Covector(0.0, 0.0, 0.0), 1.0, 2)

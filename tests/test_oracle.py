@@ -264,6 +264,14 @@ class TestShooting:
         assert sols
         assert sols[0].energy < J - 1e-4
 
+    def test_no_convergence_is_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(oracle, "_newton_from", lambda start, q1, t1: None)
+        with caplog.at_level("WARNING", logger="elastica.oracle"):
+            assert bvp_shoot(State(0.5, 0.2, 0.3), 1.0, starts=2) == []
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("elastica.oracle", "bvp_shoot: no convergence to (0.5, 0.2, 0.3) at t1=1 from 2 starts")
+        ]
+
 
 # the README example and criterion 8's knife edge, for the dilation tests
 DILATION_TARGETS = [

@@ -3,7 +3,7 @@ import io
 from pathlib import Path
 
 from elastica import oracle
-from elastica.phase import Stratum
+from elastica.phase import ELLIPTIC_STRATA, Stratum
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "repr_dump.py"
 
@@ -26,8 +26,12 @@ def test_default_dump_covers_every_stratum_and_repeats():
     lines = _dump(module)
     heads = [line.split()[-1] for line in lines if line.startswith("covector ")]
     assert {s.value for s in Stratum} <= set(heads)
-    # one to_elliptic, three lines per time, one cut_time_bound, one sample
-    assert len(lines) == len(heads) * (4 + 3 * len(module.TIMES))
+    # one to_elliptic, one classify, six lines per time (three of them
+    # reflect_covector), one cut_time_bound and one sample; on N1, N2 and
+    # N3 one maxwell_coords per time too
+    elliptic = sum(Stratum(head) in ELLIPTIC_STRATA for head in heads)
+    times = len(module.TIMES)
+    assert len(lines) == len(heads) * (5 + 6 * times) + elliptic * times
     assert not any(line.startswith(("bvp_shoot", "knife_edge")) for line in lines)
     # only to_elliptic off N1, N2 and N3 raises
     raised = [line for line in lines if " !" in line]
