@@ -2,7 +2,8 @@
 
 Every command emits machine-readable output (JSON with stable keys, RFC-4180
 CSV, or SVG for geometry).  Exit codes: 0 ok, 2 flag parsing, 3 domain
-violation, 4 I/O failure, 5 unattainable target.
+violation, 4 I/O failure, 5 unattainable target.  Each command imports the
+library modules it runs, so a cold start loads only those.
 """
 
 from __future__ import annotations
@@ -16,29 +17,6 @@ import os
 import sys
 
 from . import __version__
-from .elliptic import ellint_K
-from .expmap import State, classify, elastic_energy_closed, exp_map, sample_elastica
-from .maxwell import (
-    DEFAULT_TOL,
-    K_RECT,
-    cut_time_bound,
-    find_k0,
-    find_kstar,
-    in_maxwell,
-    p1_roots,
-    p_g1,
-    u_a1,
-    u_h1,
-    unit_cut_time_bound,
-)
-from .oracle import (
-    IntegratorConfig,
-    MaxStepsExceeded,
-    UnattainableTargetError,
-    bvp_shoot,
-    integrate_extremal,
-)
-from .phase import Covector, stratify
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -68,6 +46,8 @@ def _tolerance(text: str) -> float:
 
 
 def _env_tol() -> float:
+    from .maxwell import DEFAULT_TOL
+
     raw = os.environ.get("ELASTICA_TOL")
     if not raw:
         return DEFAULT_TOL
@@ -75,6 +55,12 @@ def _env_tol() -> float:
         return _tolerance(raw)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"ELASTICA_TOL {exc}") from None
+
+
+def _fail(exc: Exception, code: int) -> int:
+    """Report exc on stderr; return the exit code."""
+    sys.stderr.write(f"error: {exc}\n")
+    return code
 
 
 def _emit(text: str, path: str | None):
@@ -134,7 +120,9 @@ def _fin(x: float):
     return x if math.isfinite(x) else "inf"
 
 
-def _covector(args) -> Covector:
+def _covector(args):
+    from .phase import Covector
+
     scale = math.pi / 180.0 if getattr(args, "deg", False) else 1.0
     return Covector(args.beta * scale, args.c, args.r)
 
@@ -143,6 +131,9 @@ def _covector(args) -> Covector:
 # commands
 
 def cmd_exp(args):
+    from .expmap import classify, elastic_energy_closed, exp_map
+    from .phase import stratify
+
     lam = _covector(args)
     q = exp_map(lam, args.t)
     doc = {
@@ -157,8 +148,13 @@ def cmd_exp(args):
 
 
 def cmd_oracle_exp(args):
+    from .oracle import IntegratorConfig, MaxStepsExceeded, integrate_extremal
+
     lam = _covector(args)
-    q, lam_t, J = integrate_extremal(lam, args.t, IntegratorConfig(step=args.step))
+    try:
+        q, lam_t, J = integrate_extremal(lam, args.t, IntegratorConfig(step=args.step))
+    except MaxStepsExceeded as exc:  # a horizon beyond the step budget
+        return _fail(exc, EXIT_DOMAIN)
     doc = {
         "x": q.x,
         "y": q.y,
@@ -172,7 +168,8 @@ def cmd_oracle_exp(args):
 
 
 def cmd_constants(args):
-    from .maxwell import _alpha, _k0_defect
+    from .elliptic import _k0_defect, find_k0
+    from .maxwell import _alpha, find_kstar, u_a1
 
     k0 = find_k0()
     kstar, ustar = find_kstar()
@@ -187,22 +184,25 @@ def cmd_constants(args):
     _emit_record(doc, args)
 
 
-_CURVES = {
-    "p11": lambda k, family: p1_roots(k, 1),
-    "pg1": lambda k, family: p_g1(k),
-    "ua1": lambda k, family: u_a1(k),
-    "uh1": lambda k, family: u_h1(k),
-    "cutbound": lambda k, family: unit_cut_time_bound(k, rotating=family == "n2"),
-}
+_CURVES = ("p11", "pg1", "ua1", "uh1", "cutbound")
 
 
 def cmd_sweep(args):
+    from .elliptic import ellint_K
+    from .maxwell import p1_roots, p_g1, u_a1, u_h1, unit_cut_time_bound
+
     # each curve checks its own modulus domain; only the range's order is ours
     if not args.kmin <= args.kmax:
         raise ValueError(f"sweep needs kmin <= kmax, got {args.kmin} and {args.kmax}")
     n = args.n
     ks = [args.kmin + (args.kmax - args.kmin) * i / (n - 1) for i in range(n)] if n > 1 else [args.kmin]
-    curve = _CURVES[args.curve]
+    curve = {
+        "p11": lambda k, family: p1_roots(k, 1),
+        "pg1": lambda k, family: p_g1(k),
+        "ua1": lambda k, family: u_a1(k),
+        "uh1": lambda k, family: u_h1(k),
+        "cutbound": lambda k, family: unit_cut_time_bound(k, rotating=family == "n2"),
+    }[args.curve]
     values = [(k, curve(k, args.family)) for k in ks]
     rows = [(k, v, v / ellint_K(k)) for k, v in values]
     _emit_table(["k", "value", "value_over_K"], rows, args)
@@ -237,6 +237,8 @@ def _svg_polyline(points, title: str) -> str:
 
 
 def cmd_elastica(args):
+    from .expmap import classify, sample_elastica
+
     if args.gallery is not None:
         _gallery(args.gallery, args.n)
         return
@@ -250,7 +252,9 @@ def cmd_elastica(args):
 
 def _gallery(outdir: str, n: int):
     """One canonical curve per qualitative class, r = 1 throughout."""
-    from .phase import EllipticCoords, Stratum, from_elliptic, period
+    from .elliptic import K_RECT, find_k0
+    from .expmap import classify, sample_elastica
+    from .phase import Covector, EllipticCoords, Stratum, from_elliptic, period
 
     def two_periods(stratum, k):
         ec = EllipticCoords(stratum, k, 0.0, 1.0)
@@ -281,6 +285,8 @@ def _gallery(outdir: str, n: int):
 
 
 def cmd_maxwell(args):
+    from .maxwell import cut_time_bound, in_maxwell
+
     lam = _covector(args)
     tol = args.tol if args.tol is not None else _env_tol()
     membership = sorted(m.value for m in in_maxwell(lam, args.t, tol))
@@ -299,8 +305,13 @@ def cmd_maxwell(args):
 
 
 def cmd_bvp(args):
-    q1 = State(args.x, args.y, args.theta)
-    sols = bvp_shoot(q1, args.t1, starts=args.starts)
+    from .expmap import State
+    from .oracle import UnattainableTargetError, bvp_shoot
+
+    try:
+        sols = bvp_shoot(State(args.x, args.y, args.theta), args.t1, starts=args.starts)
+    except UnattainableTargetError as exc:
+        return _fail(exc, EXIT_UNATTAINABLE)
     keys = ["beta", "c", "r", "energy", "residual", "cut_time_bound", "optimal_candidate"]
     rows = [
         (s.lam.beta, s.lam.c, s.lam.r, s.energy, s.residual, _fin(s.report.bound), s.optimal_candidate)
@@ -396,19 +407,12 @@ def main(argv=None) -> int:
     # argparse handles "--beta=-0.5", documented in the README
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except UnattainableTargetError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_UNATTAINABLE
-    except (ValueError, MaxStepsExceeded) as exc:
-        # ValueError includes the elliptic, stratum and root-curve domain
-        # errors; a horizon beyond the integrator's step budget is one too
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DOMAIN
+        return args.func(args) or EXIT_OK
+    except ValueError as exc:
+        # the elliptic, stratum and root-curve domain errors
+        return _fail(exc, EXIT_DOMAIN)
     except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
-    return EXIT_OK
+        return _fail(exc, EXIT_IO)
 
 
 if __name__ == "__main__":

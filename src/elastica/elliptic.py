@@ -11,6 +11,9 @@ approached as limits.
 
 The epsilon function is returned unreduced: eps(u + 2K) = eps(u) + 2E, so
 differences eps(b) - eps(a) over long arguments are meaningful.
+
+The figure-eight modulus k0, the root of 2E(k) = K(k), is found here by
+Brent's method, the root finder every Maxwell root curve uses too.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ _TWO_PI = 2.0 * math.pi
 # Below this distance from k = 0 or k = 1 the modulus derivatives are
 # dominated by the 1/(k (1 - k^2)) factor and lose digits.
 DERIV_CONDITIONING_LIMIT = 1e-3
+
+BRENT_XTOL = 1e-15
+BRENT_RTOL = 8.9e-16
+_BRENT_MAXITER = 100
+K_RECT = 1.0 / math.sqrt(2.0)
 
 
 class EllipticDomainError(ValueError):
@@ -57,7 +65,7 @@ class Modulus(_ModulusFields):
             kprime = math.sqrt((1.0 - kf) * (1.0 + kf))
         elif abs(kf * kf + kprime**2 - 1.0) > 1e-14:
             raise EllipticDomainError("kprime inconsistent with k")
-        return tuple.__new__(cls, (k, kprime))
+        return tuple.__new__(cls, (kf, kprime))
 
     def __float__(self) -> float:
         return self.k
@@ -136,6 +144,90 @@ def ellint_E(k) -> float:
     if kf == 1.0:
         return 1.0
     return _agm_scale(kf)[1]
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f in the sign-changing bracket [a, b] by Brent's method.
+
+    An operation-for-operation port of the C routine brentq.c behind
+    `optimize.brentq` (Brent 1973, ch. 4), so every root is bit-identical to
+    it: inverse quadratic extrapolation or secant interpolation when the step
+    is short enough, bisection otherwise, stopping when half the bracket is
+    below delta = (xtol + rtol |x|) / 2.  A NaN function value or a bracket
+    without a sign change raises ValueError; no convergence within 100
+    iterations raises RuntimeError.
+    """
+
+    def fval(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre = fval(xpre)
+    fcur = fval(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to an infinite or NaN step, which the test below rejects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fval(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
+
+
+def _k0_defect(k: float) -> float:
+    """2E(k) - K(k), positive below the figure-eight modulus k0 and zero at it."""
+    return 2.0 * ellint_E(k) - ellint_K(k)
+
+
+@lru_cache(maxsize=1)
+def find_k0() -> float:
+    """The unique modulus in (1/sqrt(2), 1) with 2E(k) = K(k) (figure-eight)."""
+    return _brentq(_k0_defect, K_RECT, 1.0 - 1e-12, xtol=BRENT_XTOL, rtol=BRENT_RTOL)
 
 
 def _reduce_phase(phi: float):

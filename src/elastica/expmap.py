@@ -25,7 +25,7 @@ import math
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .elliptic import _add, _recip_shifted, _shifted
+from .elliptic import K_RECT, _add, _recip_shifted, _shifted, find_k0
 from .phase import (
     CIRCULAR,
     ROTATING,
@@ -310,8 +310,6 @@ def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
 
 def classify(lam: Covector) -> ElasticaClass:
     """Euler's nine classes by stratum and modulus; moduli match to CLASS_K_TOL."""
-    from .maxwell import K_RECT, find_k0  # deferred import: avoids a module cycle
-
     s = stratify(lam)
     if s in STRAIGHT:
         return ElasticaClass.LINE

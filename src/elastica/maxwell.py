@@ -19,11 +19,18 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .elliptic import (
+from .elliptic import (  # noqa: F401 (the Brent and k0 names stay importable here)
+    BRENT_RTOL,
+    BRENT_XTOL,
+    K_RECT,
+    _BRENT_MAXITER,
+    _brentq,
+    _k0_defect,
     ellint_E,
     ellint_E_inc,
     ellint_F_inc,
     ellint_K,
+    find_k0,
     jacobi,
 )
 from .phase import (
@@ -39,14 +46,9 @@ from .phase import (
 from .symmetry import _arc_coords, _fixes
 
 DEFAULT_TOL = 1e-9
-BRENT_XTOL = 1e-15
-BRENT_RTOL = 8.9e-16
-_BRENT_MAXITER = 100
 KSTAR_GRID_STEP = 1e-3
 K0_SNAP = 1e-12  # within this distance of k0, lattice roots are exact
 _ROOT_SCAN_MAX = 8  # lattice indices examined when locating first Maxwell times
-
-K_RECT = 1.0 / math.sqrt(2.0)
 
 # separatrix, equilibria and the frozen case: no Maxwell point at any time
 _NEVER_MEETS = SEPARATRIX + STRAIGHT
@@ -54,82 +56,6 @@ _NEVER_MEETS = SEPARATRIX + STRAIGHT
 
 class PoleError(ZeroDivisionError):
     """Evaluation at a pole of the reduced root function."""
-
-
-# ---------------------------------------------------------------------------
-# root finding
-
-def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """Root of f in the sign-changing bracket [a, b] by Brent's method.
-
-    An operation-for-operation port of the C routine brentq.c behind
-    `optimize.brentq` (Brent 1973, ch. 4), so every root is bit-identical to
-    it: inverse quadratic extrapolation or secant interpolation when the step
-    is short enough, bisection otherwise, stopping when half the bracket is
-    below delta = (xtol + rtol |x|) / 2.  A NaN function value or a bracket
-    without a sign change raises ValueError; no convergence within 100
-    iterations raises RuntimeError.
-    """
-
-    def fval(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre = fval(xpre)
-    fcur = fval(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # C divides to an infinite or NaN step, which the test below rejects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                # bisect
-                spre = scur = sbis
-        else:
-            # bisect
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fval(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
 
 
 class MaxwellStratum(Enum):
@@ -284,17 +210,6 @@ def compat_n1(u: float, k) -> float:
 
 # ---------------------------------------------------------------------------
 # constants and root curves
-
-def _k0_defect(k: float) -> float:
-    """2E(k) - K(k), positive below the figure-eight modulus k0 and zero at it."""
-    return 2.0 * ellint_E(k) - ellint_K(k)
-
-
-@lru_cache(maxsize=1)
-def find_k0() -> float:
-    """The unique modulus in (1/sqrt(2), 1) with 2E(k) = K(k) (figure-eight)."""
-    return _brentq(_k0_defect, K_RECT, 1.0 - 1e-12, xtol=BRENT_XTOL, rtol=BRENT_RTOL)
-
 
 def u_a1(k) -> float:
     """Unique zero of a1 in (pi/4, pi/2] for k in [1/sqrt(2), 1].

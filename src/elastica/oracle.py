@@ -23,6 +23,7 @@ solver needs no numpy.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from array import array
@@ -31,7 +32,6 @@ from functools import cache
 from typing import NamedTuple
 
 from .expmap import State, _circle_columns, _modulus_column, _prepare, elastic_energy_closed, exp_map
-from .maxwell import MaxwellReport, cut_time_bound
 from .phase import CIRCULAR, TWO_PI, Covector, Stratum, stratify, wrap_angle
 
 BVP_RESIDUAL_TOL = 1e-9
@@ -99,56 +99,37 @@ def integrate_extremal(
             f"horizon {t} needs more than {RK4_MAX_STEPS} steps of {cfg.step}"
         )
     n_full = int(t / cfg.step)
+    rem = t - n_full * cfg.step
+    steps = itertools.repeat(cfg.step, n_full)
+    if rem > 1e-15 * max(1.0, t):
+        steps = itertools.chain(steps, (rem,))
     r = lam.r
     b, c, x, y, th, J = lam.beta, lam.c, 0.0, 0.0, 0.0, 0.0
     sin, cos = math.sin, math.cos
-
-    def advance(b, c, x, y, th, J, h):
-        k1b = c
-        k1c = -r * sin(b)
-        k1x = cos(th)
-        k1y = sin(th)
-        k1j = 0.5 * c * c
-        b2 = b + 0.5 * h * k1b
-        c2 = c + 0.5 * h * k1c
-        th2 = th + 0.5 * h * c
-        k2b = c2
-        k2c = -r * sin(b2)
-        k2x = cos(th2)
-        k2y = sin(th2)
-        k2j = 0.5 * c2 * c2
-        b3 = b + 0.5 * h * k2b
-        c3 = c + 0.5 * h * k2c
-        th3 = th + 0.5 * h * k2b
-        k3b = c3
-        k3c = -r * sin(b3)
-        k3x = cos(th3)
-        k3y = sin(th3)
-        k3j = 0.5 * c3 * c3
-        b4 = b + h * k3b
-        c4 = c + h * k3c
-        th4 = th + h * k3b
-        k4b = c4
-        k4c = -r * sin(b4)
-        k4x = cos(th4)
-        k4y = sin(th4)
-        k4j = 0.5 * c4 * c4
+    # classic RK4 on (beta, c, x, y, theta, J); theta' = beta' = c, so the
+    # two share each stage's increment db
+    for h in steps:
+        hh = 0.5 * h
         s = h / 6.0
-        return (
-            b + s * (k1b + 2.0 * (k2b + k3b) + k4b),
+        k1c = -r * sin(b)
+        db = hh * c
+        b2, c2, th2 = b + db, c + hh * k1c, th + db
+        k2c = -r * sin(b2)
+        db = hh * c2
+        b3, c3, th3 = b + db, c + hh * k2c, th + db
+        k3c = -r * sin(b3)
+        db = h * c3
+        b4, c4, th4 = b + db, c + h * k3c, th + db
+        k4c = -r * sin(b4)
+        db = s * (c + 2.0 * (c2 + c3) + c4)
+        b, c, x, y, th, J = (
+            b + db,
             c + s * (k1c + 2.0 * (k2c + k3c) + k4c),
-            x + s * (k1x + 2.0 * (k2x + k3x) + k4x),
-            y + s * (k1y + 2.0 * (k2y + k3y) + k4y),
-            th + s * (k1b + 2.0 * (k2b + k3b) + k4b),
-            J + s * (k1j + 2.0 * (k2j + k3j) + k4j),
+            x + s * (cos(th) + 2.0 * (cos(th2) + cos(th3)) + cos(th4)),
+            y + s * (sin(th) + 2.0 * (sin(th2) + sin(th3)) + sin(th4)),
+            th + db,
+            J + s * (0.5 * c * c + 2.0 * (0.5 * c2 * c2 + 0.5 * c3 * c3) + 0.5 * c4 * c4),
         )
-
-    h = cfg.step
-    for _ in range(n_full):
-        b, c, x, y, th, J = advance(b, c, x, y, th, J, h)
-    rem = t - n_full * h
-    if rem > 1e-15 * max(1.0, t):
-        b, c, x, y, th, J = advance(b, c, x, y, th, J, rem)
     return State(x, y, th), Covector(b, c, r), J
 
 
@@ -183,7 +164,7 @@ class BvpSolution(NamedTuple):
     lam: Covector
     energy: float
     residual: float
-    report: MaxwellReport
+    report: MaxwellReport  # of elastica.maxwell; the annotation stays a string
     optimal_candidate: bool  # t1 <= cut-time bound of lam
 
 
@@ -557,6 +538,8 @@ def bvp_shoot(
             len(seeds),
         )
         return []
+
+    from .maxwell import cut_time_bound  # deferred: only the found solutions need it
 
     out = []
     for lam, res, J, _ in found:

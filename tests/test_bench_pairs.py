@@ -41,3 +41,41 @@ def test_two_seeds_summarized(tmp_path):
     doc = json.loads((tmp_path / "pairs.json").read_text(encoding="utf-8"))
     assert doc["sample"]["change_wins_of_pairs"]["pairs"] == 2
     assert doc["sample"]["base"]["metrics"][names[0]] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+
+
+def _result():
+    names = [m["name"] for m in json.loads(
+        (SCRIPT.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
+    return {"metrics": {name: {"value": 1.0} for name in names}}
+
+
+def test_bytecode_state_recorded_without_warning(tmp_path, monkeypatch, capsys):
+    bench_pairs = _bench_pairs()
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    with mock.patch.object(bench_pairs, "run_once", return_value=_result()):
+        assert bench_pairs.main(_argv(tmp_path, 101, 102)) == 0
+    record = json.loads((tmp_path / "pairs.json").read_text(encoding="utf-8"))["sample"]
+    for side in ("base", "change"):
+        assert [run["bytecode"] for run in record[side]["runs"]] == \
+            [{"PYTHONDONTWRITEBYTECODE": True, "pycache": False}] * 2
+    assert record["warnings"] == []
+    assert "warning" not in capsys.readouterr().err
+
+
+def test_cached_bytecode_and_mismatched_sides_warned(tmp_path, monkeypatch, capsys):
+    bench_pairs = _bench_pairs()
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    base, change = tmp_path / "base", tmp_path / "change"
+    (base / "src" / "elastica" / "__pycache__").mkdir(parents=True)
+    change.mkdir()
+    argv = ["--base", str(base), "--change", str(change), "--workload", "cli",
+            "--seeds", "101", "102", "--out", str(tmp_path / "pairs.json")]
+    with mock.patch.object(bench_pairs, "run_once", return_value=_result()):
+        assert bench_pairs.main(argv) == 0
+    record = json.loads((tmp_path / "pairs.json").read_text(encoding="utf-8"))["cli"]
+    assert record["base"]["runs"][0]["bytecode"] == {"PYTHONDONTWRITEBYTECODE": False, "pycache": True}
+    assert record["change"]["runs"][0]["bytecode"] == {"PYTHONDONTWRITEBYTECODE": False, "pycache": False}
+    err = capsys.readouterr().err
+    assert len(record["warnings"]) == 3
+    assert "seed 101: the sides ran in different bytecode states" in err
+    assert "base: seeds [101, 102] ran with cached bytecode" in err

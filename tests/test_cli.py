@@ -317,7 +317,7 @@ class TestElastica:
     def test_non_finite_sample_rejected(self, fmt, capsys):
         # every document writer refuses a non-finite number, whatever its place
         pts = [State(0.0, 0.0, 0.0), State(math.nan, 1.0, 0.5), State(1.0, 1.0, 1.0)]
-        with mock.patch("elastica.cli.sample_elastica", return_value=pts):
+        with mock.patch("elastica.expmap.sample_elastica", return_value=pts):
             code = main(["elastica", "--beta", "0", "--c", "1", "--r", "1",
                          "--n", "3", "--format", fmt])
         captured = capsys.readouterr()
@@ -607,7 +607,8 @@ class TestEntryPoint:
         # the library has no runtime dependency; scipy and numpy are test-only
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, elastica.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"],
+             "import sys, elastica.cli, elastica.oracle, elastica.maxwell; "
+             "print(sorted({'scipy', 'numpy'} & set(sys.modules)))"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
@@ -615,9 +616,10 @@ class TestEntryPoint:
 
     def test_cold_import_loads_no_dataclasses_inspect_or_logging(self):
         # the records are named tuples, and only a bvp_shoot that finds no
-        # solution imports logging
+        # solution imports logging; elastica.cli loads the library lazily,
+        # so every library module is imported here
         code = (
-            "import sys; bare = set(sys.modules); import elastica.cli; "
+            "import sys; bare = set(sys.modules); import elastica.cli, elastica.oracle, elastica.maxwell; "
             "print(sorted({'dataclasses', 'inspect', 'logging'} & (set(sys.modules) - bare)))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

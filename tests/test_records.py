@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from elastica.elliptic import Modulus
+from elastica.elliptic import Modulus, ellint_K
 from elastica.expmap import State
 from elastica.maxwell import MaxwellReport
 from elastica.oracle import BvpSolution, IntegratorConfig
@@ -18,6 +18,7 @@ REPORT = MaxwellReport(*REPORT_ARGS)
 # carry the normalization, compared with their types
 RECORDS = [
     (Modulus, (0.6,), ("k", "kprime"), (0.6, 0.8)),
+    (Modulus, (1,), ("k", "kprime"), (1.0, 0.0)),
     (Covector, (-math.pi, 1.5, 2.0), ("beta", "c", "r"), (math.pi, 1.5, 2.0)),
     (EllipticCoords, (Stratum.N1, Modulus(0.6), 0.4, 1.0), ("stratum", "k", "phi", "r"),
      (Stratum.N1, 0.6, 0.4, 1.0)),
@@ -34,7 +35,8 @@ RECORDS = [
 
 
 @pytest.mark.parametrize(
-    "record, args, fields, stored", RECORDS, ids=[case[0].__name__ for case in RECORDS]
+    "record, args, fields, stored", RECORDS,
+    ids=[case[0].__name__ + ("_int" if case[1] == (1,) else "") for case in RECORDS],
 )
 def test_record_fields_and_immutability(record, args, fields, stored):
     rec = record(*args)
@@ -49,3 +51,11 @@ def test_record_fields_and_immutability(record, args, fields, stored):
     assert twin == rec and hash(twin) == hash(rec)
     assert repr(rec) == f"{record.__name__}(" + ", ".join(
         f"{name}={value!r}" for name, value in zip(fields, stored)) + ")"
+
+
+def test_integer_modulus_stored_as_float():
+    # a Modulus built from an int converts like one built from a float
+    assert float(Modulus(1)) == 1.0 and type(float(Modulus(1))) is float
+    assert ellint_K(Modulus(0)) == math.pi / 2.0
+    ec = EllipticCoords(Stratum.N3_PLUS, Modulus(1), 0.0, 1.0)
+    assert ec.k == 1.0 and type(ec.k) is float
