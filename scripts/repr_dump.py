@@ -1,6 +1,6 @@
 """Print the repr of the library's public outputs over fixed inputs.
 
-    python3 scripts/repr_dump.py [--bvp] > dump.txt
+    python3 scripts/repr_dump.py [--bvp] [--bvp-seeds LO HI] > dump.txt
 
 Run it in two checkouts and `diff` the files: equal files mean the outputs
 are bit-identical, since a float's repr round-trips exactly.  The script
@@ -17,18 +17,24 @@ criterion-8 targets, the README example, the shooting tests' targets and
 three targets near criterion 8's knife edge, each with the number of
 endpoint evaluations it made (calls of `oracle._residual`, which the script
 wraps to count them), the criterion-8 total, and each seed `bvp_shoot`
-takes on the knife-edge target with its outcome (about two seconds).
+takes on the knife-edge target with its outcome, the certified covector
+and its residual (about two seconds).  With --bvp-seeds LO HI, `bvp_shoot`
+follows on the perfbench `bvp` inputs of the seeds LO to HI, both included,
+eight targets a seed, as `perfbench/workloads.py` (imported, not changed)
+draws them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import math
 import random
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from elastica import oracle  # noqa: E402
 from elastica import (  # noqa: E402
@@ -183,6 +189,17 @@ def dump_covector(lam: Covector, write) -> None:
     write(f"  sample_elastica {SAMPLE_T1!r} {SAMPLE_N} {samples}")
 
 
+def dump_bvp_seeds(lo: int, hi: int, write) -> None:
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    bvp = workloads.Bvp()
+    for seed in range(lo, hi + 1):
+        for inp in bvp.inputs(random.Random(seed)):
+            q1, t1 = inp["q1"], inp["t1"]
+            write(f"bvp_seed {seed} {q1!r} {t1!r} {show(bvp.op, inp)}")
+
+
 def dump_bvp(write) -> None:
     calls = 0
     residual = oracle._residual
@@ -210,13 +227,16 @@ def dump_bvp(write) -> None:
     lam, t1 = KNIFE_EDGE
     q1 = exp_map(lam, t1)
     for i, start in enumerate(_seeds(q1, t1, min(100, BVP_SEEDS))):
-        write(f"knife_edge start {i} {start!r} {show(_newton_from, start, q1, t1)}")
+        out = _newton_from(start, q1, t1)
+        write(f"knife_edge start {i} {start!r} {out if out is None else out[:2]!r}")
 
 
 def main(argv=None, out=sys.stdout) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--bvp", action="store_true",
                     help="also dump bvp_shoot on the criterion-8 and shooting-test targets")
+    ap.add_argument("--bvp-seeds", type=int, nargs=2, metavar=("LO", "HI"),
+                    help="also dump bvp_shoot on the perfbench bvp inputs of seeds LO to HI")
     args = ap.parse_args(argv)
 
     def write(line: str) -> None:
@@ -226,6 +246,8 @@ def main(argv=None, out=sys.stdout) -> int:
         dump_covector(lam, write)
     if args.bvp:
         dump_bvp(write)
+    if args.bvp_seeds:
+        dump_bvp_seeds(*args.bvp_seeds, write)
     return 0
 
 

@@ -390,7 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, formats=("json",))
     p.set_defaults(func=cmd_maxwell)
 
-    p = sub.add_parser("bvp", help="invert the endpoint map by shooting")
+    p = sub.add_parser(
+        "bvp", help="invert the endpoint map by shooting",
+        description="Invert the endpoint map by shooting: one row per solution, by energy.  "
+        "optimal_candidate is true only when t1 <= cut_time_bound and no returned solution has "
+        "lower energy beyond the merge tolerance: energy <= J_min + 1e-6 max(1, J_min).",
+    )
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)

@@ -291,15 +291,16 @@ def ellint_E_inc(phi: float, k) -> float:
     return E + 2.0 * m * ellint_E(kf)
 
 
-def _jacobi_agm(u: float, k: float, shifted: bool = False) -> JacobiValues:
+def _jacobi_agm(u: float, k: float, shifted: bool = False):
     """jacobi at real u for k in (0, 1), by the descending pass over the AGM scale.
 
     The zeta sum of the pass is the Jacobi zeta function Z (A&S 17.6), and
-    eps = Z + (E/K) u.  With shifted=True the last value is eps(u) - u =
-    Z(u) - sigma u instead, with sigma = 1 - E/K from the scale, and Z is
-    summed over the scale's weights z_i rather than its half differences
-    c_i, which cancel as k -> 0.  So it keeps its digits as k -> 0, where
-    eps(u) - u formed from eps(u) would not.
+    eps = Z + (E/K) u.  With shifted=True it returns the plain tuple (sn,
+    cn, dn, eps(u) - u), with no am, and eps(u) - u = Z(u) - sigma u, with
+    sigma = 1 - E/K from the scale, and Z summed over the scale's weights
+    z_i rather than its half differences c_i, which cancel as k -> 0.  So it
+    keeps its digits as k -> 0, where eps(u) - u formed from eps(u) would
+    not.
     """
     K, E, unit, a_, b_, c_, sigma, z_ = _agm_scale(k)
     if shifted:
@@ -323,12 +324,10 @@ def _jacobi_agm(u: float, k: float, shifted: bool = False) -> JacobiValues:
     cn_r = math.cos(phi)
     kp = b_[0]
     dn = math.sqrt(cn_r * cn_r + kp * kp * sn_r * sn_r)
-    if shifted:
-        eps = zeta - sigma * u
-    else:
-        eps = zeta + E / K * u_red + 2.0 * m * E
-
     sgn = -1.0 if m % 2 else 1.0
+    if shifted:
+        return sgn * sn_r, sgn * cn_r, dn, zeta - sigma * u
+    eps = zeta + E / K * u_red + 2.0 * m * E
     return JacobiValues(sgn * sn_r, sgn * cn_r, dn, phi + m * math.pi, eps)
 
 
@@ -384,8 +383,7 @@ def _shifted(u: float, k: float):
         return sn, cn, dn, eps
     if not math.isfinite(u):
         raise EllipticDomainError(f"Jacobi functions need a finite argument, got {u}")
-    sn, cn, dn, _, d = _jacobi_agm(u, k, True)
-    return sn, cn, dn, d
+    return _jacobi_agm(u, k, True)
 
 
 def _recip_shifted(u: float, k: float):
@@ -397,7 +395,7 @@ def _recip_shifted(u: float, k: float):
     w = u / k
     if not math.isfinite(w):
         raise EllipticDomainError(f"Jacobi functions need a finite argument, got u/k = {w}")
-    sn, cn, dn, _, d = _jacobi_agm(w, k, True)
+    sn, cn, dn, d = _jacobi_agm(w, k, True)
     return k * sn, dn, cn, d / k
 
 

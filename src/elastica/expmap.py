@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .elliptic import K_RECT, _add, _recip_shifted, _shifted, find_k0
 from .phase import (
@@ -203,109 +203,92 @@ def _circle_columns(c: float, t: float):
     return (z1.real, z1.imag, th.imag), (zc.real, zc.imag, t), (z3.real, z3.imag, th.real)
 
 
-def _pointwise(at: Callable[[float], tuple]) -> Callable[[float, int], list]:
-    """(step, n) -> the States of the closure `at` at t = i*step for i < n."""
-    return lambda step, n: [State(*at(i * step)[:3]) for i in range(n)]
+def _start(lam: Covector, s):
+    """The per-covector start values on N1, N2+- and N3+-: (sqrt(r), kap, a0, k, jac).
+
+    a0 = (sn, cn, dn, eps) at u0 and modulus kap, eps measured from u0, and
+    jac the shifted Jacobi routine at modulus k: `_recip_shifted` at k =
+    1/kap on the rotating strata, kap > 1, and `_shifted` at k = kap
+    elsewhere.
+    """
+    sr = math.sqrt(lam.r)
+    sb, cb = math.sin(0.5 * lam.beta), math.cos(0.5 * lam.beta)
+    if s in SEPARATRIX:
+        # kap is 1 within the stratify band: keep beta, take the sign of c
+        return sr, 1.0, (sb, math.copysign(cb, lam.c), cb, 0.0), 1.0, _shifted
+    ch = 0.5 * lam.c / sr
+    kap = math.sqrt(sb * sb + ch * ch)
+    a0 = (sb / kap, ch / kap, cb, 0.0)
+    if s in ROTATING:
+        return sr, kap, a0, 1.0 / kap, _recip_shifted
+    return sr, kap, a0, kap, _shifted
 
 
-def _prepare(lam: Covector, grid: bool = False) -> Callable:
-    """Precompute the per-covector data; return t -> (x, y, theta, J, c_t, stratum, jac).
+def _endpoint(lam: Covector, t: float, s=None):
+    """(x, y, theta, J, c_t, stratum, jac) of the elastica of lam at t.
 
     c_t is the curvature at t, the pendulum velocity.  On N1 and N2+- jac =
     (kappa, a0, (sn, cn, dn, d)) holds the modulus and the arguments
     `_endpoint_oscillating` took, for `_modulus_column`; elsewhere it is
-    None.  With grid=True it returns (step, n) -> the States at t = i*step
-    for i < n instead.  On N1, N2+- and N3+- that path steps by the addition
-    formulas from anchors; elsewhere it evaluates each point.
+    None.  s is stratify(lam), which a caller that has it passes.
     """
-    s = stratify(lam)
-
+    if s is None:
+        s = stratify(lam)
     if s in STRAIGHT:
-
-        def line(t: float):
-            return t, 0.0, 0.0, 0.0, 0.0, s, None
-
-        return _pointwise(line) if grid else line
-
+        return t, 0.0, 0.0, 0.0, 0.0, s, None
     if s in CIRCULAR:
         c = lam.c
-
-        def circle(t: float):
-            ct = c * t
-            # 1 - cos ct = 2 sin^2(ct/2), which does not cancel for small ct
-            sh = math.sin(0.5 * ct)
-            return math.sin(ct) / c, 2.0 * sh * sh / c, ct, 0.5 * c * c * t, c, s, None
-
-        return _pointwise(circle) if grid else circle
-
-    sr = math.sqrt(lam.r)
-    sb, cb = math.sin(0.5 * lam.beta), math.cos(0.5 * lam.beta)
-    # a0 = (sn, cn, dn, eps) at u0 and modulus kap, eps measured from u0
-    if s in SEPARATRIX:
-        # kap is 1 within the stratify band: keep beta, take the sign of c
-        kap = 1.0
-        a0 = (sb, math.copysign(cb, lam.c), cb, 0.0)
-    else:
-        ch = 0.5 * lam.c / sr
-        kap = math.sqrt(sb * sb + ch * ch)
-        a0 = (sb / kap, ch / kap, cb, 0.0)
-    # the rotating strata, kap > 1, are evaluated through modulus 1/kap
-    rotating = s in ROTATING
-    k, jac = (1.0 / kap, _recip_shifted) if rotating else (kap, _shifted)
-
-    def at(w: float):
-        """(sn, cn, dn, d) at u0 + w, d as `_endpoint_oscillating` takes it."""
-        return _add(a0, jac(w, k), kap)
-
-    if not grid:
-        # the curvature c_t = 2 sqrt(r) kap cn
-        c_f = 2.0 * sr * kap
-
-        def elliptic(t: float):
-            a = at(sr * t)
-            return (*_endpoint_oscillating(kap, sr, t, a0, *a), c_f * a[1], s,
-                    (kap, a0, a) if kap != 1.0 else None)
-
-        return elliptic
-
-    def stepped(step: float, n: int) -> list[State]:
-        # the error grows with the argument of jacobi at modulus k
-        hw = sr * step / k if rotating else sr * step
-        if (REANCHOR_POINTS - 1) * hw <= REANCHOR_SPAN:
-            run = REANCHOR_POINTS
-        else:
-            run = 1 + int(REANCHOR_SPAN // hw)
-        if run > 1:
-            jh = jac(sr * step, k)
-        out = []
-        for i in range(n):
-            t = i * step
-            if i % run:
-                a = _add(a, jh, kap)
-            else:
-                a = at(sr * t) if i else a0
-            x, y, theta, _ = _endpoint_oscillating(kap, sr, t, a0, *a)
-            out.append(State(x, y, theta))
-        return out
-
-    return stepped
+        ct = c * t
+        # 1 - cos ct = 2 sin^2(ct/2), which does not cancel for small ct
+        sh = math.sin(0.5 * ct)
+        return math.sin(ct) / c, 2.0 * sh * sh / c, ct, 0.5 * c * c * t, c, s, None
+    sr, kap, a0, k, jac = _start(lam, s)
+    a = _add(a0, jac(sr * t, k), kap)
+    # the curvature c_t = 2 sqrt(r) kap cn
+    return (*_endpoint_oscillating(kap, sr, t, a0, *a), 2.0 * sr * kap * a[1], s,
+            (kap, a0, a) if kap != 1.0 else None)
 
 
 def exp_map(lam: Covector, t: float) -> State:
     """Endpoint of the elastica of lam at a finite arc length t >= 0."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"exp_map needs finite t >= 0, got {t}")
-    x, y, theta = _prepare(lam)(t)[:3]
-    return State(x, y, theta)
+    return State(*_endpoint(lam, t)[:3])
 
 
 def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
-    """n uniformly spaced endpoint samples over [0, t1], endpoints included."""
+    """n uniformly spaced endpoint samples over [0, t1], endpoints included.
+
+    On N1, N2+- and N3+- the points step by the addition formulas from
+    anchors; elsewhere each is evaluated by `_endpoint`.
+    """
     if n < 2:
         raise ValueError("need at least two samples")
     if not 0.0 < t1 < math.inf:
         raise ValueError(f"need finite t1 > 0, got {t1}")
-    return _prepare(lam, grid=True)(t1 / (n - 1), n)
+    step = t1 / (n - 1)
+    s = stratify(lam)
+    if s in STRAIGHT or s in CIRCULAR:
+        return [State(*_endpoint(lam, i * step, s)[:3]) for i in range(n)]
+    sr, kap, a0, k, jac = _start(lam, s)
+    # the error grows with the argument of jacobi at modulus k
+    hw = sr * step / k if s in ROTATING else sr * step
+    if (REANCHOR_POINTS - 1) * hw <= REANCHOR_SPAN:
+        run = REANCHOR_POINTS
+    else:
+        run = 1 + int(REANCHOR_SPAN // hw)
+    if run > 1:
+        jh = jac(sr * step, k)
+    out = []
+    for i in range(n):
+        t = i * step
+        if i % run:
+            a = _add(a, jh, kap)
+        else:
+            a = _add(a0, jac(sr * t, k), kap) if i else a0
+        x, y, theta, _ = _endpoint_oscillating(kap, sr, t, a0, *a)
+        out.append(State(x, y, theta))
+    return out
 
 
 def classify(lam: Covector) -> ElasticaClass:
@@ -338,9 +321,8 @@ def elastic_energy_closed(lam: Covector, t: float) -> float:
     The curvature along the extremal is the pendulum velocity c_s; its
     square integrates through the epsilon function (oscillating, separatrix
     at k = 1, and rotating by the reciprocal-modulus transform), and is zero
-    exactly on the line strata.  Computed by the same per-stratum
-    preparation as the endpoint.
+    exactly on the line strata.  Computed by `_endpoint`, with the endpoint.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"elastic energy needs finite t >= 0, got {t}")
-    return _prepare(lam)(t)[3]
+    return _endpoint(lam, t)[3]

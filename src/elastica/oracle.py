@@ -31,7 +31,7 @@ from bisect import bisect_left
 from functools import cache
 from typing import NamedTuple
 
-from .expmap import State, _circle_columns, _modulus_column, _prepare, elastic_energy_closed, exp_map
+from .expmap import State, _circle_columns, _endpoint, _modulus_column, exp_map
 from .phase import CIRCULAR, TWO_PI, Covector, Stratum, stratify, wrap_angle
 
 BVP_RESIDUAL_TOL = 1e-9
@@ -39,9 +39,11 @@ BVP_MERGE_DIST = 1e-6
 BVP_MAX_ITER = 60
 BVP_DAMPING = 0.5
 # the line search and stall rules of `_newton_from`; BVP_MIN_SCALE is the
-# 25th halving from 1, the smallest scale a search that starts at 1 tries
+# 13th and smallest scale a search that starts at 1 tries: no start that
+# converges on the perfbench bvp targets accepts a scale below 2^-11, so
+# smaller ones would only spend evaluations on starts that fail
 BVP_SCALE_GROWTH = 4.0
-BVP_MIN_SCALE = 2.0**-24
+BVP_MIN_SCALE = 2.0**-12
 BVP_STALL_RATIO = 0.99
 BVP_STALL_ITER = 8
 BVP_POLISH_ITER = 12
@@ -165,7 +167,9 @@ class BvpSolution(NamedTuple):
     energy: float
     residual: float
     report: MaxwellReport  # of elastica.maxwell; the annotation stays a string
-    optimal_candidate: bool  # t1 <= cut-time bound of lam
+    # t1 <= cut-time bound of lam, and no returned solution has an energy
+    # lower by more than the merge tolerance
+    optimal_candidate: bool
 
 
 def _log_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -215,7 +219,7 @@ def _seed_table():
 
     xs, ys, ths, covs, bounds = array("d"), array("d"), array("d"), array("d"), []
     for cell in cells():
-        ends = sorted((_prepare(lam)(1.0)[:3], i) for i, lam in enumerate(cell))
+        ends = sorted((_endpoint(lam, 1.0)[:3], i) for i, lam in enumerate(cell))
         bounds.append((len(xs), len(xs) + len(ends)))
         for (x, y, theta), i in ends:
             xs.append(x)
@@ -263,26 +267,23 @@ def _seeds(q1: State, t1: float, n: int) -> list[Covector]:
 def _residual(h, q1: State, t1: float):
     """Endpoint miss (dx, dy, dtheta) of h = (-r cos beta, c, -r sin beta) at t1, and end.
 
-    end = (x, y, theta, J, c_t, stratum, jac) is what `expmap._prepare`
+    end = (x, y, theta, J, c_t, stratum, jac) is what `expmap._endpoint`
     returns at t1, c_t the curvature there; the Newton step reuses it.
     """
-    end = _prepare(_covector(h))(t1)
+    end = _endpoint(_covector(h), t1)
     return (end[0] - q1.x, end[1] - q1.y, wrap_angle(end[2] - q1.theta)), end
 
 
 def _max_norm(res) -> float:
     """Largest |component| of a residual; NaN if any component is NaN."""
-    if any(map(math.isnan, res)):
+    a, b, c = map(abs, res)
+    if a != a or b != b or c != c:  # NaN is the one float unequal to itself
         return math.nan
-    return max(map(abs, res))
+    return max(a, b, c)
 
 
 def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def _lstsq3(cols, b):
@@ -294,11 +295,18 @@ def _lstsq3(cols, b):
     dropped, the cutoff of numpy.linalg.lstsq with rcond=None.  So a zero
     column gets a zero component.
     """
-    a1, a2, a3 = cols
-    c23 = _cross(a2, a3)
-    det = _dot(a1, c23)
-    if abs(det) > CRAMER_MIN * math.sqrt(_dot(a1, a1) * _dot(a2, a2) * _dot(a3, a3)):
-        return [_dot(b, c23) / det, _dot(a1, _cross(b, a3)) / det, _dot(a1, _cross(a2, b)) / det]
+    # Cramer's rule, the triple products written out in scalars
+    (p1, p2, p3), (q1, q2, q3), (s1, s2, s3) = cols
+    b1, b2, b3 = b
+    c1, c2, c3 = q2 * s3 - q3 * s2, q3 * s1 - q1 * s3, q1 * s2 - q2 * s1
+    det = p1 * c1 + p2 * c2 + p3 * c3
+    norms = (p1 * p1 + p2 * p2 + p3 * p3) * (q1 * q1 + q2 * q2 + q3 * q3) * (s1 * s1 + s2 * s2 + s3 * s3)
+    if abs(det) > CRAMER_MIN * math.sqrt(norms):
+        return [
+            (b1 * c1 + b2 * c2 + b3 * c3) / det,
+            (p1 * (b2 * s3 - b3 * s2) + p2 * (b3 * s1 - b1 * s3) + p3 * (b1 * s2 - b2 * s1)) / det,
+            (p1 * (q2 * b3 - q3 * b2) + p2 * (q3 * b1 - q1 * b3) + p3 * (q1 * b2 - q2 * b1)) / det,
+        ]
     eps = sys.float_info.epsilon
     a = [list(col) for col in cols]
     v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]  # the columns of V
@@ -395,7 +403,7 @@ def _polish(h, res, end, q1: State, t1: float):
     merge measures trajectories, by the gap between the states at t1/2, so
     a weakly determined direction of h does not count.  A start the polish
     moves by BVP_MERGE_DIST * max(1, t1) or more is dropped.  Returns (the
-    covector, its max-norm residual).
+    covector, its max-norm residual, its energy J at t1, its state at t1/2).
     """
     h0 = h
     for _ in range(BVP_POLISH_ITER):
@@ -410,7 +418,7 @@ def _polish(h, res, end, q1: State, t1: float):
     lam = _covector(h)
     qa, qb = exp_map(_covector(h0), 0.5 * t1), exp_map(lam, 0.5 * t1)
     if _gap(qa, qb) < BVP_MERGE_DIST * max(1.0, t1) and norm < BVP_RESIDUAL_TOL:
-        return lam, norm
+        return lam, norm, end[3], qb
     return None
 
 
@@ -438,7 +446,7 @@ def _newton_from(start: Covector, q1: State, t1: float):
             return None
         scale = min(1.0, BVP_SCALE_GROWTH * scale)
         while scale >= BVP_MIN_SCALE:
-            cand = [a + scale * b for a, b in zip(h, step)]
+            cand = [h[0] + scale * step[0], h[1] + scale * step[1], h[2] + scale * step[2]]
             cand_res, cand_end = _residual(cand, q1, t1)
             cand_norm = _max_norm(cand_res)
             if math.isfinite(cand_norm) and cand_norm < best:
@@ -462,15 +470,18 @@ def bvp_shoot(
     -r sin beta), from at most min(starts, BVP_SEEDS) seeds that `_seeds`
     looks up by dilation in a table of endpoints at t = 1, built on the
     first call.  Each line search starts at four times the scale the
-    previous iteration accepted (at most 1) and halves down to 2^-24; a
+    previous iteration accepted (at most 1) and halves down to 2^-12; a
     start is dropped when no scale lowers its residual, or when its best
     residual falls by less than 1 % over 8 iterations.  Converged solutions
     (max-norm residual < 1e-9) are certified by a polish that moves their
-    state at t1/2 by less than 1e-6 max(1, t1), de-duplicated at distance
-    1e-6, sorted by bending energy, and annotated with their cut-time bound
-    and whether t1 <= bound.  Straight-line solutions (J = 0) are
-    canonicalized to the frozen covector, and a circle (stratum N6), whose
-    endpoint depends on c alone, is reported as (0, c, 0).
+    state at t1/2 by less than 1e-6 max(1, t1); the polish's last endpoint
+    evaluation gives the energy, and its state at t1/2 the merge's.  They
+    are de-duplicated at distance 1e-6, sorted by bending energy, and
+    annotated with their cut-time bound and optimal_candidate: t1 <= bound
+    and J <= J_min + 1e-6 max(1, J_min), J_min the least energy returned.
+    Straight-line solutions (J = 0) are canonicalized to the frozen
+    covector, and a circle (stratum N6), whose endpoint depends on c alone,
+    is reported as (0, c, 0).
 
     The search is serial.  jobs is accepted for callers that pass it and
     must be >= 1; it has no other effect.
@@ -489,25 +500,25 @@ def bvp_shoot(
             "target unattainable; need x^2 + y^2 < t1^2 or (x, y, theta) = (t1, 0, 0)"
         )
     seeds = _seeds(q1, t1, min(starts, BVP_SEEDS))
-    converged: list[tuple[Covector, float, float]] = []
+    converged: list[tuple[Covector, float, float, State]] = []
     for start in seeds:
         item = _newton_from(start, q1, t1)
         if item is None:
             continue
-        lam, res = item
-        J = elastic_energy_closed(lam, t1)
+        lam, res, J, qm = item
         if J < 1e-12:
             lam, J = Covector(0.0, 0.0, 0.0), 0.0
+            qm = exp_map(lam, 0.5 * t1)
         elif stratify(lam) in CIRCULAR:
             lam = Covector(0.0, lam.c, 0.0)
-        converged.append((lam, res, J))
+            qm = exp_map(lam, 0.5 * t1)
+        converged.append((lam, res, J, qm))
 
     # merge duplicates: same point in (beta, c, r), or same trajectory
     # (equal energy and equal midpoint state); keep the smallest residual
     converged.sort(key=lambda it: it[1])
     found: list[tuple[Covector, float, float, State]] = []
-    for lam, res, J in converged:
-        qm = exp_map(lam, 0.5 * t1)
+    for lam, res, J, qm in converged:
         dup = False
         for prev, _, Jp, qp in found:
             if (
@@ -541,6 +552,10 @@ def bvp_shoot(
 
     from .maxwell import cut_time_bound  # deferred: only the found solutions need it
 
+    # a solution above the least energy by more than the merge tolerance is
+    # not optimal, whatever its cut-time bound
+    least = min(J for _, _, J, _ in found)
+    limit = least + BVP_MERGE_DIST * max(1.0, least)
     out = []
     for lam, res, J, _ in found:
         rep = cut_time_bound(lam)
@@ -550,7 +565,7 @@ def bvp_shoot(
                 energy=J,
                 residual=res,
                 report=rep,
-                optimal_candidate=t1 <= rep.bound,
+                optimal_candidate=t1 <= rep.bound and J <= limit,
             )
         )
     out.sort(key=lambda s: s.energy)

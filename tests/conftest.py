@@ -20,6 +20,31 @@ def n3(phi, r, sign=1):
     return from_elliptic(EllipticCoords(s, Modulus(1.0), phi, r))
 
 
+# criterion 8's 20 forward targets (covector, t1); (n1(0.9, 1.6, 1.0), 1.1)
+# is the knife edge, within 0.1 % of the boundary of the attainable set
+CRITERION_8 = (
+    (n1(0.3, 0.5, 1.0), 1.0),
+    (n1(0.55, 1.2, 1.0), 1.4),
+    (n1(0.62, 0.9, 1.0), 1.2),
+    (n1(0.75, 0.2, 2.0), 0.9),
+    (n1(0.9, 1.6, 1.0), 1.1),
+    (n1(0.45, 2.4, 0.5), 2.2),
+    (n1(0.2, 0.0, 1.5), 1.3),
+    (n2(0.35, 0.3, 1.0), 1.0),
+    (n2(0.6, 0.8, 1.0), 0.9),
+    (n2(0.8, 0.1, 1.5), 0.7),
+    (n2(0.5, 0.4, 0.8, -1), 1.2),
+    (n2(0.7, 1.0, 1.0, -1), 0.8),
+    (n3(0.2, 1.0), 1.5),
+    (n3(-0.6, 1.2, -1), 1.1),
+    (Covector(0.0, 2.0, 0.0), 1.3),
+    (Covector(0.0, -3.5, 0.0), 1.0),
+    (Covector(0.0, 0.9, 0.0), 2.0),
+    (Covector(0.0, 0.0, 0.0), 1.0),
+    (Covector(0.0, 0.0, 2.0), 1.7),
+    (n1(0.85, 2.9, 1.2), 1.6),
+)
+
 # (covector, t1, n): N2 at k = 7.4e-4, where theta runs to |c| t1 = 4000 and
 # a stepped sample and the direct path differ by 1.73e-12 at point 9751
 STEPPED_N2_SMALL_K = (

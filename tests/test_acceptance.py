@@ -35,7 +35,7 @@ from elastica.phase import Covector, wrap_angle
 from elastica.expmap import State
 from elastica.symmetry import reflect_covector, reflect_state
 
-from conftest import n1, n2, n3
+from conftest import CRITERION_8, n1, n2
 
 K_RECT = 1.0 / math.sqrt(2.0)
 
@@ -345,28 +345,7 @@ def test_criterion_8_attainable_and_bvp():
     assert attainable(State(0.5, 0.0, 2.0), 1.0)
     assert attainable(State(0.0, 0.0, 3.0), 0.1)
 
-    forward = [
-        (n1(0.3, 0.5, 1.0), 1.0),
-        (n1(0.55, 1.2, 1.0), 1.4),
-        (n1(0.62, 0.9, 1.0), 1.2),
-        (n1(0.75, 0.2, 2.0), 0.9),
-        (n1(0.9, 1.6, 1.0), 1.1),
-        (n1(0.45, 2.4, 0.5), 2.2),
-        (n1(0.2, 0.0, 1.5), 1.3),
-        (n2(0.35, 0.3, 1.0), 1.0),
-        (n2(0.6, 0.8, 1.0), 0.9),
-        (n2(0.8, 0.1, 1.5), 0.7),
-        (n2(0.5, 0.4, 0.8, -1), 1.2),
-        (n2(0.7, 1.0, 1.0, -1), 0.8),
-        (n3(0.2, 1.0), 1.5),
-        (n3(-0.6, 1.2, -1), 1.1),
-        (Covector(0.0, 2.0, 0.0), 1.3),
-        (Covector(0.0, -3.5, 0.0), 1.0),
-        (Covector(0.0, 0.9, 0.0), 2.0),
-        (Covector(0.0, 0.0, 0.0), 1.0),
-        (Covector(0.0, 0.0, 2.0), 1.7),
-        (n1(0.85, 2.9, 1.2), 1.6),
-    ]
+    forward = CRITERION_8
     assert len(forward) == 20
 
     worst_res = 0.0

@@ -234,14 +234,13 @@ def _stepped_sample(draw):
 
 
 def _prepare(lam):
-    """`expmap._prepare` returning (x, y, theta, J), without the curvature c_t.
+    """t -> (x, y, theta, J) of `expmap._endpoint` at lam, without the curvature c_t.
 
     It keeps the body of `test_stepped_sample_matches_direct` as it was: the
     derandomized examples of a Hypothesis test are seeded by a digest of its
     source.
     """
-    at = expmap._prepare(lam)
-    return lambda t: at(t)[:4]
+    return lambda t: expmap._endpoint(lam, t)[:4]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -264,10 +263,9 @@ def test_stepped_sample_large_theta_within_its_conditioning():
     # by more than 1e-12 max(1, t1) but by less than 4 more ulps of |c| t1;
     # tests/test_reference.py puts both within 4 ulps of the 40-digit theta
     lam, t1, n = STEPPED_N2_SMALL_K
-    at = expmap._prepare(lam)
     step = t1 / (n - 1)
     samples = sample_elastica(lam, t1, n)
-    gap = max(endpoint_gap(q, State(*at(i * step)[:3])) for i, q in enumerate(samples))
+    gap = max(endpoint_gap(q, State(*expmap._endpoint(lam, i * step)[:3])) for i, q in enumerate(samples))
     assert 1e-12 * max(1.0, t1) < gap < 1e-12 * max(1.0, t1) + 4.0 * math.ulp(abs(lam.c) * t1)
 
 

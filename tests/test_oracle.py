@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 
 from elastica import oracle
 from elastica.elliptic import ellint_K
-from elastica.expmap import State, _modulus_column, _prepare, elastic_energy_closed, exp_map
+from elastica.expmap import State, _endpoint, _modulus_column, elastic_energy_closed, exp_map
 from elastica.oracle import (
     BVP_MERGE_DIST,
     BVP_MIN_SCALE,
@@ -27,6 +29,7 @@ from elastica.oracle import (
     _newton_step,
     _polish,
     _residual,
+    _seed_table,
     _seeds,
     _symmetry_columns,
     attainable,
@@ -35,10 +38,11 @@ from elastica.oracle import (
 )
 from elastica.phase import OSCILLATING, ROTATING, SEPARATRIX, Covector, Stratum, energy, stratify, wrap_angle
 
-from conftest import n1, n2, n3
+from conftest import CRITERION_8, n1, n2, n3
 from quadrature import quad_E, quad_F
 
 KNIFE_EDGE_GOLDEN = Path(__file__).parent / "golden" / "bvp_knife_edge.txt"
+SEED_TABLE_GOLDEN = Path(__file__).parent / "golden" / "seed_table.sha256"
 
 
 def endpoint_gap(a, b):
@@ -195,6 +199,33 @@ class TestShooting:
         lam, t1 = n1(0.9, 1.6, 1.0), 1.1
         sols = bvp_shoot(exp_map(lam, t1), t1, starts=100)
         assert repr(sols) + "\n" == KNIFE_EDGE_GOLDEN.read_text(encoding="utf-8")
+
+    def test_optimal_candidate_only_at_the_least_energy(self):
+        # perfbench bvp's held-out target at seed 4: an N1 solution with J =
+        # 49.78 lies within its cut-time bound, but another solution has
+        # J = 17.07, so it is not optimal
+        q1 = State(-0.07659307682968919, 0.024992151711636275, -0.3949361353856595)
+        t1 = 1.0160369901792872
+        sols = {s.lam: s for s in bvp_shoot(q1, t1, starts=100)}
+        other = sols[Covector(-1.8086790398304389, 7.639033036370855, 71.4487384257491)]
+        assert t1 <= other.report.bound
+        assert not other.optimal_candidate
+        best = min(sols.values(), key=lambda s: s.energy)
+        assert best.energy == pytest.approx(17.07, abs=0.01)
+        assert best.optimal_candidate
+
+    def test_energy_is_the_closed_form(self):
+        # the energy comes from the polish's last endpoint evaluation, and
+        # must be the closed form at the returned covector bit for bit, the
+        # frozen line (0, 0, 0) and the circles (0, c, 0) included
+        targets = [(exp_map(lam, t1), t1, 100) for lam, t1 in CRITERION_8]
+        targets.append((State(0.0, 0.6366, 3.1415926), 1.0, 200))
+        strata = set()
+        for q1, t1, starts in targets:
+            for s in bvp_shoot(q1, t1, starts):
+                assert s.energy == elastic_energy_closed(s.lam, t1), (q1, t1, s.lam)
+                strata.add(stratify(s.lam))
+        assert {Stratum.N7, Stratum.N6_PLUS, Stratum.N6_MINUS} <= strata
 
     def test_knife_edge_neighbourhood(self):
         # a target near the knife edge (perfbench bvp's held-out target at
@@ -404,9 +435,10 @@ class TestLineSearch:
         assert len(seen) - 1 <= plateau + BVP_STALL_ITER + 1
 
     def test_no_candidate_below_min_scale(self, monkeypatch):
-        # the first line search accepts scale 2^-20; the second starts at
-        # 4 times that and gives up at BVP_MIN_SCALE, as a search from 1 does
-        accepted = 2.0**-20
+        # the first line search accepts scale 4 BVP_MIN_SCALE; the second
+        # starts at 4 times that and gives up at BVP_MIN_SCALE, as a search
+        # from 1 does
+        accepted = 4.0 * BVP_MIN_SCALE
 
         def norm(h1):
             if h1 == 0.0:
@@ -415,10 +447,22 @@ class TestLineSearch:
 
         seen = self._model(monkeypatch, norm)
         assert _newton_from(Covector(0.0, 1.0, 0.0), State(0.0, 0.0, 0.0), 1.0) is None
-        first = [2.0**-i for i in range(21)]
-        second = [accepted + 2.0**-i for i in range(18, 25)]
+        first = [0.5**i for i in range(round(-math.log2(accepted)) + 1)]
+        second = [accepted + 4.0 * accepted * 0.5**i for i in range(5)]
+        assert first[-1] == accepted
         assert seen == [0.0, *first, *second]
         assert seen[-1] - accepted == BVP_MIN_SCALE
+
+
+def test_seed_table_digest():
+    # the table's endpoints, covectors and cell bounds, bit for bit
+    xs, ys, ths, covs, bounds = _seed_table()
+    assert len(xs) == 16_209
+    h = hashlib.sha256()
+    for a in (xs, ys, ths, covs):
+        h.update(struct.pack(f"<{len(a)}d", *a))
+    h.update(struct.pack(f"<{2 * len(bounds)}q", *(i for b in bounds for i in b)))
+    assert h.hexdigest() == SEED_TABLE_GOLDEN.read_text(encoding="utf-8").strip()
 
 
 def _richardson(lam, d, t, step=1e-4, in_h=False):
@@ -499,7 +543,7 @@ JACOBIAN_CASES = [
 
 def _modulus_case(lam, t):
     """(D, J D) of `expmap._modulus_column` at lam and t, from the end `_residual` returns."""
-    kap, a0, a = _prepare(lam)(t)[6]
+    kap, a0, a = _endpoint(lam, t)[6]
     return _modulus_column(kap, math.sqrt(lam.r), t, a0, *a)
 
 
@@ -527,7 +571,7 @@ class TestNewtonStep:
             if stratify(lam) in SEPARATRIX:
                 continue
             for t in (0.37, 1.9, 7.3):
-                end = _prepare(lam)(t)
+                end = _endpoint(lam, t)
                 dirs = ((lam.c, -lam.r * math.sin(lam.beta), 0.0), (0.0, lam.c, 2.0 * lam.r))
                 for d, col in zip(dirs, _symmetry_columns(lam.c, end, t)):
                     ref = _richardson(lam, d, t)

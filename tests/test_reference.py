@@ -17,8 +17,7 @@ import sys
 import pytest
 
 from elastica.elliptic import jacobi_recip_modulus
-from elastica import expmap
-from elastica.expmap import (CIRCLE_SERIES_MAX, _circle_columns, _modulus_column, _prepare, elastic_energy_closed,
+from elastica.expmap import (CIRCLE_SERIES_MAX, _circle_columns, _endpoint, _modulus_column, elastic_energy_closed,
                              exp_map, sample_elastica)
 from elastica.oracle import _symmetry_columns
 from elastica.phase import OSCILLATING, ROTATING, SEPARATRIX, stratify, wrap_angle
@@ -169,7 +168,7 @@ def test_separatrix_symmetry_columns(fixture25, cell_covectors):
             sign = stratify(lam).sign
             b, c, r = mp.mpf(lam.beta), mp.mpf(lam.c), mp.mpf(lam.r)
             for t in TIMES:
-                end = _prepare(lam)(t)
+                end = _endpoint(lam, t)
                 dirs = ((c, -r * mp.sin(b), 0), (0, c, 2 * r))
                 for d, col in zip(dirs, _symmetry_columns(lam.c, end, t)):
                     ref = [float(mp.diff(
@@ -195,7 +194,7 @@ def test_modulus_column(fixture25, cell_covectors):
             s = stratify(lam)
             v = [mp.mpf(e) for e in (lam.beta, lam.c, lam.r)]
             for t in TIMES:
-                end = _prepare(lam)(t)
+                end = _endpoint(lam, t)
                 kap, a0, a = end[6]
                 d, jd = _modulus_column(kap, math.sqrt(lam.r), t, a0, *a)
                 qp, qm = (reference(*(x + e * h * y for x, y in zip(v, d)), t, s.family,
@@ -260,7 +259,6 @@ def test_stepped_and_direct_theta_within_ulps_of_the_truth():
     # 40-digit theta both are within 4 ulps of |c| t1, at every 100th point
     # and at 9751, where they differ most (stepped 1.40e-12, direct 3.25e-13)
     lam, t1, n = STEPPED_N2_SMALL_K
-    at = expmap._prepare(lam)
     step = t1 / (n - 1)
     samples = sample_elastica(lam, t1, n)
     ulps = 4.0 * math.ulp(abs(lam.c) * t1)
@@ -268,4 +266,4 @@ def test_stepped_and_direct_theta_within_ulps_of_the_truth():
         for i in (*range(0, n, 100), 9751):
             theta = float(_exact(lam, i * step)[2])
             assert abs(wrap_angle(samples[i].theta - theta)) < ulps
-            assert abs(wrap_angle(at(i * step)[2] - theta)) < ulps
+            assert abs(wrap_angle(_endpoint(lam, i * step)[2] - theta)) < ulps

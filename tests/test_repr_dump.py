@@ -74,3 +74,30 @@ def test_bvp_dump_counts_residual_evaluations(monkeypatch):
     q1, t1, starts = module.SHOOTING[0]
     oracle.bvp_shoot(q1, t1, starts)
     assert calls == counts[2]
+
+    # and every endpoint evaluation the search makes, the polish's
+    # included, is one of those calls
+    endpoint = oracle._endpoint
+    evaluations = 0
+
+    def counted_endpoint(*args):
+        nonlocal evaluations
+        evaluations += 1
+        return endpoint(*args)
+
+    oracle._seed_table()
+    monkeypatch.setattr(oracle, "_endpoint", counted_endpoint)
+    oracle.bvp_shoot(q1, t1, starts)
+    assert evaluations == counts[2]
+
+
+def test_bvp_seeds_dump():
+    # the eight perfbench bvp targets of seed 4, its held-out target among
+    # them with a second N1 solution
+    out = io.StringIO()
+    assert _repr_dump().main(["--bvp-seeds", "4", "4"], out=out) == 0
+    lines = [line for line in out.getvalue().splitlines() if line.startswith("bvp_seed ")]
+    assert len(lines) == 8
+    assert all(line.startswith("bvp_seed 4 State(") for line in lines)
+    assert sum("Covector(beta=-1.8086790398304389, c=7.639033036370855, r=71.4487384257491)" in line
+               for line in lines) == 1
