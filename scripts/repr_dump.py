@@ -1,10 +1,14 @@
 """Print the repr of the library's public outputs over fixed inputs.
 
     python3 scripts/repr_dump.py [--bvp] [--bvp-seeds LO HI] > dump.txt
+    python3 scripts/repr_dump.py --compare A B
 
 Run it in two checkouts and `diff` the files: equal files mean the outputs
 are bit-identical, since a float's repr round-trips exactly.  The script
-imports the package from the `src` directory of its own checkout.
+imports the package from the `src` directory of its own checkout.  With
+--compare it reads two such dumps instead and prints, for each function
+(the first word of a line), how many lines it has, how many of them differ
+and the largest relative change among the numbers of those lines.
 
 The covectors are the test suite's `fixture25` and `cell_covectors` and a
 seeded set on all ten strata, including covectors inside the tolerance
@@ -30,6 +34,7 @@ import argparse
 import importlib.util
 import math
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -231,16 +236,68 @@ def dump_bvp(write) -> None:
         write(f"knife_edge start {i} {start!r} {out if out is None else out[:2]!r}")
 
 
+# a number not inside a word, so the 1 of N1 or t1_max1 is not one
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
+
+
+def _relative_change(a: str, b: str) -> float:
+    """Largest |x - y| / max(|x|, |y|) over the numbers of two lines, taken in order.
+
+    Lines whose numbers do not pair up (a different count, or NaN against a
+    number, or infinities that differ) count as a change of inf.
+    """
+    xs, ys = (list(map(float, _NUMBER.findall(line))) for line in (a, b))
+    if len(xs) != len(ys):
+        return math.inf
+    worst = 0.0
+    for x, y in zip(xs, ys):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return math.inf
+        worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def compare(a_lines: list[str], b_lines: list[str], write) -> int:
+    """Per function, lines, differing lines and their largest relative change; 1 if unaligned."""
+    if len(a_lines) != len(b_lines):
+        write(f"the dumps have {len(a_lines)} and {len(b_lines)} lines: not comparable")
+        return 1
+    rows = {}
+    for a, b in zip(a_lines, b_lines):
+        name, name_b = a.split(maxsplit=1)[0], b.split(maxsplit=1)[0]
+        if name != name_b:
+            write(f"unaligned lines: {name} against {name_b}")
+            return 1
+        lines, differ, worst = rows.get(name, (0, 0, 0.0))
+        if a != b:
+            differ += 1
+            worst = max(worst, _relative_change(a, b))
+        rows[name] = (lines + 1, differ, worst)
+    write(f"{'function':<24} {'lines':>6} {'differ':>6}  max relative change")
+    for name, (lines, differ, worst) in rows.items():
+        change = f"{worst:.3g}" if differ else "-"
+        write(f"{name:<24} {lines:>6} {differ:>6}  {change}")
+    return 0
+
+
 def main(argv=None, out=sys.stdout) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--bvp", action="store_true",
                     help="also dump bvp_shoot on the criterion-8 and shooting-test targets")
     ap.add_argument("--bvp-seeds", type=int, nargs=2, metavar=("LO", "HI"),
                     help="also dump bvp_shoot on the perfbench bvp inputs of seeds LO to HI")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                    help="compare two dumps per function instead of dumping")
     args = ap.parse_args(argv)
 
     def write(line: str) -> None:
         out.write(line + "\n")
+
+    if args.compare:
+        a, b = (Path(name).read_text().splitlines() for name in args.compare)
+        return compare(a, b, write)
 
     for lam in (*FIXTURE25, *CELL_COVECTORS, *seeded_covectors(random.Random(SEED))):
         dump_covector(lam, write)

@@ -8,13 +8,12 @@ are hyperbolic), through the reciprocal-modulus transform of them on the
 rotating strata (one code path, no second transcription), and through
 circular/linear motion in the degenerate cases.
 
-On N1, N2+- and N3+- the covector is itself a point of its Jacobi curve at
-the algebraic modulus kappa, kappa^2 = sin^2(beta/2) + c^2/(4r):
-sin(beta/2) = kappa sn u0, cos(beta/2) = dn u0, c/(2 sqrt r) = kappa cn u0.
-So the start values need no evaluation, and a minus branch carries its sign
-in (sn u0, cn u0).  The values at u0 + sqrt(r) t follow from one Jacobi
-evaluation at sqrt(r) t and the addition formulas, which also give the
-epsilon increment, so eps(u0) is never formed.
+On N1, N2+- and N3+- the covector is itself a point u0 of its Jacobi curve
+at the algebraic modulus kappa (`phase._start`), so the start values need
+no evaluation, and a minus branch carries its sign in (sn u0, cn u0).  The
+values at u0 + sqrt(r) t follow from one Jacobi evaluation at sqrt(r) t and
+the addition formulas, which also give the epsilon increment, so eps(u0)
+is never formed.
 
 The tangent angle always satisfies theta_t = beta_t - beta_0.
 """
@@ -25,15 +24,15 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .elliptic import K_RECT, _add, _recip_shifted, _shifted, find_k0
+from .elliptic import K_RECT, _add, find_k0
 from .phase import (
     CIRCULAR,
     ROTATING,
     SEPARATRIX,
     STRAIGHT,
     Covector,
+    _start,
     stratify,
-    to_elliptic,
     wrap_angle,
 )
 
@@ -203,27 +202,6 @@ def _circle_columns(c: float, t: float):
     return (z1.real, z1.imag, th.imag), (zc.real, zc.imag, t), (z3.real, z3.imag, th.real)
 
 
-def _start(lam: Covector, s):
-    """The per-covector start values on N1, N2+- and N3+-: (sqrt(r), kap, a0, k, jac).
-
-    a0 = (sn, cn, dn, eps) at u0 and modulus kap, eps measured from u0, and
-    jac the shifted Jacobi routine at modulus k: `_recip_shifted` at k =
-    1/kap on the rotating strata, kap > 1, and `_shifted` at k = kap
-    elsewhere.
-    """
-    sr = math.sqrt(lam.r)
-    sb, cb = math.sin(0.5 * lam.beta), math.cos(0.5 * lam.beta)
-    if s in SEPARATRIX:
-        # kap is 1 within the stratify band: keep beta, take the sign of c
-        return sr, 1.0, (sb, math.copysign(cb, lam.c), cb, 0.0), 1.0, _shifted
-    ch = 0.5 * lam.c / sr
-    kap = math.sqrt(sb * sb + ch * ch)
-    a0 = (sb / kap, ch / kap, cb, 0.0)
-    if s in ROTATING:
-        return sr, kap, a0, 1.0 / kap, _recip_shifted
-    return sr, kap, a0, kap, _shifted
-
-
 def _endpoint(lam: Covector, t: float, s=None):
     """(x, y, theta, J, c_t, stratum, jac) of the elastica of lam at t.
 
@@ -302,7 +280,7 @@ def classify(lam: Covector) -> ElasticaClass:
         return ElasticaClass.CRITICAL
     if s in ROTATING:
         return ElasticaClass.NON_INFLECTIONAL
-    k = to_elliptic(lam).k
+    k = _start(lam, s)[1]
     k0 = find_k0()
     if abs(k - K_RECT) <= CLASS_K_TOL:
         return ElasticaClass.RECTANGULAR

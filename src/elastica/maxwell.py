@@ -40,6 +40,7 @@ from .phase import (
     STRAIGHT,
     Covector,
     Stratum,
+    _check_tol,
     stratify,
     to_elliptic,
 )
@@ -359,11 +360,13 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
 
     Strata are measure-zero, so membership is meaningful only with a
     tolerance contract: lattice conditions compare p to the nearest lattice
-    point, function conditions compare residuals against tol.  A circle
-    whose turning angle c t overflows raises ValueError.
+    point, function conditions compare residuals against tol, which must be
+    finite and > 0.  A circle whose turning angle c t overflows raises
+    ValueError.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"in_maxwell needs finite t > 0, got {t}")
+    _check_tol(tol)
     s = stratify(lam)
     if s in _NEVER_MEETS:
         return set()
@@ -432,8 +435,9 @@ def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
     case.  Scales like time under the dilation symmetry.  A first time is
     that of the least candidate half-length p (listed in MaxwellReport) at
     which `_met` names the stratum; the roots p_n^1 stop once MAX2 and MAX3+
-    are both met.
+    are both met.  tol must be finite and > 0.
     """
+    _check_tol(tol)
     s = stratify(lam)
     if s in _NEVER_MEETS:
         return MaxwellReport(s, math.inf, math.inf, math.inf, math.inf, math.inf)

@@ -7,10 +7,14 @@ A covector (beta, c, r) drives the generalized pendulum
 whose energy E = c^2/2 - r cos(beta) partitions the fiber into strata: the
 oscillating region (E between -r and r), the rotating region (E > r), the
 separatrices, the equilibria, and the gravity-free cases r = 0.  On the three
-nondegenerate families the flow is rectified by elliptic coordinates
-(k, phi, r): k is a reparametrized energy (the Jacobi modulus) and phi is the
-time of motion from the axis {beta = 0, c > 0} (c < 0 on the minus branches),
-so that phi_t = phi + t.
+nondegenerate families a covector is a point u0 of its Jacobi curve at the
+algebraic modulus kappa, kappa^2 = sin^2(beta/2) + c^2/(4r) = (E + r)/(2r):
+sin(beta/2) = kappa sn u0, cos(beta/2) = dn u0, c/(2 sqrt r) = kappa cn u0.
+`_start` is the one map from a covector to that point.  The flow moves it by
+sqrt(r) t, and the rectifying coordinates (k, phi, r) take the modulus
+k = kappa on N1, 1/kappa on N2+- and 1 on N3+-; phi is the time of motion
+from the axis {beta = 0, c > 0} (c < 0 on the minus branches), so that
+phi_t = phi + t.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .elliptic import ellint_F_inc, ellint_K, jacobi
+from .elliptic import _add, _recip_shifted, _shifted, ellint_F_inc, ellint_K, jacobi
 
 TWO_PI = 2.0 * math.pi
 # stratification half-width per unit of the covector scale max(r, c^2, 1)
@@ -189,32 +193,60 @@ def period(obj) -> float:
     raise UnsupportedStratumError(f"no period on {ec.stratum}")
 
 
+def _start(lam: Covector, s: Stratum):
+    """The point of lam's Jacobi curve on N1, N2+- and N3+-: (sqrt(r), kap, a0, k, jac).
+
+    kap is the algebraic modulus, a0 = (sn, cn, dn, eps) at u0 and modulus
+    kap, eps measured from u0, k the modulus in (0, 1] and jac the shifted
+    Jacobi routine at modulus k: `_recip_shifted` at k = 1/kap on the
+    rotating strata, kap > 1, and `_shifted` at k = kap elsewhere.  s is
+    stratify(lam).
+    """
+    sr = math.sqrt(lam.r)
+    sb, cb = math.sin(0.5 * lam.beta), math.cos(0.5 * lam.beta)
+    if s in SEPARATRIX:
+        # kap is 1 within the stratify band: keep beta, take the sign of c
+        return sr, 1.0, (sb, math.copysign(cb, lam.c), cb, 0.0), 1.0, _shifted
+    ch = 0.5 * lam.c / sr
+    kap = math.sqrt(sb * sb + ch * ch)
+    a0 = (sb / kap, ch / kap, cb, 0.0)
+    if s in ROTATING:
+        return sr, kap, a0, 1.0 / kap, _recip_shifted
+    return sr, kap, a0, kap, _shifted
+
+
+def _check_time(t: float, name: str) -> None:
+    """Raise ValueError unless the time t given to the function name is finite."""
+    if not math.isfinite(t):
+        raise ValueError(f"{name} needs a finite t, got {t}")
+
+
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless the tolerance is finite and > 0, as the CLI's --tol."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 def to_elliptic(lam: Covector) -> EllipticCoords:
     """Forward map (beta, c, r) -> (stratum, k, phi, r) on N1, N2+-, N3+-.
 
-    phi is recovered by quadrant-aware inversion of the defining triples: the
-    amplitude is taken from atan2 of the (sn, cn) pair, mapped through the
-    quasi-periodic incomplete integral, and reduced to [0, period).
+    k is that of `_start`.  phi is recovered by quadrant-aware inversion of
+    its start point: the amplitude is taken from atan2 of an (sn, cn) pair,
+    mapped through the quasi-periodic incomplete integral, and reduced to
+    [0, period).
     """
     s = stratify(lam)
-    r = lam.r
-    sr = math.sqrt(r) if r > 0 else 0.0
+    if s not in ELLIPTIC_STRATA:
+        raise UnsupportedStratumError(f"no elliptic coordinates on {s}")
+    sr, kap, (sn0, cn0, dn0, _), k, _ = _start(lam, s)
     if s is Stratum.N1:
-        E = energy(lam)
-        k = math.sqrt((E + r) / (2.0 * r))
-        am = math.atan2(math.sin(0.5 * lam.beta), 0.5 * lam.c / sr)
-        sru = ellint_F_inc(am, k) % (4.0 * ellint_K(k))
-        return EllipticCoords(s, k, sru / sr, r)
+        sru = ellint_F_inc(math.atan2(sn0, cn0), k) % (4.0 * ellint_K(k))
+        return EllipticCoords(s, k, sru / sr, lam.r)
+    # N2+- and N3+- (kap = k = 1): at k = 1/kap, w0 = kap u0 has sn w0 = kap sn u0, cn w0 = dn u0
+    srv = ellint_F_inc(math.atan2(s.sign * kap * sn0, dn0), k)
     if s in ROTATING:
-        E = energy(lam)
-        k = math.sqrt(2.0 * r / (E + r))
-        am = math.atan2(s.sign * math.sin(0.5 * lam.beta), math.cos(0.5 * lam.beta))
-        srv = ellint_F_inc(am, k) % (2.0 * ellint_K(k))
-        return EllipticCoords(s, k, k * srv / sr, r)
-    if s in SEPARATRIX:
-        sru = ellint_F_inc(s.sign * 0.5 * lam.beta, 1.0)
-        return EllipticCoords(s, 1.0, sru / sr, r)
-    raise UnsupportedStratumError(f"no elliptic coordinates on {s}")
+        srv %= 2.0 * ellint_K(k)
+    return EllipticCoords(s, k, k * srv / sr, lam.r)
 
 
 def from_elliptic(ec: EllipticCoords) -> Covector:
@@ -234,20 +266,19 @@ def from_elliptic(ec: EllipticCoords) -> Covector:
 
 
 def flow_vertical(lam: Covector, t: float) -> Covector:
-    """Closed-form pendulum flow for time t, on every stratum.
+    """Closed-form pendulum flow for a finite time t, on every stratum.
 
-    Rectified strata advance phi by t; N6 rotates uniformly; the equilibria
-    N4/N5 and the frozen case N7 are returned unchanged (constant motion).
+    On N1, N2+- and N3+- the start point of `_start` moves by sqrt(r) t
+    along its Jacobi curve; N6 rotates uniformly; the equilibria N4/N5 and
+    the frozen case N7 are returned unchanged (constant motion).
     """
+    _check_time(t, "flow_vertical")
     s = stratify(lam)
     if s in ELLIPTIC_STRATA:
-        ec = to_elliptic(lam)
-        phi_t = ec.phi + t
-        if s not in SEPARATRIX:
-            phi_t %= period(ec)
-        return from_elliptic(
-            EllipticCoords(ec.stratum, ec.k, phi_t, ec.r)
-        )
+        sr, kap, a0, k, jac = _start(lam, s)
+        sn, cn, dn, _ = _add(a0, jac(sr * t, k), kap)
+        # the curvature c_t = 2 sqrt(r) kap cn, as `expmap._endpoint` has it
+        return Covector(2.0 * math.atan2(kap * sn, dn), 2.0 * sr * kap * cn, lam.r)
     if s in CIRCULAR:
         return Covector(lam.beta + lam.c * t, lam.c, lam.r)
     # N4 / N5 / N7: equilibria of the vertical subsystem

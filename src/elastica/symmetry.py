@@ -30,6 +30,8 @@ from .phase import (
     Covector,
     EllipticCoords,
     Stratum,
+    _check_time,
+    _check_tol,
     flow_vertical,
     stratify,
     to_elliptic,
@@ -84,9 +86,11 @@ def reflect_covector(i, lam: Covector, t: float) -> Covector:
     """Action of reflection i on a covector, through its time-t vertical state.
 
     Preserves r and the pendulum energy.  The action depends on t: the
-    reflected trajectory is the one meeting the original at time t.
+    reflected trajectory is the one meeting the original at time t, which
+    must be finite.
     """
     i = Reflection(i)
+    _check_time(t, "reflect_covector")
     if i is Reflection.CHORD:
         return Covector(-lam.beta, -lam.c, lam.r)
     lt = flow_vertical(lam, t)
@@ -119,6 +123,7 @@ def Q_of(q: State) -> float:
 def is_fixed_state(i, q: State, tol: float = 1e-9) -> bool:
     """Whether the endpoint q lies on the fixed-point set of reflection i."""
     i = Reflection(i)
+    _check_tol(tol)
     if i is Reflection.CHORD_CENTER:
         return abs(wrap_angle(q.theta)) < tol
     if i is Reflection.CHORD_PERPENDICULAR:
@@ -129,6 +134,7 @@ def is_fixed_state(i, q: State, tol: float = 1e-9) -> bool:
 
 def m3_branch(q: State, tol: float = 1e-9) -> str | None:
     """Branch of the chord-reflection fixed set: "plus" (theta=0), "minus" (theta=pi)."""
+    _check_tol(tol)
     if abs(q.y) >= tol:
         return None
     th = wrap_angle(q.theta)
@@ -150,7 +156,8 @@ def _arc_coords(ec: EllipticCoords, t: float) -> MaxwellCoords:
 
 
 def maxwell_coords(lam: Covector, t: float) -> MaxwellCoords:
-    """(tau, p) of the arc [0, t] of lam's extremal; needs lam in N1/N2/N3."""
+    """(tau, p) of the arc [0, t] of lam's extremal; needs lam in N1/N2/N3 and a finite t."""
+    _check_time(t, "maxwell_coords")
     return _arc_coords(to_elliptic(lam), t)
 
 
@@ -173,9 +180,11 @@ def is_fixed_covector(i, lam: Covector, t: float, tol: float = 1e-9) -> bool:
 
     Per-stratum conditions on the midpoint coordinate tau; reflections 1 and
     3 fix nothing in the rotating, separatrix and circular strata, and the
-    equilibrium strata are fixed by everything.
+    equilibrium strata are fixed by everything.  t must be finite.
     """
     i = Reflection(i)
+    _check_time(t, "is_fixed_covector")
+    _check_tol(tol)
     s = stratify(lam)
     if s in STRAIGHT:
         return True

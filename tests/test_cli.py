@@ -367,15 +367,19 @@ class TestMaxwellCmd:
         assert math.isfinite(doc["bound"])
 
     @pytest.mark.parametrize(
-        "beta, c, r, t",
+        "beta, c, r, t_listed",
         [
             (-3.1415926517020325, 1.2182061009891727, 1.7532483171941744, 3.182244781102832),
             (-5.825414817195451e-09, 2.68839649844544, 1.7329310634795903, 4.471211695862266),
         ],
     )
-    def test_membership_agrees_with_first_times_in_band(self, capsys, beta, c, r, t):
+    def test_membership_agrees_with_first_times_in_band(self, capsys, beta, c, r, t_listed):
         # rotating covectors with sn tau cn tau within the tol band at the
-        # bound time t: membership names exactly the strata first met at t
+        # bound time t: membership names exactly the strata first met at t.
+        # t is the library's bound, within a few ulps of the one listed,
+        # which the modulus formed from (E + r)/(2r) gave
+        t = cut_time_bound(Covector(beta, c, r)).bound
+        assert abs(t - t_listed) <= 4 * math.ulp(t_listed)
         _, out = run_cli(
             ["maxwell", f"--beta={beta}", "--c", repr(c), "--r", repr(r), "--t", repr(t)], capsys
         )

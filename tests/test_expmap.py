@@ -18,6 +18,7 @@ from elastica.expmap import (
 from elastica.maxwell import find_k0
 from elastica.oracle import integrate_extremal
 from elastica.phase import (
+    ELLIPTIC_STRATA,
     Covector,
     EllipticCoords,
     Stratum,
@@ -112,6 +113,17 @@ class TestExpMap:
                 q = exp_map(lam, t)
                 bt = flow_vertical(lam, t).beta
                 assert abs(wrap_angle(q.theta - (bt - lam.beta))) < 1e-10
+
+    def test_flow_curvature_is_the_endpoints(self, fixture25):
+        # flow_vertical and the endpoint share the start point and the
+        # addition, so c_t is the endpoint's curvature bit for bit, and
+        # beta_t - beta_0 is theta to rounding
+        for lam in fixture25:
+            for t in (0.37, 1.9, 7.3):
+                lt, end = flow_vertical(lam, t), expmap._endpoint(lam, t)
+                if stratify(lam) in ELLIPTIC_STRATA:
+                    assert lt.c == end[4]
+                assert abs(wrap_angle(end[2] - (lt.beta - lam.beta))) < 1e-14 * max(1.0, abs(end[2]))
 
     def test_unit_speed(self, cell_covectors):
         h = 1e-6

@@ -399,6 +399,17 @@ class TestMaxwellSemantics:
         assert max(abs(qm.x - qim.x), abs(qm.y - qim.y)) > 1e-4
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_tolerance_must_be_finite_and_positive(cell_covectors, tol):
+    # an infinite tol once put Covector(0.3, 1, 1) in MAX3- at t = 2, and a
+    # NaN or negative one returned an empty set
+    for lam in (Covector(0.3, 1.0, 1.0), *cell_covectors.values()):
+        with pytest.raises(ValueError, match="tol"):
+            in_maxwell(lam, 2.0, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            cut_time_bound(lam, tol)
+
+
 class TestCutTimeBound:
     def test_uniform_rotation(self):
         rep = cut_time_bound(Covector(0.4, 2.0, 0.0))

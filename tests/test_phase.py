@@ -20,6 +20,7 @@ from elastica.phase import (
     to_elliptic,
     wrap_angle,
 )
+from elastica.oracle import IntegratorConfig, integrate_extremal
 
 
 def pendulum_rk4(lam, t, n=100000):
@@ -210,6 +211,12 @@ class TestEllipticCoords:
             else:
                 assert abs(ec2.phi - ec.phi) < 1e-10
 
+    def test_small_oscillation_modulus_keeps_digits(self):
+        # k is kappa = |sin(beta/2)| at c = 0; formed as sqrt((E + r)/(2r))
+        # it lost the digits of 1 - cos(beta), 2.6e-9 relative here
+        k = to_elliptic(Covector(1e-4, 0.0, 1.0)).k
+        assert abs(k - math.sin(5e-5)) <= 2 * math.ulp(math.sin(5e-5))
+
     def test_unsupported_strata(self):
         with pytest.raises(UnsupportedStratumError):
             to_elliptic(Covector(0.0, 0.0, 1.0))
@@ -300,6 +307,25 @@ class TestFlow:
             a = flow_vertical(scaled, t * math.exp(s)).beta
             b = flow_vertical(lam, t).beta
             assert abs(wrap_angle(a - b)) < 1e-9
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, cell_covectors, t):
+        for lam in cell_covectors.values():
+            with pytest.raises(ValueError, match="finite t"):
+                flow_vertical(lam, t)
+
+    def test_matches_the_integrated_extremal(self, cell_covectors):
+        # against the covector at t of RK4 on the full extremal system, step
+        # 1e-3.  Worst measured 3.6e-11, on N3- at t = 7.3, where the
+        # separatrix amplifies the RK4 error as e^(sqrt(r) t); 3e-14 off it
+        cfg = IntegratorConfig(1e-3)
+        for lam in cell_covectors.values():
+            for t in (0.37, 1.9, 7.3):
+                _, lt, _ = integrate_extremal(lam, t, cfg)
+                out = flow_vertical(lam, t)
+                assert out.r == lt.r
+                assert abs(wrap_angle(out.beta - lt.beta)) < 1e-10, (lam, t)
+                assert abs(out.c - lt.c) < 1e-10, (lam, t)
 
     def test_flow_preserves_strata(self):
         rng = random.Random(9)

@@ -1,4 +1,4 @@
-"""The exponential map against a 40-digit evaluation of its closed form.
+"""The exponential map and the pendulum flow against a 40-digit evaluation of their closed forms.
 
 The reference inverts the covector to its elliptic coordinates at 40 digits
 (mpmath), evaluates the Jacobi functions and epsilon at u0 and at
@@ -20,7 +20,7 @@ from elastica.elliptic import jacobi_recip_modulus
 from elastica.expmap import (CIRCLE_SERIES_MAX, _circle_columns, _endpoint, _modulus_column, elastic_energy_closed,
                              exp_map, sample_elastica)
 from elastica.oracle import _symmetry_columns
-from elastica.phase import OSCILLATING, ROTATING, SEPARATRIX, stratify, wrap_angle
+from elastica.phase import OSCILLATING, ROTATING, SEPARATRIX, flow_vertical, stratify, wrap_angle
 
 from conftest import STEPPED_N2_SMALL_K, n1, n2, n3
 
@@ -92,6 +92,31 @@ def reference(beta, c, r, t, family, sign=1):
     return _quadratures(kappa, sr, t, at(w0), at(w0 + sr * t / k))
 
 
+def flow_reference(beta, c, r, t, family, sign=1):
+    """(beta_t, c_t) of the pendulum flow on N1 (family 1) or N2 (2), at 40 digits.
+
+    ellipf inverts the covector to its phase, which moves by sqrt(r) t (by
+    sqrt(r) t / k at the rotating modulus k = 1/kappa), and ellipfun
+    evaluates it there: none of `flow_vertical`'s start point or addition.
+    """
+    beta, c, r, t = mp.mpf(beta), mp.mpf(c), mp.mpf(r), mp.mpf(t)
+    if sign < 0:
+        b, ct = flow_reference(-beta, -c, r, t, family)
+        return -b, -ct
+    sr = mp.sqrt(r)
+    kappa = mp.sqrt(mp.sin(beta / 2) ** 2 + c * c / (4 * r))
+    if family == 1:
+        m = kappa * kappa
+        u = mp.ellipf(mp.atan2(mp.sin(beta / 2), c / (2 * sr)), m) + sr * t
+        sn, cn, dn = (mp.ellipfun(f, u, m=m) for f in ("sn", "cn", "dn"))
+        return 2 * mp.atan2(kappa * sn, dn), 2 * kappa * sr * cn
+    k = 1 / kappa
+    w = mp.ellipf(beta / 2, k * k) + sr * t / k
+    # ellipfun may return a complex value with a zero imaginary part
+    sn, cn, dn = (mp.re(mp.ellipfun(f, w, m=k * k)) for f in ("sn", "cn", "dn"))
+    return 2 * mp.atan2(sn, cn), 2 * sr / k * dn
+
+
 def _seeded():
     """(group, covector) on N1, N2+- and N3+-, moduli log-uniform down to 1e-3."""
     rng = random.Random(SEED)
@@ -154,6 +179,38 @@ def test_oscillating_small_modulus_energy_keeps_digits(worst):
     # sqrt(r) t carried whole; formed as 2 sqrt(r) (dE - (1 - k^2) sqrt(r) t)
     # it lost digits as 1/k^2 (1.0e-13 here)
     assert worst["N1 k < 0.05"][1] <= INVERTING_MAP_WORST["N1"][1]
+
+
+def test_flow_vertical():
+    # N1 and N2+- covectors with moduli log-uniform from 1e-5 to 0.999, at t
+    # up to 10.  beta_t is measured in units of its reach, the amplitude
+    # kappa on N1 and the turn max(1, |c| t) on N2, and c_t in units of its
+    # largest value 2 sqrt(r) max(kappa, 1).  Worst measured 8.3e-15, and
+    # 1.5e-14 over four other seeds, on N1 at kappa below 1e-3 and t near 9.
+    # A modulus formed from (E + r)/(2r), which cancels as E nears -r, was
+    # 2.1e-8 off here
+    rng = random.Random(SEED)
+    worst = 0.0
+    with mp.workdps(40):
+        for _ in range(100):
+            r = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+            sr = math.sqrt(r)
+            k = math.exp(rng.uniform(math.log(1e-5), math.log(0.999)))
+            for lam in (n1(k, rng.uniform(0.0, 8.0) / sr, r),
+                        n2(k, rng.uniform(0.0, 4.0) / sr, r, rng.choice((1, -1)))):
+                s = stratify(lam)
+                if s not in OSCILLATING + ROTATING:
+                    continue  # a tolerance band took it
+                t = rng.uniform(0.0, 10.0)
+                b, c = flow_reference(lam.beta, lam.c, lam.r, t, s.family, s.sign or 1)
+                b0, c0 = mp.mpf(lam.beta), mp.mpf(lam.c)
+                kappa = float(mp.sqrt(mp.sin(b0 / 2) ** 2 + c0 * c0 / (4 * lam.r)))
+                reach = kappa if s in OSCILLATING else max(1.0, 2.0 * sr * kappa * t)
+                out = flow_vertical(lam, t)
+                err = max(abs(wrap_angle(out.beta - float(b))) / reach,
+                          abs(out.c - float(c)) / (2.0 * sr * max(kappa, 1.0)))
+                worst = max(worst, err)
+    assert worst < 3e-14
 
 
 def test_separatrix_symmetry_columns(fixture25, cell_covectors):

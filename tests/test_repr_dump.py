@@ -2,6 +2,8 @@ import importlib.util
 import io
 from pathlib import Path
 
+import pytest
+
 from elastica import oracle
 from elastica.phase import ELLIPTIC_STRATA, Stratum
 
@@ -101,3 +103,38 @@ def test_bvp_seeds_dump():
     assert all(line.startswith("bvp_seed 4 State(") for line in lines)
     assert sum("Covector(beta=-1.8086790398304389, c=7.639033036370855, r=71.4487384257491)" in line
                for line in lines) == 1
+
+
+def test_compare_counts_changed_lines_per_function(tmp_path):
+    module = _repr_dump()
+    lines = _dump(module)
+    moved = list(lines)
+    # one to_elliptic line moved by a relative 1e-6 in one number; a
+    # cut_time_bound line whose number of values changed counts as inf
+    i = next(i for i, line in enumerate(lines) if line.startswith("  to_elliptic Elliptic"))
+    phi = module._NUMBER.findall(lines[i])[-2]
+    moved[i] = lines[i].replace(f"phi={phi}", f"phi={float(phi) * (1 + 1e-6)!r}")
+    j = next(j for j, line in enumerate(lines) if line.startswith("  cut_time_bound "))
+    moved[j] = lines[j] + " 1.0"
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("\n".join(lines) + "\n")
+    b.write_text("\n".join(moved) + "\n")
+    out = io.StringIO()
+    assert module.main(["--compare", str(a), str(b)], out=out) == 0
+    rows = {row.split()[0]: row.split()[1:] for row in out.getvalue().splitlines()[1:]}
+    counts = {}
+    for line in lines:
+        name = line.split()[0]
+        counts[name] = counts.get(name, 0) + 1
+    assert {name: int(row[0]) for name, row in rows.items()} == counts
+    _, differ, change = rows["to_elliptic"]
+    assert int(differ) == 1 and float(change) == pytest.approx(1e-6, rel=1e-3)
+    assert rows["cut_time_bound"][1:] == ["1", "inf"]
+    assert all(row[1:] == ["0", "-"] for name, row in rows.items()
+               if name not in ("to_elliptic", "cut_time_bound"))
+
+    # dumps of different lengths are not compared
+    b.write_text("\n".join(moved[:-1]) + "\n")
+    out = io.StringIO()
+    assert module.main(["--compare", str(a), str(b)], out=out) == 1
+    assert "not comparable" in out.getvalue()

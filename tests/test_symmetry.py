@@ -6,12 +6,14 @@ import pytest
 from elastica.elliptic import Modulus, ellint_K
 from elastica.expmap import State, elastic_energy_closed, exp_map
 from elastica.phase import (
+    ELLIPTIC_STRATA,
     Covector,
     EllipticCoords,
     Stratum,
     energy,
     from_elliptic,
     period,
+    stratify,
     wrap_angle,
 )
 from elastica.symmetry import (
@@ -225,6 +227,42 @@ class TestMaxwellCoords:
             assert maxwell_coords(lam, t).p * 2 * k == pytest.approx(
                 math.sqrt(r) * t, rel=1e-12
             )
+
+
+BAD_TOLS = (0.0, -1e-9, math.nan, math.inf, -math.inf)
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+class TestInvalidArguments:
+    def test_non_finite_time_rejected_on_every_stratum(self, cell_covectors):
+        for lam in cell_covectors.values():
+            elliptic = stratify(lam) in ELLIPTIC_STRATA
+            for t in NON_FINITE:
+                for i in (1, 2, 3):
+                    with pytest.raises(ValueError, match="finite t"):
+                        reflect_covector(i, lam, t)
+                    with pytest.raises(ValueError, match="finite t"):
+                        is_fixed_covector(i, lam, t)
+                if elliptic:
+                    with pytest.raises(ValueError, match="finite t"):
+                        maxwell_coords(lam, t)
+
+    def test_circle_at_infinite_time(self):
+        # the turning angle 2 beta + c t was wrapped as inf: math domain error
+        with pytest.raises(ValueError, match="finite t"):
+            is_fixed_covector(2, Covector(0.2, 1.0, 0.0), math.inf)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_tolerance_must_be_finite_and_positive(self, cell_covectors, tol):
+        q = State(1.0, 0.0, 0.0)
+        for i in (1, 2, 3):
+            with pytest.raises(ValueError, match="tol"):
+                is_fixed_state(i, q, tol)
+            for lam in cell_covectors.values():
+                with pytest.raises(ValueError, match="tol"):
+                    is_fixed_covector(i, lam, 1.0, tol)
+        with pytest.raises(ValueError, match="tol"):
+            m3_branch(q, tol)
 
 
 class TestCommutation:
