@@ -1,6 +1,6 @@
 """Print the repr of the library's public outputs over fixed inputs.
 
-    python3 scripts/repr_dump.py [--bvp] [--bvp-seeds LO HI] > dump.txt
+    python3 scripts/repr_dump.py [--bvp] [--bvp-seeds LO HI] [--maxwell-seeds LO HI] > dump.txt
     python3 scripts/repr_dump.py --compare A B
 
 Run it in two checkouts and `diff` the files: equal files mean the outputs
@@ -25,7 +25,11 @@ takes on the knife-edge target with its outcome, the certified covector
 and its residual (about two seconds).  With --bvp-seeds LO HI, `bvp_shoot`
 follows on the perfbench `bvp` inputs of the seeds LO to HI, both included,
 eight targets a seed, as `perfbench/workloads.py` (imported, not changed)
-draws them.
+draws them.  With --maxwell-seeds LO HI, each seed's perfbench `maxwell`
+inputs, drawn the same way, and 100 seeded N1 covectors whose arc midpoint
+tau0 + p_n^1 lies within 6 tol of an odd multiple of K, n in 1..8, follow
+through `cut_time_bound`, and through `in_maxwell` and `is_fixed_covector`
+with each reflection at the input's t.
 """
 
 from __future__ import annotations
@@ -51,11 +55,14 @@ from elastica import (  # noqa: E402
     elastic_energy_closed,
     exp_map,
     in_maxwell,
+    is_fixed_covector,
     maxwell_coords,
+    p1_roots,
     reflect_covector,
     sample_elastica,
 )
-from elastica.elliptic import Modulus  # noqa: E402
+from elastica.elliptic import Modulus, ellint_K  # noqa: E402
+from elastica.maxwell import DEFAULT_TOL  # noqa: E402
 from elastica.oracle import BVP_SEEDS, _newton_from, _seeds  # noqa: E402
 from elastica.phase import (  # noqa: E402
     ELLIPTIC_STRATA,
@@ -194,15 +201,49 @@ def dump_covector(lam: Covector, write) -> None:
     write(f"  sample_elastica {SAMPLE_T1!r} {SAMPLE_N} {samples}")
 
 
-def dump_bvp_seeds(lo: int, hi: int, write) -> None:
+def _workloads():
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    bvp = workloads.Bvp()
+    return workloads
+
+
+def dump_bvp_seeds(lo: int, hi: int, write) -> None:
+    bvp = _workloads().Bvp()
     for seed in range(lo, hi + 1):
         for inp in bvp.inputs(random.Random(seed)):
             q1, t1 = inp["q1"], inp["t1"]
             write(f"bvp_seed {seed} {q1!r} {t1!r} {show(bvp.op, inp)}")
+
+
+def band_covectors(rng: random.Random) -> list[tuple[Covector, float]]:
+    """100 (N1 covector, t): p = p_n^1 at t, tau0 + p within 6 tol of an odd multiple of K."""
+    out = []
+    for _ in range(100):
+        k = rng.uniform(0.05, 0.99)
+        r = math.exp(rng.uniform(-2.0, 2.0))
+        n = rng.randint(1, 8)
+        pn = p1_roots(k, n)
+        # an odd multiple of K past p_n^1, so that tau0 > 0
+        tau0 = (2 * rng.randint(n + 1, n + 4) + 1) * ellint_K(k) - pn
+        tau0 += rng.uniform(-6.0, 6.0) * DEFAULT_TOL
+        sr = math.sqrt(r)
+        out.append((n1(k, tau0 / sr, r), 2.0 * pn / sr))
+    return out
+
+
+def dump_maxwell_seeds(lo: int, hi: int, write) -> None:
+    workload = _workloads().Maxwell()
+    for seed in range(lo, hi + 1):
+        perfbench = [(inp["lam"], inp["t"]) for inp in workload.inputs(random.Random(seed))]
+        band = band_covectors(random.Random(seed))
+        for kind, pairs in (("perfbench", perfbench), ("band", band)):
+            for lam, t in pairs:
+                write(f"maxwell_seed {seed} {kind} {lam!r} {t!r}")
+                write(f"  cut_time_bound {show(cut_time_bound, lam)}")
+                write(f"  in_maxwell {show(lambda: sorted(m.value for m in in_maxwell(lam, t)))}")
+                for i in (1, 2, 3):
+                    write(f"  is_fixed_covector {i} {show(is_fixed_covector, i, lam, t)}")
 
 
 def dump_bvp(write) -> None:
@@ -288,6 +329,9 @@ def main(argv=None, out=sys.stdout) -> int:
                     help="also dump bvp_shoot on the criterion-8 and shooting-test targets")
     ap.add_argument("--bvp-seeds", type=int, nargs=2, metavar=("LO", "HI"),
                     help="also dump bvp_shoot on the perfbench bvp inputs of seeds LO to HI")
+    ap.add_argument("--maxwell-seeds", type=int, nargs=2, metavar=("LO", "HI"),
+                    help="also dump the Maxwell layer on the perfbench maxwell inputs of seeds "
+                         "LO to HI and on N1 covectors in the tau-lattice band")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
                     help="compare two dumps per function instead of dumping")
     args = ap.parse_args(argv)
@@ -305,6 +349,8 @@ def main(argv=None, out=sys.stdout) -> int:
         dump_bvp(write)
     if args.bvp_seeds:
         dump_bvp_seeds(*args.bvp_seeds, write)
+    if args.maxwell_seeds:
+        dump_maxwell_seeds(*args.maxwell_seeds, write)
     return 0
 
 

@@ -19,14 +19,13 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .elliptic import (  # noqa: F401 (the Brent and k0 names stay importable here)
+from .elliptic import (
     BRENT_RTOL,
     BRENT_XTOL,
     K_RECT,
-    _BRENT_MAXITER,
+    _add,
     _brentq,
-    _k0_defect,
-    ellint_E,
+    _shifted,
     ellint_E_inc,
     ellint_F_inc,
     ellint_K,
@@ -42,9 +41,8 @@ from .phase import (
     Stratum,
     _check_tol,
     stratify,
-    to_elliptic,
 )
-from .symmetry import _arc_coords, _fixes
+from .symmetry import _arc, _fixes, _half_length
 
 DEFAULT_TOL = 1e-9
 KSTAR_GRID_STEP = 1e-3
@@ -336,7 +334,7 @@ def _on_lattice(x: float, step: float, tol: float) -> bool:
 def _met(stratum, jt, even, f1_root, chord_rhs, at_k0, tol) -> tuple:
     """Whether an N1 or rotating arc meets MAX1, MAX2, MAX3+ and MAX3-, in that order.
 
-    jt holds the Jacobi values at the arc's midpoint tau, and the flags say
+    jt starts with sn and cn at the arc's midpoint tau, and the flags say
     which equations its half-length p solves.  even: p lies on the nonzero
     lattice (2K Z on N1, K Z on the rotating strata), where the arc meets
     its reflection-1 image; f1_root: p is a root p_n^1 of f1, where it meets
@@ -351,7 +349,7 @@ def _met(stratum, jt, even, f1_root, chord_rhs, at_k0, tol) -> tuple:
         even and not fix1 and not (fix2 and stratum in ROTATING),
         f1_root and not fix2,
         (even and (fix2 or at_k0)) or (f1_root and fix1),
-        chord_rhs is not None and abs(jt.sn * jt.sn - chord_rhs) <= tol,
+        chord_rhs is not None and abs(jt[0] * jt[0] - chord_rhs) <= tol,
     )
 
 
@@ -378,13 +376,11 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
             return {MaxwellStratum.MAX1, MaxwellStratum.MAX3_PLUS}
         return set()
 
-    ec = to_elliptic(lam)
-    k = ec.k
+    sr, k, b0 = _arc(lam, s)
     K = ellint_K(k)
-    mc = _arc_coords(ec, t)
-    p = mc.p
-    jt = jacobi(mc.tau, k)
-    jp = jacobi(p, k)
+    p = _half_length(s, sr, k, t)
+    jp = _shifted(p, k)
+    jt = _add(b0, jp, k)
     rotating = s in ROTATING
     if rotating:
         even, f1_root, at_k0, g1 = _on_lattice(p, K, tol), False, False, g1_n2
@@ -393,7 +389,7 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
         even = _on_lattice(p, 2.0 * K, tol)
         f1_root = n_f1 >= 1 and abs(p - p1_roots(k, n_f1)) <= tol
         at_k0, g1 = abs(k - find_k0()) <= tol, g1_n1
-    rhs = _chord_sn2(k, jp.sn * jp.sn, tol, rotating)
+    rhs = _chord_sn2(k, jp[0] * jp[0], tol, rotating)
     if rhs is not None and abs(g1(p, k)) > tol:
         rhs = None
     return {m for m, hit in zip(_STRATA, _met(s, jt, even, f1_root, rhs, at_k0, tol)) if hit}
@@ -445,18 +441,17 @@ def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
         T = 2.0 * math.pi / abs(lam.c)
         return MaxwellReport(s, T, math.inf, T, math.inf, T)
 
-    ec = to_elliptic(lam)
-    k = ec.k
-    sr = math.sqrt(ec.r)
+    sr, k, b0 = _arc(lam, s)
     K = ellint_K(k)
     rotating = s in ROTATING
-    tau0 = sr * (ec.psi if rotating else ec.phi)
     first = [math.inf] * 4  # least p per stratum, in _STRATA order
     jts = {}
 
-    def meet(p, even=False, f1_root=False, chord_rhs=None, at_k0=False):
-        jts[p] = jt = jacobi(tau0 + p, k)
-        for i, hit in enumerate(_met(s, jt, even, f1_root, chord_rhs, at_k0, tol)):
+    def meet(p, even=False, f1_root=False, chord=False, at_k0=False):
+        jp = _shifted(p, k)
+        jts[p] = jt = _add(b0, jp, k)
+        rhs = _chord_sn2(k, jp[0] * jp[0], tol) if chord else None
+        for i, hit in enumerate(_met(s, jt, even, f1_root, rhs, at_k0, tol)):
             if hit and p < first[i]:
                 first[i] = p
 
@@ -473,8 +468,7 @@ def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
             if max(first[1], first[2]) < math.inf:  # MAX2 and MAX3+ both met
                 break
         if k >= find_kstar()[0]:
-            pg = p_g1(k)
-            meet(pg, chord_rhs=_chord_sn2(k, jacobi(pg, k).sn ** 2, tol))
+            meet(p_g1(k), chord=True)
 
     scale = 2.0 * k if rotating else 2.0
     unit = unit_cut_time_bound(k, rotating, p1)
@@ -484,5 +478,5 @@ def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
         s,
         *[scale * p / sr for p in first],
         unit / sr,
-        tau_degenerate=jb is not None and abs(jb.cn * jb.sn) <= tol,
+        tau_degenerate=jb is not None and abs(jb[0] * jb[1]) <= tol,
     )

@@ -11,7 +11,7 @@ reflection 3 in the chord itself.
 Fixed points of the endpoint action are the sets {theta = 0}, {P = 0} and
 the two lines {y = 0, theta in {0, pi}}, where P = x sin(theta/2)
 - y cos(theta/2); fixed points of the covector action are read off the
-midpoint coordinate tau in each stratum.
+Jacobi values at the arc midpoint: `_start`'s point moved by the half-length.
 """
 
 from __future__ import annotations
@@ -20,18 +20,17 @@ import math
 from enum import IntEnum
 from typing import NamedTuple
 
-from .elliptic import jacobi
+from .elliptic import _add, _shifted
 from .expmap import State
 from .phase import (
     CIRCULAR,
     ROTATING,
-    SEPARATRIX,
     STRAIGHT,
     Covector,
-    EllipticCoords,
     Stratum,
     _check_time,
     _check_tol,
+    _start,
     flow_vertical,
     stratify,
     to_elliptic,
@@ -60,11 +59,9 @@ def compose(i, j) -> int:
 
 
 class MaxwellCoords(NamedTuple):
-    """Midpoint/half-length coordinates (tau, p) of an elastic arc.
+    """Midpoint tau and half-length p of an elastic arc [0, t] in the rectified phase.
 
-    tau marks the arc midpoint in the rectified phase, p half the rectified
-    arc length: p = sqrt(r) t / 2 on the oscillating stratum and separatrix,
-    p = sqrt(r) t / (2k) on the rotating strata.
+    p = sqrt(r) t / (2k) on the rotating strata and sqrt(r) t / 2 elsewhere.
     """
 
     tau: float
@@ -145,42 +142,54 @@ def m3_branch(q: State, tol: float = 1e-9) -> str | None:
     return None
 
 
-def _arc_coords(ec: EllipticCoords, t: float) -> MaxwellCoords:
-    """(tau, p) of the arc [0, t] of the extremal with elliptic coordinates ec."""
-    sr = math.sqrt(ec.r)
-    if ec.stratum in ROTATING:
-        p = sr * t / (2.0 * ec.k)
-        return MaxwellCoords(tau=sr * ec.psi + p, p=p)
-    p = sr * t / 2.0
-    return MaxwellCoords(tau=sr * ec.phi + p, p=p)
+def _arc(lam: Covector, s: Stratum):
+    """(sqrt(r), k, b0): b0 = (sn, cn, dn, 0) at tau0 and modulus k; s = stratify(lam).
+
+    On N1 b0 is `_start`'s a0.  On N2+- and N3+- it is w0 = kap u0 at
+    k = 1/kap, (sigma kap sn u0, dn u0, sigma cn u0, 0) with sigma = s.sign,
+    the minus branch on its plus image.  The midpoint is _add(b0, _shifted(p, k), k).
+    """
+    sr, kap, (sn0, cn0, dn0, _), k, _ = _start(lam, s)
+    if s is Stratum.N1:
+        return sr, k, (sn0, cn0, dn0, 0.0)
+    return sr, k, (s.sign * kap * sn0, dn0, s.sign * cn0, 0.0)
+
+
+def _half_length(s: Stratum, sr: float, k: float, t: float) -> float:
+    """Half-length p of the arc [0, t] on stratum s, as `MaxwellCoords` has it."""
+    return sr * t / (2.0 * k) if s in ROTATING else sr * t / 2.0
 
 
 def maxwell_coords(lam: Covector, t: float) -> MaxwellCoords:
     """(tau, p) of the arc [0, t] of lam's extremal; needs lam in N1/N2/N3 and a finite t."""
     _check_time(t, "maxwell_coords")
-    return _arc_coords(to_elliptic(lam), t)
+    ec = to_elliptic(lam)
+    sr = math.sqrt(ec.r)
+    p = _half_length(ec.stratum, sr, ec.k, t)
+    return MaxwellCoords(tau=sr * (ec.psi if ec.stratum in ROTATING else ec.phi) + p, p=p)
 
 
 def _fixes(i, stratum: Stratum, jt, tol: float) -> bool:
-    """Whether reflection i fixes an N1 or rotating arc whose midpoint has Jacobi values jt.
+    """Whether reflection i fixes an arc on N1, N2+- or N3+- whose midpoint has Jacobi values jt.
 
-    On N1 reflection 1 fixes it when cn tau = 0 and reflection 2 when
-    sn tau = 0; on the rotating strata only reflection 2 does, when
-    sn tau cn tau = 0.  Reflection 3 fixes neither.
+    jt starts (sn, cn).  On N1 reflection 1 fixes it when cn tau = 0 and
+    reflection 2 when sn tau = 0; on N2+- only reflection 2 does, when
+    sn tau cn tau = 0, and on N3+- only reflection 2, when sn tau = tanh tau
+    = 0.  Reflection 3 fixes none of them.
     """
-    if stratum is Stratum.N1:
-        if i == 1:
-            return abs(jt.cn) <= tol
-        return i == 2 and abs(jt.sn) <= tol
-    return i == 2 and abs(jt.sn * jt.cn) <= tol
+    if stratum in ROTATING:
+        return i == 2 and abs(jt[0] * jt[1]) <= tol
+    if i == 1:
+        return stratum is Stratum.N1 and abs(jt[1]) <= tol
+    return i == 2 and abs(jt[0]) <= tol
 
 
 def is_fixed_covector(i, lam: Covector, t: float, tol: float = 1e-9) -> bool:
     """Whether reflection i maps lam's trajectory over [0, t] to itself.
 
-    Per-stratum conditions on the midpoint coordinate tau; reflections 1 and
-    3 fix nothing in the rotating, separatrix and circular strata, and the
-    equilibrium strata are fixed by everything.  t must be finite.
+    Per-stratum conditions on the Jacobi values at the arc midpoint;
+    reflections 1 and 3 fix nothing on the rotating, separatrix and circular
+    strata, and everything fixes the equilibria.  t must be finite.
     """
     i = Reflection(i)
     _check_time(t, "is_fixed_covector")
@@ -192,8 +201,5 @@ def is_fixed_covector(i, lam: Covector, t: float, tol: float = 1e-9) -> bool:
         if i is Reflection.CHORD_PERPENDICULAR:
             return abs(wrap_angle(2.0 * lam.beta + lam.c * t)) < tol
         return False
-    ec = to_elliptic(lam)
-    mc = _arc_coords(ec, t)
-    if s in SEPARATRIX:
-        return i is Reflection.CHORD_PERPENDICULAR and abs(mc.tau) < tol
-    return _fixes(i, s, jacobi(mc.tau, ec.k), tol)
+    sr, k, b0 = _arc(lam, s)
+    return _fixes(i, s, _add(b0, _shifted(_half_length(s, sr, k, t), k), k), tol)

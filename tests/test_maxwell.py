@@ -513,3 +513,33 @@ def test_first_times_agree_with_membership_near_tau_lattice():
                 got = in_maxwell(lam, T)
                 assert m in got, (lam, m, got)
                 assert all(times[g] <= T for g in got), (lam, m, got)
+
+
+def test_first_maxwell_times_have_distinct_partners():
+    # a Maxwell point by the paper's definition: at each finite first MAX1
+    # (MAX2) time t, reflection 1 (2) gives a distinct covector whose
+    # extremal reaches the same endpoint at t with the same energy.  Worst
+    # measured: endpoints 5.8e-15 apart, energies 7.1e-15, per max(1, t) and
+    # max(1, J), and the closest partner 2.6e-3 from its covector
+    rng = random.Random(2007)
+    met = {1: 0, 2: 0}
+    for j in range(400):
+        k, r = rng.uniform(0.05, 0.99), math.exp(rng.uniform(-2.0, 2.0))
+        if j % 2:
+            lam = rotating_at_angle(k, r, rng.uniform(-math.pi, math.pi), rng.choice((1, -1)))
+        else:
+            lam = n1(k, rng.uniform(0.0, 4.0 * ellint_K(k)), r)
+        rep = cut_time_bound(lam)
+        for i, t in ((1, rep.t1_max1), (2, rep.t1_max2)):
+            if not math.isfinite(t):
+                continue
+            met[i] += 1
+            li = reflect_covector(i, lam, t)
+            q, qi = exp_map(lam, t), exp_map(li, t)
+            gap = max(abs(q.x - qi.x), abs(q.y - qi.y), abs(wrap_angle(q.theta - qi.theta)))
+            assert gap <= 1e-12 * max(1.0, t), (lam, i, t, gap)
+            J = elastic_energy_closed(lam, t)
+            assert abs(elastic_energy_closed(li, t) - J) <= 1e-12 * max(1.0, J), (lam, i, t)
+            assert math.hypot(wrap_angle(li.beta - lam.beta), li.c - lam.c) > 1e-6, (lam, i, t)
+    # MAX1 on every covector, MAX2 on every N1 one
+    assert met == {1: 400, 2: 200}

@@ -1,9 +1,11 @@
-"""The package surface, and the modules that each CLI command loads."""
+"""The package surface, the modules that each CLI command loads, and unused imports."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +92,19 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'elastica' has no attribute 'no_such_name'"):
         elastica.no_such_name
     assert not hasattr(elastica, "_NO_SUCH")
+
+
+@pytest.mark.parametrize("path", sorted(Path(elastica.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    # a name a module imports but never reads is a dead re-export
+    tree = ast.parse(path.read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in imports
+        if getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -1,11 +1,15 @@
 import importlib.util
 import io
+import random
 from pathlib import Path
 
 import pytest
 
 from elastica import oracle
-from elastica.phase import ELLIPTIC_STRATA, Stratum
+from elastica.elliptic import ellint_K
+from elastica.maxwell import DEFAULT_TOL
+from elastica.phase import ELLIPTIC_STRATA, Stratum, to_elliptic
+from elastica.symmetry import maxwell_coords
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "repr_dump.py"
 
@@ -103,6 +107,32 @@ def test_bvp_seeds_dump():
     assert all(line.startswith("bvp_seed 4 State(") for line in lines)
     assert sum("Covector(beta=-1.8086790398304389, c=7.639033036370855, r=71.4487384257491)" in line
                for line in lines) == 1
+
+
+def test_maxwell_seeds_dump():
+    # seed 4's 160 perfbench maxwell inputs, then its 100 band covectors,
+    # each through cut_time_bound, in_maxwell and is_fixed_covector 1, 2, 3
+    module = _repr_dump()
+    out = io.StringIO()
+    assert module.main(["--maxwell-seeds", "4", "4"], out=out) == 0
+    lines = out.getvalue().splitlines()
+    lines = lines[next(i for i, line in enumerate(lines) if line.startswith("maxwell_seed ")):]
+    assert len(lines) == 6 * 260
+    assert [line.split()[:3] for line in lines[::6]] == (
+        [["maxwell_seed", "4", "perfbench"]] * 160 + [["maxwell_seed", "4", "band"]] * 100)
+    names = [line.split()[0] for line in lines]
+    assert names[:6] == ["maxwell_seed", "cut_time_bound", "in_maxwell", *["is_fixed_covector"] * 3]
+    assert names == names[:6] * 260
+    assert not any(" !" in line for line in lines)
+    # the band's midpoints straddle the MAX3+ test at p_n^1: about a quarter
+    # of them meet MAX3+ and are fixed by reflection 1
+    band = lines[6 * 160:]
+    assert sum("'MAX3plus'" in line for line in band) == 23
+    assert sum(line == "  is_fixed_covector 1 True" for line in band) == 23
+    for lam, t in module.band_covectors(random.Random(4)):
+        tau, K = maxwell_coords(lam, t).tau, ellint_K(to_elliptic(lam).k)
+        odd = 2.0 * round((tau / K - 1.0) / 2.0) + 1.0
+        assert abs(tau - odd * K) <= 6.0 * DEFAULT_TOL + 1e-12 * tau
 
 
 def test_compare_counts_changed_lines_per_function(tmp_path):

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from elastica.elliptic import Modulus, ellint_K
+from elastica.elliptic import Modulus, _add, _shifted, ellint_K, jacobi
 from elastica.expmap import State, elastic_energy_closed, exp_map
 from elastica.phase import (
     ELLIPTIC_STRATA,
+    SEPARATRIX,
     Covector,
     EllipticCoords,
     Stratum,
@@ -19,6 +20,8 @@ from elastica.phase import (
 from elastica.symmetry import (
     P_of,
     Q_of,
+    _arc,
+    _half_length,
     compose,
     is_fixed_covector,
     is_fixed_state,
@@ -197,6 +200,46 @@ class TestFixedCovectors:
         li = reflect_covector(1, lam, t)
         for s in (0.0, 0.3, 0.62, t):
             assert states_equal(exp_map(lam, s), exp_map(li, s), tol=1e-9)
+
+
+class TestSeparatrixFixedPoints:
+    # reflection 2 fixes a separatrix arc when tanh tau = 0 within tol
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_tolerance_edge(self, tol, sign):
+        for r, t in ((1.0, 1.0), (0.5, 2.7), (2.0, 0.6)):
+            sr = math.sqrt(r)
+            for tau, fixed in ((0.5 * tol, True), (-0.5 * tol, True),
+                               (2.0 * tol, False), (-2.0 * tol, False)):
+                lam = n3((tau - sr * t / 2.0) / sr, r, sign)
+                assert stratify(lam) in SEPARATRIX
+                assert is_fixed_covector(2, lam, t, tol) is fixed, (r, t, tau)
+                assert not is_fixed_covector(1, lam, t, tol)
+                assert not is_fixed_covector(3, lam, t, tol)
+
+
+def test_midpoint_matches_maxwell_coords():
+    # the midpoint from the start point and the addition formula against
+    # the Jacobi functions at maxwell_coords' tau, which inverts for tau0:
+    # |sn|, |cn| and dn, since tau0 is reduced by a half period on N2.
+    # Worst measured per max(1, p) over four seeds of this draw: 1.7e-12 on
+    # N2, 6.9e-13 on N1 and 3.3e-16 on N3
+    rng = random.Random(28)
+    for j in range(2000):
+        r, t = math.exp(rng.uniform(-2.0, 2.0)), rng.uniform(0.0, 10.0)
+        k = 1.0 - math.exp(rng.uniform(math.log(1e-6), math.log(0.98)))
+        sign = rng.choice((1, -1))
+        lam = (n1(k, rng.uniform(0.0, 8.0), r), n2(k, rng.uniform(0.0, 4.0), r, sign),
+               n3(rng.uniform(-4.0, 4.0), r, sign))[j % 3]
+        s = stratify(lam)
+        sr, k, b0 = _arc(lam, s)
+        p = _half_length(s, sr, k, t)
+        sn, cn, dn, _ = _add(b0, _shifted(p, k), k)
+        mc = maxwell_coords(lam, t)
+        assert mc.p == p
+        jt = jacobi(mc.tau, k)
+        err = max(abs(abs(sn) - abs(jt.sn)), abs(abs(cn) - abs(jt.cn)), abs(dn - jt.dn))
+        assert err <= 1e-11 * max(1.0, p), (lam, t, err)
 
 
 class TestMaxwellCoords:
