@@ -20,12 +20,15 @@ perfbench `sample` op.  A call that raises prints the exception instead.  With -
 criterion-8 targets, the README example, the shooting tests' targets and
 three targets near criterion 8's knife edge, each with the number of
 endpoint evaluations it made (calls of `oracle._residual`, which the script
-wraps to count them), the criterion-8 total, and each seed `bvp_shoot`
-takes on the knife-edge target with its outcome, the certified covector
-and its residual (about two seconds).  With --bvp-seeds LO HI, `bvp_shoot`
-follows on the perfbench `bvp` inputs of the seeds LO to HI, both included,
-eight targets a seed, as `perfbench/workloads.py` (imported, not changed)
-draws them.  With --maxwell-seeds LO HI, each seed's perfbench `maxwell`
+wraps to count them) and the sha256 of the reprs of every `_residual` and
+`_newton_step` return in call order (the script wraps both), which pins the
+whole search and not only its result; then the criterion-8 total, and each
+seed `bvp_shoot` takes on the knife-edge target with its outcome, the
+certified covector and its residual (about two seconds).  With --bvp-seeds
+LO HI, `bvp_shoot` follows on the perfbench `bvp` inputs of the seeds LO to
+HI, both included, eight targets a seed, as `perfbench/workloads.py`
+(imported, not changed) draws them, each with the same two lines.  With
+--maxwell-seeds LO HI, each seed's perfbench `maxwell`
 inputs, drawn the same way, and 100 seeded N1 covectors whose arc midpoint
 tau0 + p_n^1 lies within 6 tol of an odd multiple of K, n in 1..8, follow
 through `cut_time_bound`, and through `in_maxwell` and `is_fixed_covector`
@@ -35,6 +38,7 @@ with each reflection at the input's t.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import math
 import random
@@ -208,12 +212,52 @@ def _workloads():
     return workloads
 
 
+class _Search:
+    """While active, wraps `oracle._residual` and `oracle._newton_step`.
+
+    It counts the residual evaluations and hashes the repr of every return
+    of either function, in call order.  `lines()` gives both and starts a
+    new count.
+    """
+
+    def __enter__(self):
+        self.residual, self.newton_step = oracle._residual, oracle._newton_step
+        self._restart()
+        oracle._residual = self._traced(self.residual, counted=True)
+        oracle._newton_step = self._traced(self.newton_step, counted=False)
+        return self
+
+    def __exit__(self, *exc):
+        oracle._residual, oracle._newton_step = self.residual, self.newton_step
+
+    def _restart(self):
+        self.calls, self.sha = 0, hashlib.sha256()
+
+    def _traced(self, fn, counted):
+        def traced(*args):
+            out = fn(*args)
+            if counted:
+                self.calls += 1
+            self.sha.update(repr(out).encode() + b"\n")
+            return out
+
+        return traced
+
+    def lines(self) -> tuple[str, str]:
+        out = f"  residual_evaluations {self.calls}", f"  trajectory_sha256 {self.sha.hexdigest()}"
+        self._restart()
+        return out
+
+
 def dump_bvp_seeds(lo: int, hi: int, write) -> None:
     bvp = _workloads().Bvp()
-    for seed in range(lo, hi + 1):
-        for inp in bvp.inputs(random.Random(seed)):
-            q1, t1 = inp["q1"], inp["t1"]
-            write(f"bvp_seed {seed} {q1!r} {t1!r} {show(bvp.op, inp)}")
+    with _Search() as search:
+        for seed in range(lo, hi + 1):
+            for inp in bvp.inputs(random.Random(seed)):
+                q1, t1 = inp["q1"], inp["t1"]
+                write(f"bvp_seed {seed} {q1!r} {t1!r} {show(bvp.op, inp)}")
+                for line in search.lines():
+                    write(line)
 
 
 def band_covectors(rng: random.Random) -> list[tuple[Covector, float]]:
@@ -247,29 +291,18 @@ def dump_maxwell_seeds(lo: int, hi: int, write) -> None:
 
 
 def dump_bvp(write) -> None:
-    calls = 0
-    residual = oracle._residual
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return residual(*args)
-
     def shoot(head: str, q1, t1, starts) -> int:
-        nonlocal calls
-        calls = 0
         write(f"bvp_shoot {head} {starts} {show(bvp_shoot, q1, t1, starts)}")
-        write(f"  residual_evaluations {calls}")
+        calls = search.calls
+        for line in search.lines():
+            write(line)
         return calls
 
-    oracle._residual = counted
-    try:
+    with _Search() as search:
         counts = [shoot(f"{lam!r} {t1!r}", exp_map(lam, t1), t1, 100) for lam, t1 in CRITERION_8]
         write(f"criterion_8 residual_evaluations {sum(counts)}")
         for q1, t1, starts in SHOOTING:
             shoot(f"{q1!r} {t1!r}", q1, t1, starts)
-    finally:
-        oracle._residual = residual
     lam, t1 = KNIFE_EDGE
     q1 = exp_map(lam, t1)
     for i, start in enumerate(_seeds(q1, t1, min(100, BVP_SEEDS))):

@@ -90,21 +90,22 @@ def _as_k(k) -> float:
 
 
 @lru_cache(maxsize=512)
-def _agm_scale(k: float):
-    """AGM scale for modulus k in (0, 1).
+def _shift_scale(k: float):
+    """The AGM recursion for modulus k in (0, 1), as the shifted descending pass needs it.
 
     With a_0 = 1, b_0 = k', c_0 = k and a_i, b_i, c_i the arithmetic mean,
     geometric mean and half difference of a_(i-1) and b_(i-1), truncated at
-    the first |c_n| < AGM_TOL, returns (K, E, 2^n a_n, a, b, c, sigma, z):
-    the complete integrals K(k) and E(k), the factor from u to the phase at
-    the bottom of the scale, the tuples a = (a_0, ..., a_n),
-    b = (b_0, ..., b_(n-1)) and c = (c_1, ..., c_n), sigma = 1 - E/K,
-    summed directly so that it keeps its digits as k -> 0, and the weights
-    z_1 = k^2/(4 a_1), z_(i+1) = z_i^2/(4 a_(i+1)) of `_jacobi_agm`'s
-    shifted pass, equal to the c_i without their cancellation as k -> 0.
+    the first |c_n| < AGM_TOL, returns (K, 2^n a_n, a, k', sigma, z): K(k),
+    the factor from u to the phase at the bottom of the scale, the tuple
+    a = (a_0, ..., a_n), k', sigma = 1 - E/K, summed directly so that it
+    keeps its digits as k -> 0, and the weights z_1 = k^2/(4 a_1),
+    z_(i+1) = z_i^2/(4 a_(i+1)) of the shifted pass, equal to the c_i
+    without their cancellation as k -> 0.  It holds no b_i or c_i, which
+    only `_agm_scale` adds: `expmap._endpoint` evaluates at a new modulus
+    for every BVP candidate, and there each value the scale holds is a cost.
     """
     kp = math.sqrt((1.0 - k) * (1.0 + k))
-    a, b, c, z = [1.0], [kp], [], []
+    a, z = [1.0], []
     an, bn, zi = 1.0, kp, k
     # E = K (1 - sum of 2^(i-1) c_i^2 over i = 0..n), summed in that order;
     # the weight w ends at 2^n
@@ -114,16 +115,31 @@ def _agm_scale(k: float):
         an, bn = 0.5 * (an + bn), math.sqrt(an * bn)
         zi = zi * zi / (4.0 * an)
         a.append(an)
-        c.append(cn)
         z.append(zi)
         s += w * cn * cn
         w *= 2.0
         if abs(cn) < AGM_TOL:
             break
-        b.append(bn)
-    K = math.pi / (2.0 * an)
     # tuples: the cache holds each scale, and a tuple is smaller than a list
-    return K, K * (1.0 - s), w * an, tuple(a), tuple(b), tuple(c), s, tuple(z)
+    return math.pi / (2.0 * an), w * an, tuple(a), kp, s, tuple(z)
+
+
+@lru_cache(maxsize=512)
+def _agm_scale(k: float):
+    """AGM scale for modulus k in (0, 1): `_shift_scale` with E(k) and the b_i and c_i.
+
+    Returns (K, E, 2^n a_n, a, b, c, sigma, z), with K, 2^n a_n, a, sigma
+    and z those of `_shift_scale`, E(k) = K (1 - sigma), b = (b_0, ...,
+    b_(n-1)) and c = (c_1, ..., c_n), each b_i and c_i formed from a_(i-1)
+    and b_(i-1) as the recursion forms it.
+    """
+    K, unit, a, bn, s, z = _shift_scale(k)
+    b, c = [], []
+    for an in a[:-1]:
+        b.append(bn)
+        c.append(0.5 * (an - bn))
+        bn = math.sqrt(an * bn)
+    return K, K * (1.0 - s), unit, a, tuple(b), tuple(c), s, z
 
 
 def ellint_K(k) -> float:

@@ -15,6 +15,13 @@ values at u0 + sqrt(r) t follow from one Jacobi evaluation at sqrt(r) t and
 the addition formulas, which also give the epsilon increment, so eps(u0)
 is never formed.
 
+`_endpoint` evaluates one endpoint in one pass: on N1 and N2+- its body
+holds the start values, the shifted descending pass over the AGM scale,
+the addition formulas and the quadratures, in the operations of
+`phase._start`, `elliptic._shifted` or `_recip_shifted`, `elliptic._add`
+and `_endpoint_oscillating`, so its bits are theirs.  The stepped path of
+`sample_elastica` calls those functions.
+
 The tangent angle always satisfies theta_t = beta_t - beta_0.
 """
 
@@ -24,7 +31,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .elliptic import K_RECT, _add, find_k0
+from .elliptic import K_RECT, _add, _shift_scale, find_k0
 from .phase import (
     CIRCULAR,
     ROTATING,
@@ -207,19 +214,84 @@ def _endpoint(lam: Covector, t: float, s=None):
 
     c_t is the curvature at t, the pendulum velocity.  On N1 and N2+- jac =
     (kappa, a0, (sn, cn, dn, d)) holds the modulus and the arguments
-    `_endpoint_oscillating` took, for `_modulus_column`; elsewhere it is
+    `_endpoint_oscillating` takes, for `_modulus_column`; elsewhere it is
     None.  s is stratify(lam), which a caller that has it passes.
+
+    On N1 and N2+- this is one pass with no call but the cached scale, so
+    that a BVP candidate, which brings a new modulus every time, pays no
+    call layer.  Its bits are those of `_start`, the shifted Jacobi routine,
+    `_add` and `_endpoint_oscillating`, which the separatrix takes, as does
+    a kappa that rounds to 1 or a Jacobi argument that is not finite.
     """
     if s is None:
         s = stratify(lam)
     if s in STRAIGHT:
         return t, 0.0, 0.0, 0.0, 0.0, s, None
+    beta, c, r = lam
     if s in CIRCULAR:
-        c = lam.c
         ct = c * t
         # 1 - cos ct = 2 sin^2(ct/2), which does not cancel for small ct
         sh = math.sin(0.5 * ct)
         return math.sin(ct) / c, 2.0 * sh * sh / c, ct, 0.5 * c * c * t, c, s, None
+    sr = math.sqrt(r)
+    if s not in SEPARATRIX:
+        sb = math.sin(0.5 * beta)
+        ch = 0.5 * c / sr
+        kap = math.sqrt(sb * sb + ch * ch)
+        w = u = sr * t
+        rotating = s in ROTATING
+        if rotating:
+            k = 1.0 / kap
+            w = u / k
+        else:
+            k = kap
+        if kap != 1.0 and math.isfinite(w):
+            # (sn, cn, dn, eps - w) at w and modulus k, the shifted descending pass
+            K, unit, a_, kp, sigma, z_ = _shift_scale(k)
+            two_k = 2.0 * K
+            m = math.floor(w / two_k + 0.5)
+            phi = unit * (w - two_k * m)
+            zeta = 0.0
+            for zi, ai in zip(reversed(z_), reversed(a_)):
+                sp = math.sin(phi)
+                zeta += zi * sp
+                q = zi / ai * sp
+                if q > 1.0:
+                    q = 1.0
+                elif q < -1.0:
+                    q = -1.0
+                phi = 0.5 * (phi + math.asin(q))
+            sv, cv = math.sin(phi), math.cos(phi)
+            dv = math.sqrt(cv * cv + kp * kp * sv * sv)
+            if m % 2:
+                sv, cv = -sv, -cv
+            ev = zeta - sigma * w
+            if rotating:
+                # at modulus kap = 1/k: sn = k sn(w), cn = dn(w), dn = cn(w)
+                sv, cv, dv, ev = k * sv, dv, cv, ev / k
+            # the start point a0 at u0 and its sum with w, as `_add` forms it;
+            # eps(u0) = 0 and ev is never -0.0, so 0.0 + ev is ev
+            s0, c0, d0 = sb / kap, ch / kap, math.cos(0.5 * beta)
+            # products the formulas share, each rounded as there: (-d0) d0 =
+            # -(d0 d0) and (2 d0) d0 = 2 (d0 d0) exactly
+            k2 = kap * kap
+            d2 = d0 * d0
+            ks = k2 * s0
+            kss = ks * s0
+            den = d2 + kss * cv * cv
+            sn = (s0 * cv * dv + sv * c0 * d0) / den
+            cn = (c0 * cv - s0 * d0 * sv * dv) / den
+            dn = (d0 * dv - ks * c0 * sv * cv) / den
+            d = ev - ks * sv * sn
+            # the quadratures of `_endpoint_oscillating`
+            theta = 2.0 * math.atan2(kap * (d0 * sn - s0 * dn), d0 * dn + ks * sn)
+            dc = (sn - s0) * (sn + s0) / (c0 + cn) if c0 * cn > 0.5 else c0 - cn
+            dE = d + u
+            x = t - (2.0 / sr) * (-d2 * d - 2.0 * k2 * d0 * s0 * dc + kss * dE)
+            y = (2.0 * kap / sr) * ((2.0 * d2 - 1.0) * dc - s0 * d0 * (2.0 * dE - u))
+            tsr = 2.0 * sr
+            return (x, y, theta, tsr * (d + k2 * u), tsr * kap * cn, s,
+                    (kap, (s0, c0, d0, 0.0), (sn, cn, dn, d)))
     sr, kap, a0, k, jac = _start(lam, s)
     a = _add(a0, jac(sr * t, k), kap)
     # the curvature c_t = 2 sqrt(r) kap cn

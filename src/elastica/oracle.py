@@ -63,6 +63,8 @@ SEED_THETA_WEIGHT = 3.0
 BVP_SEEDS = 30
 RK4_MAX_STEPS = 10_000_000
 ATTAINABLE_TOL = 1e-12
+# where r = 0 in the stratify band: the Newton directions are the axes of h
+_AXIS_STRATA = (*CIRCULAR, Stratum.N7)
 
 
 class _IntegratorConfigFields(NamedTuple):
@@ -142,20 +144,22 @@ class UnattainableTargetError(ValueError):
 def attainable(q1: State, t1: float) -> bool:
     """Exact-time attainability from the identity: open disk plus one boundary point.
 
-    True iff x^2 + y^2 < t1^2, or (x, y, theta) is the straight-line endpoint
-    (t1, 0, 0) (compared at relative tolerance ATTAINABLE_TOL).  A non-finite
-    target or time raises ValueError.
+    True iff |(x, y)| < t1, or (x, y, theta) is the straight-line endpoint
+    (t1, 0, 0): x and y within ATTAINABLE_TOL t1 of it, theta within
+    ATTAINABLE_TOL.  Nothing is squared and the band is relative to t1, so
+    the verdict is the same at every scale.  A non-finite target or time
+    raises ValueError.
     """
     if not 0.0 < t1 < math.inf:
         raise ValueError(f"attainable needs finite t1 > 0, got {t1}")
     if not all(map(math.isfinite, (q1.x, q1.y, q1.theta))):
         raise ValueError(f"attainable needs a finite target, got {q1}")
-    if q1.x * q1.x + q1.y * q1.y < t1 * t1:
+    if math.hypot(q1.x, q1.y) < t1:
         return True
-    scale = max(1.0, t1)
+    band = ATTAINABLE_TOL * t1
     return (
-        abs(q1.x - t1) <= ATTAINABLE_TOL * scale
-        and abs(q1.y) <= ATTAINABLE_TOL * scale
+        abs(q1.x - t1) <= band
+        and abs(q1.y) <= band
         and abs(wrap_angle(q1.theta)) <= ATTAINABLE_TOL
     )
 
@@ -236,7 +240,9 @@ def _seeds(q1: State, t1: float, n: int) -> list[Covector]:
     looked up at t = 1 as (x/t1, y/t1, theta) and each entry's covector is
     mapped back as (beta, c/t1, r/t1^2).  Each cell gives its entry nearest
     the target in max(|dx|, |dy|, |dtheta|/SEED_THETA_WEIGHT), and the n
-    nearest of those are kept, the nearest first.
+    nearest of those are kept, the nearest first.  A t1 so small that a
+    kept seed's (c/t1, r/t1^2) is not finite (t1 below about 2e-153) raises
+    ValueError.
     """
     xs, ys, ths, covs, cells = _seed_table()
     x, y, theta = q1.x / t1, q1.y / t1, q1.theta
@@ -261,7 +267,13 @@ def _seeds(q1: State, t1: float, n: int) -> list[Covector]:
         best.append((d, near))
     best.sort()
     t2 = t1 * t1
-    return [Covector(covs[3 * i], covs[3 * i + 1] / t1, covs[3 * i + 2] / t2) for _, i in best[:n]]
+    seeds = []
+    for _, i in best[:n]:
+        c, r = covs[3 * i + 1] / t1, covs[3 * i + 2] / t2 if t2 else math.inf
+        if not (math.isfinite(c) and r < math.inf):
+            raise ValueError(f"bvp_shoot needs a larger t1: the seed table dilated to t1 = {t1} overflows")
+        seeds.append(Covector(covs[3 * i], c, r))
+    return seeds
 
 
 def _residual(h, q1: State, t1: float):
@@ -339,18 +351,22 @@ def _lstsq3(cols, b):
 
 
 def _symmetry_columns(c: float, end, t1: float):
-    """J d_f and J d_s of `_jacobian` at curvature c, from the end `_residual` returned at t1."""
+    """J d_f and J d_s of `_newton_step` at curvature c, from the end `_residual` returned at t1."""
     x, y, theta, _, ct = end[:5]
     cos, sin = math.cos(theta), math.sin(theta)
     return (cos - 1.0 + c * y, sin - c * x, ct - c), (t1 * cos - x, t1 * sin - y, t1 * ct)
 
 
-def _jacobian(h, end, t1: float):
-    """Three directions d_1, d_2, d_3 at h and the residual's derivatives J d_i along them.
+def _newton_step(h, res, end, t1: float):
+    """Least-squares Newton step in h, or None if it is not finite.
 
-    All closed form, in h = (h1, c, h3) = (-r cos beta, c, -r sin beta), from
-    end, what `_residual` returned at h.  On N6+- and N7 (r = 0 in the
-    stratify band) they are the axes of h, with `expmap._circle_columns`.
+    end is what `_residual` returned with res at h.  The step is solved in
+    three directions d_1, d_2, d_3 at h, from the residual's derivatives J
+    d_i along them: [J d_1, J d_2, J d_3] y = -res by `_lstsq3`, minimum
+    norm in y, and the step is y_1 d_1 + y_2 d_2 + y_3 d_3.  All closed
+    form, in h = (h1, c, h3) = (-r cos beta, c, -r sin beta), with no
+    endpoint evaluation.  On N6+- and N7 (r = 0 in the stratify band) the
+    directions are the axes of h, with `expmap._circle_columns`.
     Elsewhere: the flow d_f = (-c h3, h3, c h1), where left-invariance,
     exp(lam, s + t) = exp(lam, s) exp(flow(lam, s), t), gives J d_f =
     (cos theta - 1 + c y, sin theta - c x, c_t - c); the dilation d_s =
@@ -358,33 +374,33 @@ def _jacobian(h, end, t1: float):
     and on N1 and N2+- the modulus direction (D_beta, D_c, 0) of
     `expmap._modulus_column` in (beta, c, r), (-h3 D_beta, D_c, h1 D_beta)
     in h.  On N3+-, N4 and N5 end holds no modulus, and the third column is
-    zero, which `_lstsq3` gives no component.  Returns (directions, columns).
+    zero, which `_lstsq3` gives no component.  The directions are held as
+    their components, f0..f2, s0..s2 and m0..m2, and the step is summed
+    from them.
     """
     h1, c, h3 = h
-    stratum, jac = end[5:]
-    if stratum in CIRCULAR or stratum is Stratum.N7:
-        return ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), _circle_columns(c, t1)
-    df = (-c * h3, h3, c * h1)
-    ds = (2.0 * h1, c, 2.0 * h3)
-    jf, js = _symmetry_columns(c, end, t1)
-    if jac is None:
-        return (df, ds, (0.0, 0.0, 0.0)), (jf, js, (0.0, 0.0, 0.0))
-    kap, a0, a = jac
-    (db, dc, _), jm = _modulus_column(kap, math.sqrt(math.hypot(h1, h3)), t1, a0, *a)
-    return (df, ds, (-h3 * db, dc, h1 * db)), (jf, js, jm)
-
-
-def _newton_step(h, res, end, t1: float):
-    """Least-squares Newton step in h, or None if it is not finite.
-
-    end is what `_residual` returned with res at h.  The step is solved in
-    the directions of `_jacobian`: [J d_1, J d_2, J d_3] y = -res by
-    `_lstsq3`, minimum norm in y, and the step is y_1 d_1 + y_2 d_2 + y_3 d_3.
-    """
-    dirs, cols = _jacobian(h, end, t1)
-    y = _lstsq3(cols, [-e for e in res])
-    step = [y[0] * a + y[1] * b + y[2] * e for a, b, e in zip(*dirs)]
-    return step if all(map(math.isfinite, step)) else None
+    stratum, jac = end[5], end[6]
+    if stratum in _AXIS_STRATA:
+        cols = _circle_columns(c, t1)
+        f0, f1, f2, s0, s1, s2, m0, m1, m2 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    else:
+        f0, f1, f2 = -c * h3, h3, c * h1
+        s0, s1, s2 = 2.0 * h1, c, 2.0 * h3
+        jf, js = _symmetry_columns(c, end, t1)
+        if jac is None:
+            m0 = m1 = m2 = 0.0
+            cols = jf, js, (0.0, 0.0, 0.0)
+        else:
+            kap, a0, a = jac
+            (db, m1, _), jm = _modulus_column(kap, math.sqrt(math.hypot(h1, h3)), t1, a0, *a)
+            m0, m2 = -h3 * db, h1 * db
+            cols = jf, js, jm
+    y0, y1, y2 = _lstsq3(cols, (-res[0], -res[1], -res[2]))
+    x0 = y0 * f0 + y1 * s0 + y2 * m0
+    x1 = y0 * f1 + y1 * s1 + y2 * m1
+    x2 = y0 * f2 + y1 * s2 + y2 * m2
+    isfinite = math.isfinite
+    return [x0, x1, x2] if isfinite(x0) and isfinite(x1) and isfinite(x2) else None
 
 
 def _gap(a: State, b: State) -> float:
@@ -488,8 +504,9 @@ def bvp_shoot(
 
     Returns an empty list (with a logged diagnostic) when no start converges.
     A target that `attainable` rejects raises UnattainableTargetError, a
-    ValueError; a non-finite target or time, starts < 1 or jobs < 1 raises
-    a plain ValueError.
+    ValueError; a non-finite target or time, starts < 1, jobs < 1, or a t1
+    so small (below about 2e-153) that the seeds' dilation (beta, c/t1,
+    r/t1^2) overflows raises a plain ValueError.
     """
     if starts < 1:
         raise ValueError(f"bvp_shoot needs starts >= 1, got {starts}")

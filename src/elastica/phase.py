@@ -83,6 +83,12 @@ class Stratum(Enum):
         self.sign = 1 if value.endswith("plus") else -1 if value.endswith("minus") else 0
 
 
+# the members `stratify` returns, bound once: Stratum.N1 looks a member up
+# through EnumType.__getattr__, about 0.14 us a time in CPython 3.11
+_N1, _N4, _N5, _N7 = Stratum.N1, Stratum.N4, Stratum.N5, Stratum.N7
+_N2_PLUS, _N2_MINUS = Stratum.N2_PLUS, Stratum.N2_MINUS
+_N3_PLUS, _N3_MINUS = Stratum.N3_PLUS, Stratum.N3_MINUS
+_N6_PLUS, _N6_MINUS = Stratum.N6_PLUS, Stratum.N6_MINUS
 OSCILLATING = (Stratum.N1,)
 ROTATING = (Stratum.N2_PLUS, Stratum.N2_MINUS)
 SEPARATRIX = (Stratum.N3_PLUS, Stratum.N3_MINUS)
@@ -152,24 +158,24 @@ def stratify(lam: Covector) -> Stratum:
     tol = STRATIFY_TOL * max(r, c * c, 1.0)
     if r <= tol:
         return (
-            (Stratum.N6_PLUS if c > 0 else Stratum.N6_MINUS)
+            (_N6_PLUS if c > 0 else _N6_MINUS)
             if abs(c) > STRATIFY_TOL
-            else Stratum.N7
+            else _N7
         )
     E = energy(lam)
     if E <= -r + tol:
-        return Stratum.N4
+        return _N4
     # one difference decides both sides of the separatrix band, so that
     # every float lands in exactly one of N2, N3/N5 and N1
     d = E - r
     if d > tol:
-        return Stratum.N2_PLUS if c > 0 else Stratum.N2_MINUS
+        return _N2_PLUS if c > 0 else _N2_MINUS
     if d >= -tol:
         # separatrix level: split into the saddle point and the two branches
         if abs(wrap_angle(lam.beta - math.pi)) <= tol:
-            return Stratum.N5
-        return Stratum.N3_PLUS if c > 0 else Stratum.N3_MINUS
-    return Stratum.N1
+            return _N5
+        return _N3_PLUS if c > 0 else _N3_MINUS
+    return _N1
 
 
 def period(obj) -> float:

@@ -54,6 +54,7 @@ def test_criterion_1_constants():
     find_k0.cache_clear()
     find_kstar.cache_clear()
     elliptic._agm_scale.cache_clear()
+    elliptic._shift_scale.cache_clear()
     t0 = time.perf_counter()
     k0 = float(find_k0())
     kstar, ustar = find_kstar()

@@ -422,6 +422,20 @@ class TestBvp:
             "or (x, y, theta) = (t1, 0, 0)\n"
         )
 
+    def test_target_scaled_out_of_the_disk_is_unattainable(self, capsys):
+        # 5 t1 from the origin: an absolute band of 1e-12 took it for the
+        # line's endpoint (t1, 0, 0)
+        code = main(["bvp", "--x", "5e-13", "--y", "0", "--theta", "0", "--t1", "1e-13"])
+        assert code == 5
+        assert capsys.readouterr().out == ""
+
+    def test_t1_too_small_exits_3(self, capsys):
+        code = main(["bvp", "--x", "1e-320", "--y", "0", "--theta", "0", "--t1", "1e-310"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: bvp_shoot needs a larger t1: the seed table dilated to t1 = 1e-310 overflows\n"
+        )
+
 
 _MAXWELL_FULL_TURN = ["maxwell", "--beta", "0.3", "--c", "1", "--r", "0",
                       "--t", "6.283185307179586"]

@@ -1,15 +1,20 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastica.elliptic import (
+    AGM_MAX_ITER,
+    AGM_TOL,
     EllipticDivergenceError,
     EllipticDomainError,
     JacobiValues,
     Modulus,
     _add,
+    _agm_scale,
+    _shift_scale,
     ellint_E,
     ellint_E_inc,
     ellint_F_inc,
@@ -23,6 +28,44 @@ from elastica.elliptic import (
 from quadrature import quad_E, quad_F
 
 K_RECT = 1.0 / math.sqrt(2.0)
+
+
+def _agm_recursion(k):
+    """The AGM scale of `_agm_scale` from one loop over the recursion, as a reference."""
+    kp = math.sqrt((1.0 - k) * (1.0 + k))
+    a, b, c, z = [1.0], [kp], [], []
+    an, bn, zi = 1.0, kp, k
+    w, s = 1.0, 0.5 * k * k
+    for _ in range(AGM_MAX_ITER):
+        cn = 0.5 * (an - bn)
+        an, bn = 0.5 * (an + bn), math.sqrt(an * bn)
+        zi = zi * zi / (4.0 * an)
+        a.append(an)
+        c.append(cn)
+        z.append(zi)
+        s += w * cn * cn
+        w *= 2.0
+        if abs(cn) < AGM_TOL:
+            break
+        b.append(bn)
+    K = math.pi / (2.0 * an)
+    return K, K * (1.0 - s), w * an, tuple(a), tuple(b), tuple(c), s, tuple(z)
+
+
+def test_scales_are_the_recursion_bit_for_bit():
+    # `_shift_scale` runs the recursion and `_agm_scale` forms the b_i and
+    # c_i again from its a_i, so both must hold the reference's bits, from
+    # k near 0 to k' near 1e-8
+    rng = random.Random(29)
+    ks = [rng.random() for _ in range(1000)]
+    ks += [10.0 ** -rng.uniform(0.0, 300.0) for _ in range(300)]
+    ks += [1.0 - 10.0 ** -rng.uniform(0.0, 16.0) for _ in range(300)]
+    ks += [math.nextafter(1.0, 0.0), 5e-324, 0.5]
+    for k in ks:
+        ref = _agm_recursion(k)
+        assert repr(_agm_scale.__wrapped__(k)) == repr(ref), k
+        K, E, unit, a, b, c, sigma, z = ref
+        assert repr(_shift_scale.__wrapped__(k)) == repr((K, unit, a, b[0], sigma, z)), k
 
 
 class TestModulus:

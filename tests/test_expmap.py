@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from elastica import expmap
 from elastica.elliptic import ellint_K
 from elastica.expmap import (
     REANCHOR_POINTS,
+    REANCHOR_SPAN,
     ElasticaClass,
     State,
     classify,
@@ -19,9 +21,12 @@ from elastica.maxwell import find_k0
 from elastica.oracle import integrate_extremal
 from elastica.phase import (
     ELLIPTIC_STRATA,
+    ROTATING,
+    STRATIFY_TOL,
     Covector,
     EllipticCoords,
     Stratum,
+    _start,
     flow_vertical,
     from_elliptic,
     stratify,
@@ -279,6 +284,64 @@ def test_stepped_sample_large_theta_within_its_conditioning():
     samples = sample_elastica(lam, t1, n)
     gap = max(endpoint_gap(q, State(*expmap._endpoint(lam, i * step)[:3])) for i, q in enumerate(samples))
     assert 1e-12 * max(1.0, t1) < gap < 1e-12 * max(1.0, t1) + 4.0 * math.ulp(abs(lam.c) * t1)
+
+
+def _band_covectors(rng, count):
+    """Seeded covectors on N1, N2+-, N3+- and in every stratify band, a few tolerances from its edge."""
+    out = []
+    for _ in range(count):
+        r = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+        k = rng.choice((rng.uniform(0.02, 0.98), 1.0 - 10.0 ** rng.uniform(-9.0, -2.0),
+                        10.0 ** rng.uniform(-4.0, -2.0)))
+        sign = rng.choice((1, -1))
+        out.append(n1(k, rng.uniform(0.0, 8.0), r))
+        out.append(n2(k, rng.uniform(0.0, 4.0), r, sign))
+        out.append(n3(rng.uniform(-6.0, 6.0), r, sign))
+        tol = STRATIFY_TOL * max(r, 4.0 * r, 1.0)
+        # the separatrix band, on either side of E = r
+        b = rng.uniform(-0.95 * math.pi, 0.95 * math.pi)
+        c2 = max(0.0, 2.0 * r * (1.0 + math.cos(b)) + rng.uniform(-6.0, 6.0) * tol)
+        out.append(Covector(b, sign * math.sqrt(c2), r))
+        # the saddle and stable-equilibrium bands, and the gravity-free band
+        c = rng.uniform(-3.0, 3.0) * tol
+        out.append(Covector(math.pi + rng.uniform(-6.0, 6.0) * tol, c, r))
+        out.append(Covector(rng.uniform(-6.0, 6.0) * math.sqrt(tol / r), c, r))
+        c = rng.choice((rng.uniform(-4.0, 4.0), rng.uniform(-3.0, 3.0) * STRATIFY_TOL))
+        out.append(Covector(rng.uniform(-math.pi, math.pi), c,
+                            rng.uniform(0.0, 6.0) * STRATIFY_TOL * max(c * c, 1.0)))
+    return out
+
+
+def test_sample_anchors_are_exp_map(fixture25, cell_covectors):
+    # the stepped path evaluates each anchor as `_start`, the shifted Jacobi
+    # routine, `_add` and `_endpoint_oscillating`; `_endpoint` does the same
+    # in one pass on N1 and N2+-, and both must give the same bits.  On N1,
+    # N2+- and N3+- every index i >= 1 with i % run == 0 is an anchor (index
+    # 0 is a0 itself); on the line and circle strata every point is
+    # `_endpoint`'s.  The times are i * (t1 / (n - 1)), as the grid has them
+    lams = [*fixture25, *cell_covectors.values(), *_band_covectors(random.Random(29), 60)]
+    anchors = 0
+    for lam in lams:
+        s = stratify(lam)
+        for t1, n in ((0.7, 2), (7.3, 50), (250.0, 300)):
+            step = t1 / (n - 1)
+            first, run = 0, 1
+            if s in ELLIPTIC_STRATA:
+                sr, _, _, k, _ = _start(lam, s)
+                # the anchor spacing of `sample_elastica`
+                hw = sr * step / k if s in ROTATING else sr * step
+                run = REANCHOR_POINTS
+                if (REANCHOR_POINTS - 1) * hw > REANCHOR_SPAN:
+                    run = 1 + int(REANCHOR_SPAN // hw)
+                first = run
+            samples = sample_elastica(lam, t1, n)
+            indices = range(first, n, run)
+            for i in indices:
+                assert repr(samples[i]) == repr(exp_map(lam, i * step)), (lam, t1, n, i)
+            if first:
+                anchors += len(indices)
+    assert {stratify(lam) for lam in lams} == set(Stratum)
+    assert anchors > 30_000
 
 
 class TestClassify:

@@ -22,7 +22,6 @@ from elastica.oracle import (
     UnattainableTargetError,
     _covector,
     _hamiltonian,
-    _jacobian,
     _lstsq3,
     _max_norm,
     _newton_from,
@@ -135,6 +134,19 @@ class TestAttainable:
         assert not attainable(State(1.2, 0.3, 0.0), 1.0)
 
     @pytest.mark.parametrize(
+        "q1, t1, verdict",
+        [
+            # x^2 + y^2 and t1^2 both overflow to inf, or both underflow to 0
+            (State(1e155, 1e155, 0.0), 1e156, True),
+            (State(1e-300, 0.0, 0.1), 1e-299, True),
+            # five times t1 from the origin, inside an absolute band of 1e-12
+            (State(5e-13, 0.0, 0.0), 1e-13, False),
+        ],
+    )
+    def test_same_verdict_at_every_scale(self, q1, t1, verdict):
+        assert attainable(q1, t1) is verdict
+
+    @pytest.mark.parametrize(
         "q1, t1",
         [
             (State(0.5, 0.0, math.nan), 1.0),
@@ -152,6 +164,12 @@ class TestAttainable:
 
 
 class TestShooting:
+    @pytest.mark.parametrize("t1", [1e-310, 1e-163, 1e-155])
+    def test_t1_too_small_for_the_seed_table(self, t1):
+        # t1 * t1 underflows to 0, or r/t1^2 of a seed overflows
+        with pytest.raises(ValueError, match=f"t1 = {t1}"):
+            bvp_shoot(State(0.5 * t1, 0.0, 0.0), t1)
+
     def test_line_target(self):
         sols = bvp_shoot(State(1.0, 0.0, 0.0), 1.0, starts=40)
         assert any(s.energy == 0.0 and s.lam.c == 0.0 for s in sols)
@@ -511,7 +529,7 @@ MODULUS_EDGES = [
 # N1 with |d_f| = 5.8e-4, a short flow direction; at sqrt(r) t1 = 1.5
 SHORT_FLOW_CASE = (Covector(0.3, 5e-4, 1e-3), 1.5 / math.sqrt(1e-3))
 
-# (stratum, covector, t, step) on every stratum, for `_jacobian`: step is
+# (stratum, covector, t, step) on every stratum, for `_newton_step`: step is
 # the Richardson step in h, 1e-4 but where the endpoint map limits it.  At
 # N1-short-flow |h| is 1e-3, and steps of 1e-4 reach 10 % of it.  At N7 a
 # step along c reaches a circle with |c t| = 2e-4, where the circle's
@@ -557,6 +575,30 @@ def _modulus_cases(fixture25, cell_covectors):
 
 def _rel_err(a, ref) -> float:
     return max(abs(x - y) for x, y in zip(a, ref)) / max(1.0, *map(abs, ref))
+
+
+def _directions_and_columns(monkeypatch, h, res, end, t):
+    """The directions d_i of `_newton_step` at h and its closed-form columns J d_i.
+
+    `oracle._lstsq3` is replaced by one that records the columns and returns
+    the i-th unit vector, so that the step is d_i itself.
+    """
+    seen = []
+
+    def unit(i):
+        def lstsq3(cols, b):
+            seen.append(tuple(map(tuple, cols)))
+            return [float(j == i) for j in range(3)]
+
+        return lstsq3
+
+    dirs = []
+    for i in range(3):
+        monkeypatch.setattr(oracle, "_lstsq3", unit(i))
+        dirs.append(tuple(_newton_step(h, res, end, t)))
+    monkeypatch.setattr(oracle, "_lstsq3", _lstsq3)
+    assert seen[0] == seen[1] == seen[2]
+    return dirs, seen[0]
 
 
 class TestNewtonStep:
@@ -613,7 +655,7 @@ class TestNewtonStep:
             return _residual(*args)
 
         monkeypatch.setattr(oracle, "_residual", counted)
-        dirs, cols = _jacobian(v, end, t)
+        dirs, cols = _directions_and_columns(monkeypatch, v, res, end, t)
         assert calls == 0
         worst = 0.0
         for d, col in zip(dirs, cols):
@@ -659,7 +701,8 @@ class TestNewtonStep:
         lam = Covector(*v)
         h = _hamiltonian(lam)
         res, end = _residual(h, q1, t1)
-        assert _jacobian(h, end, t1)[0][0] == (1.0, 0.0, 0.0)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert _directions_and_columns(monkeypatch, h, res, end, t1)[0][0] == (1.0, 0.0, 0.0)
         step = _newton_step(h, res, end, t1)
         norm = math.sqrt(sum(e * e for e in step))
         jx = _richardson(lam, [e / norm for e in step], t1, in_h=True)

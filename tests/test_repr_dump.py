@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import io
 import random
@@ -52,19 +53,28 @@ def test_bvp_dump_counts_residual_evaluations(monkeypatch):
     # knife edge's seeds
     monkeypatch.setattr(module, "CRITERION_8", module.CRITERION_8[17:19])
     monkeypatch.setattr(module, "SHOOTING", module.SHOOTING[-1:])
-    residual = oracle._residual
+    residual, newton_step = oracle._residual, oracle._newton_step
     lines = []
     module.dump_bvp(lines.append)
-    assert oracle._residual is residual
+    assert oracle._residual is residual and oracle._newton_step is newton_step
 
     shots = [i for i, line in enumerate(lines) if line.startswith("bvp_shoot ")]
     assert len(shots) == 3
-    counts = []
+    counts, digests = [], []
     for i in shots:
         head, count = lines[i + 1].split()
         assert head == "residual_evaluations"
         counts.append(int(count))
+        head, digest = lines[i + 2].split()
+        assert head == "trajectory_sha256"
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        digests.append(digest)
     assert all(n > 0 for n in counts)
+    assert len(set(digests)) == 3
+    # the whole search repeats, not only its result
+    again = []
+    module.dump_bvp(again.append)
+    assert again == lines
     assert lines[shots[2] - 1] == f"criterion_8 residual_evaluations {counts[0] + counts[1]}"
     assert sum(line.startswith("knife_edge start ") for line in lines) == module.BVP_SEEDS
 
@@ -80,6 +90,24 @@ def test_bvp_dump_counts_residual_evaluations(monkeypatch):
     q1, t1, starts = module.SHOOTING[0]
     oracle.bvp_shoot(q1, t1, starts)
     assert calls == counts[2]
+
+    # the digest is the sha256 of the repr of every `_residual` and
+    # `_newton_step` return, one per line, in call order
+    sha = hashlib.sha256()
+
+    def hashed(fn):
+        def call(*args):
+            out = fn(*args)
+            sha.update(repr(out).encode() + b"\n")
+            return out
+
+        return call
+
+    monkeypatch.setattr(oracle, "_residual", hashed(residual))
+    monkeypatch.setattr(oracle, "_newton_step", hashed(newton_step))
+    oracle.bvp_shoot(q1, t1, starts)
+    assert sha.hexdigest() == digests[2]
+    monkeypatch.setattr(oracle, "_newton_step", newton_step)
 
     # and every endpoint evaluation the search makes, the polish's
     # included, is one of those calls
@@ -102,8 +130,13 @@ def test_bvp_seeds_dump():
     # them with a second N1 solution
     out = io.StringIO()
     assert _repr_dump().main(["--bvp-seeds", "4", "4"], out=out) == 0
-    lines = [line for line in out.getvalue().splitlines() if line.startswith("bvp_seed ")]
-    assert len(lines) == 8
+    dump = out.getvalue().splitlines()
+    shots = [i for i, line in enumerate(dump) if line.startswith("bvp_seed ")]
+    assert len(shots) == 8
+    # each with its residual evaluations and its trajectory digest
+    assert [dump[i + 1].split()[0] for i in shots] == ["residual_evaluations"] * 8
+    assert [dump[i + 2].split()[0] for i in shots] == ["trajectory_sha256"] * 8
+    lines = [dump[i] for i in shots]
     assert all(line.startswith("bvp_seed 4 State(") for line in lines)
     assert sum("Covector(beta=-1.8086790398304389, c=7.639033036370855, r=71.4487384257491)" in line
                for line in lines) == 1
