@@ -16,7 +16,9 @@ bands where `stratify` snaps to a boundary stratum.  Each one is dumped
 through `exp_map`, `elastic_energy_closed`, `to_elliptic`, `classify`,
 `sample_elastica`, `cut_time_bound`, `in_maxwell`, `reflect_covector` with
 each reflection and, on N1, N2 and N3, `maxwell_coords`: every call of the
-perfbench `sample` op.  A call that raises prints the exception instead.  With --bvp, `bvp_shoot` follows on the 20
+perfbench `sample` op.  A `sample_elastica_sha256` line follows, the sha256
+of the reprs of `sample_elastica` at each (t1, n) of SAMPLE_GRIDS.  A call
+that raises prints the exception instead.  With --bvp, `bvp_shoot` follows on the 20
 criterion-8 targets, the README example, the shooting tests' targets and
 three targets near criterion 8's knife edge, each with the number of
 endpoint evaluations it made (calls of `oracle._residual`, which the script
@@ -80,6 +82,9 @@ from elastica.phase import (  # noqa: E402
 
 TIMES = (0.37, 1.9, 7.3)
 SAMPLE_T1, SAMPLE_N = 7.3, 33
+# (t1, n) of the hashed samples: one anchor, runs of REANCHOR_POINTS, runs
+# cut short by REANCHOR_SPAN, and many points
+SAMPLE_GRIDS = ((0.7, 2), (7.3, 50), (250.0, 300), (13.5, 1001))
 SEED = 20150
 
 
@@ -203,6 +208,10 @@ def dump_covector(lam: Covector, write) -> None:
     write(f"  cut_time_bound {show(cut_time_bound, lam)}")
     samples = show(sample_elastica, lam, SAMPLE_T1, SAMPLE_N)
     write(f"  sample_elastica {SAMPLE_T1!r} {SAMPLE_N} {samples}")
+    sha = hashlib.sha256()
+    for t1, n in SAMPLE_GRIDS:
+        sha.update(show(sample_elastica, lam, t1, n).encode() + b"\n")
+    write(f"  sample_elastica_sha256 {sha.hexdigest()}")
 
 
 def _workloads():
@@ -318,10 +327,11 @@ def _relative_change(a: str, b: str) -> float:
     """Largest |x - y| / max(|x|, |y|) over the numbers of two lines, taken in order.
 
     Lines whose numbers do not pair up (a different count, or NaN against a
-    number, or infinities that differ) count as a change of inf.
+    number, or infinities that differ) count as a change of inf, as do lines
+    whose text outside the numbers differs, such as a digest.
     """
     xs, ys = (list(map(float, _NUMBER.findall(line))) for line in (a, b))
-    if len(xs) != len(ys):
+    if len(xs) != len(ys) or _NUMBER.sub("", a) != _NUMBER.sub("", b):
         return math.inf
     worst = 0.0
     for x, y in zip(xs, ys):

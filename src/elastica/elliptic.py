@@ -46,6 +46,10 @@ class EllipticDivergenceError(ValueError):
     """The requested integral diverges (k = 1 endpoint)."""
 
 
+class _SameSignError(ValueError):
+    """`_brentq`'s bracket has no sign change: f has one sign at both ends."""
+
+
 class _ModulusFields(NamedTuple):
     k: float
     kprime: float = float("nan")
@@ -169,9 +173,10 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     `optimize.brentq` (Brent 1973, ch. 4), so every root is bit-identical to
     it: inverse quadratic extrapolation or secant interpolation when the step
     is short enough, bisection otherwise, stopping when half the bracket is
-    below delta = (xtol + rtol |x|) / 2.  A NaN function value or a bracket
-    without a sign change raises ValueError; no convergence within 100
-    iterations raises RuntimeError.
+    below delta = (xtol + rtol |x|) / 2.  A NaN function value raises
+    ValueError, a bracket without a sign change its subclass
+    `_SameSignError`; no convergence within 100 iterations raises
+    RuntimeError.
     """
 
     def fval(x):
@@ -189,7 +194,7 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     if fcur == 0.0:
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
+        raise _SameSignError("f(a) and f(b) must have different signs")
     for _ in range(_BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre

@@ -19,8 +19,11 @@ is never formed.
 holds the start values, the shifted descending pass over the AGM scale,
 the addition formulas and the quadratures, in the operations of
 `phase._start`, `elliptic._shifted` or `_recip_shifted`, `elliptic._add`
-and `_endpoint_oscillating`, so its bits are theirs.  The stepped path of
-`sample_elastica` calls those functions.
+and `_endpoint_oscillating`, so its bits are theirs.  The stepped loop of
+`sample_elastica` likewise does the addition step and the quadratures in
+its own body on N1 and N2+-, with the bits of `_add` and
+`_endpoint_oscillating`, which a test pins point by point; its anchors
+call `_add` and the shifted routine.
 
 The tangent angle always satisfies theta_t = beta_t - beta_0.
 """
@@ -37,6 +40,7 @@ from .phase import (
     ROTATING,
     SEPARATRIX,
     STRAIGHT,
+    TWO_PI,
     Covector,
     _start,
     stratify,
@@ -221,7 +225,9 @@ def _endpoint(lam: Covector, t: float, s=None):
     that a BVP candidate, which brings a new modulus every time, pays no
     call layer.  Its bits are those of `_start`, the shifted Jacobi routine,
     `_add` and `_endpoint_oscillating`, which the separatrix takes, as does
-    a kappa that rounds to 1 or a Jacobi argument that is not finite.
+    a kappa that rounds to 1 or a Jacobi argument that is not finite.  The
+    stepped loop of `sample_elastica` writes out `_add`'s step and the
+    quadratures the same way, so its anchors are this function's points.
     """
     if s is None:
         s = stratify(lam)
@@ -310,7 +316,12 @@ def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
     """n uniformly spaced endpoint samples over [0, t1], endpoints included.
 
     On N1, N2+- and N3+- the points step by the addition formulas from
-    anchors; elsewhere each is evaluated by `_endpoint`.
+    anchors, each anchor the covector itself or u0 plus a direct Jacobi
+    evaluation; elsewhere each point is the endpoint in closed form.  On N1
+    and N2+- the loop does the addition step and the quadratures in its own
+    body, in the operations and order of `_add` and `_endpoint_oscillating`,
+    so its bits are theirs; the separatrix, and a kappa that rounds to 1,
+    call those functions.  Its points are built as `State` builds them.
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -318,8 +329,22 @@ def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
         raise ValueError(f"need finite t1 > 0, got {t1}")
     step = t1 / (n - 1)
     s = stratify(lam)
-    if s in STRAIGHT or s in CIRCULAR:
-        return [State(*_endpoint(lam, i * step, s)[:3]) for i in range(n)]
+    # off the Jacobi curve each point is `_endpoint`'s, and theta is wrapped
+    # as `wrap_angle` wraps it
+    new = tuple.__new__
+    if s in STRAIGHT:
+        return [new(State, (i * step, 0.0, 0.0)) for i in range(n)]
+    if s in CIRCULAR:
+        c = lam.c
+        out = []
+        for i in range(n):
+            ct = c * (i * step)
+            sh = math.sin(0.5 * ct)
+            theta = math.remainder(ct, TWO_PI)
+            if theta <= -math.pi:
+                theta += TWO_PI
+            out.append(new(State, (math.sin(ct) / c, 2.0 * sh * sh / c, theta)))
+        return out
     sr, kap, a0, k, jac = _start(lam, s)
     # the error grows with the argument of jacobi at modulus k
     hw = sr * step / k if s in ROTATING else sr * step
@@ -330,14 +355,49 @@ def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
     if run > 1:
         jh = jac(sr * step, k)
     out = []
+    if kap == 1.0:
+        for i in range(n):
+            t = i * step
+            if i % run:
+                a = _add(a, jh, kap)
+            else:
+                a = _add(a0, jac(sr * t, k), kap) if i else a0
+            x, y, theta, _ = _endpoint_oscillating(kap, sr, t, a0, *a)
+            out.append(State(x, y, theta))
+        return out
+    # the constants of `_add` and `_endpoint_oscillating`, each product
+    # rounded as there, where it is a left factor
+    s0, c0, d0, _ = a0
+    k2 = kap * kap
+    ks = k2 * s0
+    kss = ks * s0
+    d2 = d0 * d0
+    cross = 2.0 * k2 * d0 * s0
+    sd = s0 * d0
+    odd = 2.0 * d0 * d0 - 1.0
+    xs, ys = 2.0 / sr, 2.0 * kap / sr
+    if run > 1:
+        sv, cv, dv, ev = jh
+    sn, cn, dn, d = a0
     for i in range(n):
         t = i * step
         if i % run:
-            a = _add(a, jh, kap)
-        else:
-            a = _add(a0, jac(sr * t, k), kap) if i else a0
-        x, y, theta, _ = _endpoint_oscillating(kap, sr, t, a0, *a)
-        out.append(State(x, y, theta))
+            # sn, cn, dn, d at the previous point plus jh, the step of `_add`
+            den = dn * dn + k2 * sn * sn * cv * cv
+            s1 = (sn * cv * dv + sv * cn * dn) / den
+            sn, cn, dn, d = (s1, (cn * cv - sn * dn * sv * dv) / den,
+                             (dn * dv - k2 * sn * cn * sv * cv) / den, d + ev - k2 * sn * sv * s1)
+        elif i:
+            sn, cn, dn, d = _add(a0, jac(sr * t, k), kap)
+        w = sr * t
+        theta = 2.0 * math.atan2(kap * (d0 * sn - s0 * dn), d0 * dn + ks * sn)
+        theta = math.remainder(theta, TWO_PI)
+        if theta <= -math.pi:
+            theta += TWO_PI
+        dc = (sn - s0) * (sn + s0) / (c0 + cn) if c0 * cn > 0.5 else c0 - cn
+        dE = d + w
+        out.append(new(State, (t - xs * (-d2 * d - cross * dc + kss * dE),
+                               ys * (odd * dc - sd * (2.0 * dE - w)), theta)))
     return out
 
 

@@ -25,6 +25,7 @@ from .elliptic import (
     K_RECT,
     _add,
     _brentq,
+    _SameSignError,
     _shifted,
     ellint_E_inc,
     ellint_F_inc,
@@ -302,7 +303,10 @@ def p1_roots(k, n: int) -> float:
 
     For positive n the root sits right of the lattice point 2Kn below the
     figure-eight modulus, on it there, and left of it above.  At k = 0 the
-    same bracket holds the roots of tan p = p, the k -> 0 limit.
+    same bracket holds the roots of tan p = p, the k -> 0 limit.  At large
+    n the root can lie within an ulp of a bracket end, where f1 takes the
+    sign of the other end: then each end is moved out by one ulp, and a
+    bracket that still has no sign change raises ValueError.
     """
     kf = float(k)
     if not 0.0 <= kf < 1.0:
@@ -319,7 +323,18 @@ def p1_roots(k, n: int) -> float:
         lo, hi = 2.0 * K * n, 2.0 * K * n + K
     else:
         lo, hi = 2.0 * K * n - K, 2.0 * K * n
-    return _brentq(lambda p: f1(p, kf), lo, hi, xtol=BRENT_XTOL, rtol=BRENT_RTOL)
+
+    def f(p):
+        return f1(p, kf)
+
+    try:
+        return _brentq(f, lo, hi, xtol=BRENT_XTOL, rtol=BRENT_RTOL)
+    except _SameSignError:
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    try:
+        return _brentq(f, lo, hi, xtol=BRENT_XTOL, rtol=BRENT_RTOL)
+    except _SameSignError:
+        raise ValueError(f"p1_roots found no sign change of f1 at k = {kf}, n = {n}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,14 @@ class TestMaxwellCmd:
         assert doc["membership"] == []
         assert math.isfinite(doc["bound"])
 
+    def test_root_next_to_its_bracket_end(self, capsys):
+        # at t = 1e12 in_maxwell solves p_n^1 at an n whose root lies within
+        # an ulp of its bracket end
+        code, out = run_cli(["maxwell", "--beta", "0.4", "--c", "1", "--r", "1", "--t", "1e12"],
+                            capsys)
+        assert code == 0
+        assert json.loads(out)["stratum"] == "N1"
+
     @pytest.mark.parametrize(
         "beta, c, r, t_listed",
         [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastica import expmap
-from elastica.elliptic import ellint_K
+from elastica.elliptic import _add, ellint_K
 from elastica.expmap import (
     REANCHOR_POINTS,
     REANCHOR_SPAN,
@@ -312,29 +312,55 @@ def _band_covectors(rng, count):
     return out
 
 
+def _stepped_reference(lam, t1, n):
+    """The points of `sample_elastica` on N1, N2+- and N3+- as calls compose them.
+
+    The loop steps with `_add` and takes each point from
+    `_endpoint_oscillating` and `State`, with the anchor spacing and the
+    anchors of `sample_elastica`.
+    """
+    step = t1 / (n - 1)
+    s = stratify(lam)
+    sr, kap, a0, k, jac = _start(lam, s)
+    hw = sr * step / k if s in ROTATING else sr * step
+    run = REANCHOR_POINTS
+    if (REANCHOR_POINTS - 1) * hw > REANCHOR_SPAN:
+        run = 1 + int(REANCHOR_SPAN // hw)
+    if run > 1:
+        jh = jac(sr * step, k)
+    out = []
+    for i in range(n):
+        t = i * step
+        if i % run:
+            a = _add(a, jh, kap)
+        else:
+            a = _add(a0, jac(sr * t, k), kap) if i else a0
+        x, y, theta, _ = expmap._endpoint_oscillating(kap, sr, t, a0, *a)
+        out.append(State(x, y, theta))
+    return out, run
+
+
 def test_sample_anchors_are_exp_map(fixture25, cell_covectors):
-    # the stepped path evaluates each anchor as `_start`, the shifted Jacobi
-    # routine, `_add` and `_endpoint_oscillating`; `_endpoint` does the same
-    # in one pass on N1 and N2+-, and both must give the same bits.  On N1,
-    # N2+- and N3+- every index i >= 1 with i % run == 0 is an anchor (index
-    # 0 is a0 itself); on the line and circle strata every point is
-    # `_endpoint`'s.  The times are i * (t1 / (n - 1)), as the grid has them
+    # on N1, N2+- and N3+- every point is that of the composed loop above,
+    # and every anchor, each index i >= 1 with i % run == 0 (index 0 is a0
+    # itself), is `exp_map`'s, which `_endpoint` forms in one pass on N1 and
+    # N2+-; on the line and circle strata every point is `exp_map`'s.  All
+    # compare by repr, so bit for bit.  The times are i * (t1 / (n - 1)), as
+    # the grid has them
     lams = [*fixture25, *cell_covectors.values(), *_band_covectors(random.Random(29), 60)]
-    anchors = 0
+    anchors = points = 0
     for lam in lams:
         s = stratify(lam)
-        for t1, n in ((0.7, 2), (7.3, 50), (250.0, 300)):
+        for t1, n in ((0.7, 2), (0.7, 3), (7.3, 50), (250.0, 300), (13.5, 1001)):
             step = t1 / (n - 1)
+            samples = sample_elastica(lam, t1, n)
+            assert len(samples) == n and all(type(q) is State for q in samples)
             first, run = 0, 1
             if s in ELLIPTIC_STRATA:
-                sr, _, _, k, _ = _start(lam, s)
-                # the anchor spacing of `sample_elastica`
-                hw = sr * step / k if s in ROTATING else sr * step
-                run = REANCHOR_POINTS
-                if (REANCHOR_POINTS - 1) * hw > REANCHOR_SPAN:
-                    run = 1 + int(REANCHOR_SPAN // hw)
+                reference, run = _stepped_reference(lam, t1, n)
+                assert list(map(repr, samples)) == list(map(repr, reference)), (lam, t1, n)
+                points += n
                 first = run
-            samples = sample_elastica(lam, t1, n)
             indices = range(first, n, run)
             for i in indices:
                 assert repr(samples[i]) == repr(exp_map(lam, i * step)), (lam, t1, n, i)
@@ -342,6 +368,7 @@ def test_sample_anchors_are_exp_map(fixture25, cell_covectors):
                 anchors += len(indices)
     assert {stratify(lam) for lam in lams} == set(Stratum)
     assert anchors > 30_000
+    assert points > 500_000
 
 
 class TestClassify:

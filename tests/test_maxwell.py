@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from elastica import maxwell
 from elastica.elliptic import ellint_E, ellint_F_inc, ellint_K, jacobi
 from elastica.expmap import elastic_energy_closed, exp_map
 from elastica.maxwell import (
@@ -270,6 +271,30 @@ class TestRootCurves:
             for k in (0.3, 0.7, 0.93):
                 K = ellint_K(k)
                 assert (2 * n - 1) * K < p1_roots(k, n) < (2 * n + 1) * K
+
+    def test_p1_roots_within_an_ulp_of_the_bracket_end(self):
+        # at this n the root lies about 1.7e-6 past the computed end
+        # 2Kn + K, whose ulp is 1.9e-6: f1 has one sign at both ends
+        k, n = 0.5380237011494544, 3162277660
+        K = ellint_K(k)
+        p = p1_roots(k, n)
+        assert abs(p - (2.0 * K * n + K)) <= 2.0 * math.ulp(p)
+        # in_maxwell solves p_n^1 at every t, 40 log-spaced t per decade
+        lam = Covector(0.4, 1.0, 1.0)
+        for j in range(3 * 40):
+            in_maxwell(lam, 10.0 ** (9.0 + j / 40.0))
+        rng = random.Random(30)
+        for _ in range(100):
+            k = rng.uniform(0.05, 0.99)
+            n = int(math.exp(rng.uniform(math.log(1e6), math.log(1e13))))
+            K = ellint_K(k)
+            p = p1_roots(k, n)
+            assert (2 * n - 1) * K - 4.0 * math.ulp(p) < p < (2 * n + 1) * K + 4.0 * math.ulp(p)
+
+    def test_p1_roots_without_a_sign_change_names_k_and_n(self, monkeypatch):
+        monkeypatch.setattr(maxwell, "f1", lambda p, k: 1.0)
+        with pytest.raises(ValueError, match=r"k = 0\.3, n = 2$"):
+            p1_roots(0.3, 2)
 
     def test_ordering_pg1_below_p1(self):
         kstar = float(find_kstar()[0])

@@ -34,11 +34,18 @@ def test_default_dump_covers_every_stratum_and_repeats():
     heads = [line.split()[-1] for line in lines if line.startswith("covector ")]
     assert {s.value for s in Stratum} <= set(heads)
     # one to_elliptic, one classify, six lines per time (three of them
-    # reflect_covector), one cut_time_bound and one sample; on N1, N2 and
-    # N3 one maxwell_coords per time too
+    # reflect_covector), one cut_time_bound, one sample and one sample
+    # digest; on N1, N2 and N3 one maxwell_coords per time too
     elliptic = sum(Stratum(head) in ELLIPTIC_STRATA for head in heads)
     times = len(module.TIMES)
-    assert len(lines) == len(heads) * (5 + 6 * times) + elliptic * times
+    assert len(lines) == len(heads) * (6 + 6 * times) + elliptic * times
+    digests = [line.split() for line in lines if line.startswith("  sample_elastica_sha256 ")]
+    assert len(digests) == len(heads)
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in digests)
+    sha = hashlib.sha256()
+    for t1, n in module.SAMPLE_GRIDS:
+        sha.update(repr(module.sample_elastica(module.FIXTURE25[0], t1, n)).encode() + b"\n")
+    assert digests[0][1] == sha.hexdigest()
     assert not any(line.startswith(("bvp_shoot", "knife_edge")) for line in lines)
     # only to_elliptic off N1, N2 and N3 raises
     raised = [line for line in lines if " !" in line]
@@ -179,6 +186,9 @@ def test_compare_counts_changed_lines_per_function(tmp_path):
     moved[i] = lines[i].replace(f"phi={phi}", f"phi={float(phi) * (1 + 1e-6)!r}")
     j = next(j for j, line in enumerate(lines) if line.startswith("  cut_time_bound "))
     moved[j] = lines[j] + " 1.0"
+    # so does a changed digest, which has no numbers
+    h = next(h for h, line in enumerate(lines) if line.startswith("  sample_elastica_sha256 "))
+    moved[h] = f"  sample_elastica_sha256 {'f' * 64}"
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     a.write_text("\n".join(lines) + "\n")
     b.write_text("\n".join(moved) + "\n")
@@ -193,8 +203,9 @@ def test_compare_counts_changed_lines_per_function(tmp_path):
     _, differ, change = rows["to_elliptic"]
     assert int(differ) == 1 and float(change) == pytest.approx(1e-6, rel=1e-3)
     assert rows["cut_time_bound"][1:] == ["1", "inf"]
+    assert rows["sample_elastica_sha256"][1:] == ["1", "inf"]
     assert all(row[1:] == ["0", "-"] for name, row in rows.items()
-               if name not in ("to_elliptic", "cut_time_bound"))
+               if name not in ("to_elliptic", "cut_time_bound", "sample_elastica_sha256"))
 
     # dumps of different lengths are not compared
     b.write_text("\n".join(moved[:-1]) + "\n")
