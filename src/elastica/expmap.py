@@ -15,15 +15,14 @@ values at u0 + sqrt(r) t follow from one Jacobi evaluation at sqrt(r) t and
 the addition formulas, which also give the epsilon increment, so eps(u0)
 is never formed.
 
-`_endpoint` evaluates one endpoint in one pass: on N1 and N2+- its body
-holds the start values, the shifted descending pass over the AGM scale,
-the addition formulas and the quadratures, in the operations of
-`phase._start`, `elliptic._shifted` or `_recip_shifted`, `elliptic._add`
-and `_endpoint_oscillating`, so its bits are theirs.  The stepped loop of
-`sample_elastica` likewise does the addition step and the quadratures in
-its own body on N1 and N2+-, with the bits of `_add` and
-`_endpoint_oscillating`, which a test pins point by point; its anchors
-call `_add` and the shifted routine.
+`_endpoint` evaluates one endpoint in one pass on N1, N2+- and N3+-: its
+body holds the start values, the Jacobi values at sqrt(r) t (the shifted
+descending pass over the AGM scale, or tanh and sech at k = 1), the
+addition formulas and the quadratures, in the operations of `phase._start`,
+`elliptic._shifted` or `_recip_shifted` and `elliptic._add`, so its bits
+are theirs.  The stepped loop of `sample_elastica` does the addition step
+and the quadratures in its own body with the same bits, which a test pins
+point by point; only its anchors call `_add` and the shifted routine.
 
 The tangent angle always satisfies theta_t = beta_t - beta_0.
 """
@@ -34,7 +33,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .elliptic import K_RECT, _add, _shift_scale, find_k0
+from .elliptic import K_RECT, EllipticDomainError, _add, _shift_scale, find_k0
 from .phase import (
     CIRCULAR,
     ROTATING,
@@ -86,47 +85,13 @@ class ElasticaClass(Enum):
     CIRCLE = "Circle"
 
 
-def _endpoint_oscillating(
-    k: float, sr: float, t: float, a0: tuple, sn: float, cn: float, dn: float, d: float,
-):
-    """Endpoint and bending energy from the oscillating-stratum quadratures.
-
-    Written for algebraic modulus k, with the start values a0 = (sn, cn, dn,
-    0) and (sn, cn, dn, d) at t, where d = dE - sqrt(r) t and dE is the
-    epsilon increment over [0, t]; at k = 1 they are the hyperbolic ones of
-    the separatrix, and at k > 1 (the reciprocal modulus) those of the
-    rotating strata.  d is carried whole because dE and sqrt(r) t cancel in
-    x and in the energy as k -> 0.  At k = 1, where epsilon = tanh is
-    bounded, d is dE itself.
-    """
-    s0, c0, d0, _ = a0
-    k2 = k * k
-    sin_half = k * (d0 * sn - s0 * dn)
-    cos_half = d0 * dn + k2 * s0 * sn
-    theta = 2.0 * math.atan2(sin_half, cos_half)
-    # c0 - cn = (sn - s0)(sn + s0)/(c0 + cn) as cn^2 + sn^2 = 1: it keeps the
-    # digits the difference loses where c0 and cn are both near +-1, as on
-    # the rotating strata (k > 1), where they differ by O(1/k^2)
-    dc = (sn - s0) * (sn + s0) / (c0 + cn) if c0 * cn > 0.5 else c0 - cn
-    w = sr * t
-    if k == 1.0:
-        dE = energy = d
-        dw = d - w
-    else:
-        dE = d + w
-        dw = d
-        energy = d + k2 * w
-    x = t - (2.0 / sr) * (-d0 * d0 * dw - 2.0 * k2 * d0 * s0 * dc + k2 * s0 * s0 * dE)
-    y = (2.0 * k / sr) * ((2.0 * d0 * d0 - 1.0) * dc - s0 * d0 * (2.0 * dE - w))
-    return x, y, theta, 2.0 * sr * energy
-
-
 def _modulus_column(
     k: float, sr: float, t: float, a0: tuple, sn: float, cn: float, dn: float, d: float,
 ):
     """The modulus direction D at a covector, and the derivative of its endpoint along D.
 
-    Takes the arguments of `_endpoint_oscillating`, at k != 1.  With
+    Takes k = kappa, sqrt(r), t and the values a0 and (sn, cn, dn, d) of
+    `_endpoint`'s jac, at k != 1.  With
     A(u) = (u - eps(u)/k'^2)/k, D is d/dk at fixed u0 and sqrt(r) minus
     A(u0) d/du0: the A(u0) term is a multiple of the pendulum flow, so
     neither u0 nor eps(u0) is needed.  With g = k/k'^2, the Jacobi values
@@ -139,7 +104,7 @@ def _modulus_column(
     These hold unchanged on the rotating strata, k > 1 and k'^2 < 0.
     Returns (D, J D): D = (2 sn0 dn0, 2 sqrt(r) cn0 (dn0^2 - k^2), 0)/k'^2 in
     (beta, c, r), and J D the derivative of (x, y, theta) along it, the
-    chain rule through `_endpoint_oscillating`.
+    chain rule through `_endpoint`'s quadratures.
     """
     s0, c0, d0, _ = a0
     k2 = k * k
@@ -217,17 +182,18 @@ def _endpoint(lam: Covector, t: float, s=None):
     """(x, y, theta, J, c_t, stratum, jac) of the elastica of lam at t.
 
     c_t is the curvature at t, the pendulum velocity.  On N1 and N2+- jac =
-    (kappa, a0, (sn, cn, dn, d)) holds the modulus and the arguments
-    `_endpoint_oscillating` takes, for `_modulus_column`; elsewhere it is
-    None.  s is stratify(lam), which a caller that has it passes.
+    (kappa, a0, (sn, cn, dn, d)) holds the algebraic modulus and the values
+    at u0 and at u0 + sqrt(r) t, for `_modulus_column`; elsewhere it is None.
+    s is stratify(lam), which a caller that has it passes.
 
-    On N1 and N2+- this is one pass with no call but the cached scale, so
-    that a BVP candidate, which brings a new modulus every time, pays no
-    call layer.  Its bits are those of `_start`, the shifted Jacobi routine,
-    `_add` and `_endpoint_oscillating`, which the separatrix takes, as does
-    a kappa that rounds to 1 or a Jacobi argument that is not finite.  The
-    stepped loop of `sample_elastica` writes out `_add`'s step and the
-    quadratures the same way, so its anchors are this function's points.
+    On N1, N2+- and N3+- this is one pass with no call but the cached scale,
+    so that a BVP candidate, which brings a new modulus every time, pays no
+    call layer.  Its bits are those of `_start`, the shifted Jacobi routine
+    (tanh and sech at k = 1) and `_add`, and of the quadratures at the
+    algebraic modulus kappa: below kappa = 1, d = eps - sqrt(r) t is carried
+    whole, as eps and sqrt(r) t cancel in x and J when kappa -> 0; at kappa =
+    1, where eps = tanh is bounded, d is eps.  The stepped loop of
+    `sample_elastica` writes out the step and the quadratures the same way.
     """
     if s is None:
         s = stratify(lam)
@@ -240,69 +206,87 @@ def _endpoint(lam: Covector, t: float, s=None):
         sh = math.sin(0.5 * ct)
         return math.sin(ct) / c, 2.0 * sh * sh / c, ct, 0.5 * c * c * t, c, s, None
     sr = math.sqrt(r)
-    if s not in SEPARATRIX:
-        sb = math.sin(0.5 * beta)
+    sb, d0 = math.sin(0.5 * beta), math.cos(0.5 * beta)
+    u = sr * t
+    sep = s in SEPARATRIX
+    if sep:
+        # kap is 1 within the stratify band; the start point keeps beta and
+        # takes the sign of c, and lies on the line cn = f dn, f = +-1
+        kap, s0, c0 = 1.0, sb, math.copysign(d0, c)
+        f = -1.0 if c0 < 0.0 else 1.0
+        if u != u:
+            raise EllipticDomainError(f"Jacobi functions need a finite argument, got {u}")
+        # (sn, cn, dn, eps) at u: tanh, sech, sech, tanh; past 709 sech underflows
+        sv = ev = math.tanh(u)
+        cv = dv = 0.0 if abs(u) >= 709.0 else 1.0 / math.cosh(u)
+    else:
         ch = 0.5 * c / sr
         kap = math.sqrt(sb * sb + ch * ch)
-        w = u = sr * t
+        s0, c0 = sb / kap, ch / kap
         rotating = s in ROTATING
+        k = 1.0 / kap if rotating else kap
+        w = u / k if rotating else u
+        if not math.isfinite(w):
+            raise EllipticDomainError("Jacobi functions need a finite argument, got "
+                                      + (f"u/k = {w}" if rotating else f"{w}"))
+        # (sn, cn, dn, eps - w) at w and modulus k, the shifted descending pass
+        K, unit, a_, kp, sigma, z_ = _shift_scale(k)
+        two_k = 2.0 * K
+        m = math.floor(w / two_k + 0.5)
+        phi = unit * (w - two_k * m)
+        zeta = 0.0
+        for zi, ai in zip(reversed(z_), reversed(a_)):
+            sp = math.sin(phi)
+            zeta += zi * sp
+            q = zi / ai * sp
+            if q > 1.0:
+                q = 1.0
+            elif q < -1.0:
+                q = -1.0
+            phi = 0.5 * (phi + math.asin(q))
+        sv, cv = math.sin(phi), math.cos(phi)
+        dv = math.sqrt(cv * cv + kp * kp * sv * sv)
+        if m % 2:
+            sv, cv = -sv, -cv
+        ev = zeta - sigma * w
         if rotating:
-            k = 1.0 / kap
-            w = u / k
-        else:
-            k = kap
-        if kap != 1.0 and math.isfinite(w):
-            # (sn, cn, dn, eps - w) at w and modulus k, the shifted descending pass
-            K, unit, a_, kp, sigma, z_ = _shift_scale(k)
-            two_k = 2.0 * K
-            m = math.floor(w / two_k + 0.5)
-            phi = unit * (w - two_k * m)
-            zeta = 0.0
-            for zi, ai in zip(reversed(z_), reversed(a_)):
-                sp = math.sin(phi)
-                zeta += zi * sp
-                q = zi / ai * sp
-                if q > 1.0:
-                    q = 1.0
-                elif q < -1.0:
-                    q = -1.0
-                phi = 0.5 * (phi + math.asin(q))
-            sv, cv = math.sin(phi), math.cos(phi)
-            dv = math.sqrt(cv * cv + kp * kp * sv * sv)
-            if m % 2:
-                sv, cv = -sv, -cv
-            ev = zeta - sigma * w
-            if rotating:
-                # at modulus kap = 1/k: sn = k sn(w), cn = dn(w), dn = cn(w)
-                sv, cv, dv, ev = k * sv, dv, cv, ev / k
-            # the start point a0 at u0 and its sum with w, as `_add` forms it;
-            # eps(u0) = 0 and ev is never -0.0, so 0.0 + ev is ev
-            s0, c0, d0 = sb / kap, ch / kap, math.cos(0.5 * beta)
-            # products the formulas share, each rounded as there: (-d0) d0 =
-            # -(d0 d0) and (2 d0) d0 = 2 (d0 d0) exactly
-            k2 = kap * kap
-            d2 = d0 * d0
-            ks = k2 * s0
-            kss = ks * s0
-            den = d2 + kss * cv * cv
-            sn = (s0 * cv * dv + sv * c0 * d0) / den
-            cn = (c0 * cv - s0 * d0 * sv * dv) / den
-            dn = (d0 * dv - ks * c0 * sv * cv) / den
-            d = ev - ks * sv * sn
-            # the quadratures of `_endpoint_oscillating`
-            theta = 2.0 * math.atan2(kap * (d0 * sn - s0 * dn), d0 * dn + ks * sn)
-            dc = (sn - s0) * (sn + s0) / (c0 + cn) if c0 * cn > 0.5 else c0 - cn
-            dE = d + u
-            x = t - (2.0 / sr) * (-d2 * d - 2.0 * k2 * d0 * s0 * dc + kss * dE)
-            y = (2.0 * kap / sr) * ((2.0 * d2 - 1.0) * dc - s0 * d0 * (2.0 * dE - u))
-            tsr = 2.0 * sr
-            return (x, y, theta, tsr * (d + k2 * u), tsr * kap * cn, s,
-                    (kap, (s0, c0, d0, 0.0), (sn, cn, dn, d)))
-    sr, kap, a0, k, jac = _start(lam, s)
-    a = _add(a0, jac(sr * t, k), kap)
-    # the curvature c_t = 2 sqrt(r) kap cn
-    return (*_endpoint_oscillating(kap, sr, t, a0, *a), 2.0 * sr * kap * a[1], s,
-            (kap, a0, a) if kap != 1.0 else None)
+            # at modulus kap = 1/k: sn = k sn(w), cn = dn(w), dn = cn(w)
+            sv, cv, dv, ev = k * sv, dv, cv, ev / k
+    # products the formulas share, each rounded as there: (-d0) d0 = -(d0 d0)
+    # and (2 d0) d0 = 2 (d0 d0) exactly
+    k2 = kap * kap
+    d2 = d0 * d0
+    ks = k2 * s0
+    kss = ks * s0
+    # the start point a0 at u0 and its sum with u, as `_add` forms it, eps(u0)
+    # = 0: at k = 1 by the tanh and sech rules while they hold (the values at
+    # u lie on cn = dn); otherwise ev is never -0.0, so 0.0 + ev is ev
+    if sep and f * s0 * sv >= 0.0:
+        den = 1.0 + f * s0 * sv
+        sn = (s0 + f * sv) / den
+        cn, dn = c0 * cv / den, d0 * dv / den
+        d = 0.0 + ev - s0 * sv * sn
+    else:
+        den = d2 + kss * cv * cv
+        sn = (s0 * cv * dv + sv * c0 * d0) / den
+        cn = (c0 * cv - s0 * d0 * sv * dv) / den
+        dn = (d0 * dv - ks * c0 * sv * cv) / den
+        d = ev - ks * sv * sn
+    # the quadratures, with dw = eps - u and dE = eps
+    theta = 2.0 * math.atan2(kap * (d0 * sn - s0 * dn), d0 * dn + ks * sn)
+    # c0 - cn = (sn - s0)(sn + s0)/(c0 + cn) as cn^2 + sn^2 = 1: it keeps the
+    # digits the difference loses where c0 and cn are both near +-1, as on
+    # the rotating strata, where they differ by O(1/kap^2)
+    dc = (sn - s0) * (sn + s0) / (c0 + cn) if c0 * cn > 0.5 else c0 - cn
+    if sep:
+        dw, dE, jac = d - u, d, None
+        energy = d
+    else:
+        dw, dE, jac = d, d + u, (kap, (s0, c0, d0, 0.0), (sn, cn, dn, d))
+        energy = d + k2 * u
+    x = t - (2.0 / sr) * (-d2 * dw - 2.0 * k2 * d0 * s0 * dc + kss * dE)
+    y = (2.0 * kap / sr) * ((2.0 * d2 - 1.0) * dc - s0 * d0 * (2.0 * dE - u))
+    return x, y, theta, 2.0 * sr * energy, 2.0 * sr * kap * cn, s, jac  # c_t = 2 sqrt(r) kap cn
 
 
 def exp_map(lam: Covector, t: float) -> State:
@@ -317,11 +301,12 @@ def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
 
     On N1, N2+- and N3+- the points step by the addition formulas from
     anchors, each anchor the covector itself or u0 plus a direct Jacobi
-    evaluation; elsewhere each point is the endpoint in closed form.  On N1
-    and N2+- the loop does the addition step and the quadratures in its own
-    body, in the operations and order of `_add` and `_endpoint_oscillating`,
-    so its bits are theirs; the separatrix, and a kappa that rounds to 1,
-    call those functions.  Its points are built as `State` builds them.
+    evaluation; elsewhere each point is the endpoint in closed form.  The
+    loop does the addition step and the quadratures in its own body, in
+    the operations and order of `_add` and of `_endpoint`'s quadratures, so
+    its bits are theirs; on the separatrix it takes their k = 1 branches.
+    Only the anchors call `_add` and the shifted Jacobi routine.  Its points
+    are built as `State` builds them.
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -353,20 +338,10 @@ def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
     else:
         run = 1 + int(REANCHOR_SPAN // hw)
     if run > 1:
-        jh = jac(sr * step, k)
-    out = []
-    if kap == 1.0:
-        for i in range(n):
-            t = i * step
-            if i % run:
-                a = _add(a, jh, kap)
-            else:
-                a = _add(a0, jac(sr * t, k), kap) if i else a0
-            x, y, theta, _ = _endpoint_oscillating(kap, sr, t, a0, *a)
-            out.append(State(x, y, theta))
-        return out
-    # the constants of `_add` and `_endpoint_oscillating`, each product
-    # rounded as there, where it is a left factor
+        sv, cv, dv, ev = jac(sr * step, k)
+    sep = s in SEPARATRIX
+    # the constants of `_add` and the quadratures, each product rounded as
+    # there, where it is a left factor
     s0, c0, d0, _ = a0
     k2 = kap * kap
     ks = k2 * s0
@@ -376,17 +351,23 @@ def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
     sd = s0 * d0
     odd = 2.0 * d0 * d0 - 1.0
     xs, ys = 2.0 / sr, 2.0 * kap / sr
-    if run > 1:
-        sv, cv, dv, ev = jh
     sn, cn, dn, d = a0
+    out = []
     for i in range(n):
         t = i * step
         if i % run:
-            # sn, cn, dn, d at the previous point plus jh, the step of `_add`
-            den = dn * dn + k2 * sn * sn * cv * cv
-            s1 = (sn * cv * dv + sv * cn * dn) / den
-            sn, cn, dn, d = (s1, (cn * cv - sn * dn * sv * dv) / den,
-                             (dn * dv - k2 * sn * cn * sv * cv) / den, d + ev - k2 * sn * sv * s1)
+            # sn, cn, dn, d at the previous point plus the step, as `_add` forms
+            # it: at k = 1 by the tanh and sech rules while they hold, with cn =
+            # f dn the line of the previous point (the step's is cn = dn)
+            if sep and (f := -1.0 if cn < 0.0 else 1.0) * sn * sv >= 0.0:
+                den = 1.0 + f * sn * sv
+                s1 = (sn + f * sv) / den
+                sn, cn, dn, d = s1, cn * cv / den, dn * dv / den, d + ev - sn * sv * s1
+            else:
+                den = dn * dn + k2 * sn * sn * cv * cv
+                s1 = (sn * cv * dv + sv * cn * dn) / den
+                sn, cn, dn, d = (s1, (cn * cv - sn * dn * sv * dv) / den,
+                                 (dn * dv - k2 * sn * cn * sv * cv) / den, d + ev - k2 * sn * sv * s1)
         elif i:
             sn, cn, dn, d = _add(a0, jac(sr * t, k), kap)
         w = sr * t
@@ -395,8 +376,11 @@ def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
         if theta <= -math.pi:
             theta += TWO_PI
         dc = (sn - s0) * (sn + s0) / (c0 + cn) if c0 * cn > 0.5 else c0 - cn
-        dE = d + w
-        out.append(new(State, (t - xs * (-d2 * d - cross * dc + kss * dE),
+        if sep:
+            dw, dE = d - w, d
+        else:
+            dw, dE = d, d + w
+        out.append(new(State, (t - xs * (-d2 * dw - cross * dc + kss * dE),
                                ys * (odd * dc - sd * (2.0 * dE - w)), theta)))
     return out
 

@@ -54,10 +54,6 @@ _ROOT_SCAN_MAX = 8  # lattice indices examined when locating first Maxwell times
 _NEVER_MEETS = SEPARATRIX + STRAIGHT
 
 
-class PoleError(ZeroDivisionError):
-    """Evaluation at a pole of the reduced root function."""
-
-
 class MaxwellStratum(Enum):
     MAX1 = "MAX1"
     MAX2 = "MAX2"
@@ -148,23 +144,15 @@ def g1_n2(p: float, k) -> float:
 # amplitude-variable auxiliaries for the chord-reflection root curve
 
 def _a1_coeffs(k: float):
-    """Coefficients (c0, c1, c2) of a1 as a quadratic in cos 2u."""
+    """Coefficients of a1(u) = c0 + c1 cos 2u + c2 cos^2 2u, the sign of d/du of h1 over its prefactor.
+
+    c0 = 8 - 10k^2 + 4k^4, c1 = 4k^2(3 - 2k^2) and c2 = 2k^2(2k^2 - 1).
+    """
     k2 = k * k
     c0 = 8.0 - 10.0 * k2 + 4.0 * k2 * k2
     c1 = 4.0 * k2 * (3.0 - 2.0 * k2)
     c2 = 2.0 * k2 * (2.0 * k2 - 1.0)
     return c0, c1, c2
-
-
-def a1(u: float, k) -> float:
-    """Quadratic in cos 2u whose sign drives the monotonicity of h2.
-
-    c0 + c1 cos 2u + c2 cos^2 2u with c0 = 8 - 10k^2 + 4k^4,
-    c1 = 4k^2(3 - 2k^2), c2 = 2k^2(2k^2 - 1); equals 8 at u = 0 for every k.
-    """
-    c0, c1, c2 = _a1_coeffs(float(k))
-    t = math.cos(2.0 * u)
-    return c0 + c1 * t + c2 * t * t
 
 
 def h1(u: float, k) -> float:
@@ -175,37 +163,6 @@ def h1(u: float, k) -> float:
     return (1.0 - k2 + k2 * cu**4) * (
         2.0 * ellint_E_inc(u, kf) - ellint_F_inc(u, kf)
     ) + cu * su * math.sqrt(1.0 - k2 * su * su) * (2.0 * k2 * su * su - 1.0)
-
-
-def h2(u: float, k) -> float:
-    """h1 normalized by its positive prefactor 1 - k^2 + k^2 cos^4 u."""
-    kf = float(k)
-    den = 1.0 - kf * kf + kf * kf * math.cos(u) ** 4
-    if abs(den) < 1e-300:
-        raise PoleError(f"h2 pole at u = {u}, k = {kf}")
-    return h1(u, kf) / den
-
-
-def h2_du(u: float, k) -> float:
-    """du-derivative of h2; its sign is the sign of a1."""
-    kf = float(k)
-    k2 = kf * kf
-    den = 1.0 - k2 + k2 * math.cos(u) ** 4
-    pref = (
-        math.sin(u) ** 2
-        * math.sqrt(2.0 - k2 + k2 * math.cos(2.0 * u))
-        / (4.0 * math.sqrt(2.0) * den * den)
-    )
-    return pref * a1(u, kf)
-
-
-def compat_n1(u: float, k) -> float:
-    """Compatibility margin 2 k^2 sin^2 u - 1 of the chord-reflection system.
-
-    Nonnegative values make the tau-equation solvable.
-    """
-    kf = float(k)
-    return 2.0 * kf * kf * math.sin(u) ** 2 - 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,14 @@ class TestExp:
             for key in ("x", "y", "theta"):
                 assert doc[key] == pytest.approx(getattr(q, key), abs=1.2e-8)
 
+    def test_jacobi_argument_overflow_exits_3(self, capsys):
+        # sqrt(r) t overflows on N1: the library's domain error, on one line
+        code = main(["exp", "--beta", "0.5", "--c", "0", "--r", "1e300", "--t", "1e200"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: Jacobi functions need a finite argument, got inf\n"
+
     def test_rotating_at_separatrix_band_edge(self, capsys):
         # E - r lies just above the band half-width, although E <= r + tol
         # after r + tol rounds up: the covector is rotating, not oscillating

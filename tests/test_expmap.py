@@ -1,12 +1,13 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastica import expmap
-from elastica.elliptic import _add, ellint_K
+from elastica.elliptic import EllipticDomainError, _add, ellint_K
 from elastica.expmap import (
     REANCHOR_POINTS,
     REANCHOR_SPAN,
@@ -22,6 +23,7 @@ from elastica.oracle import integrate_extremal
 from elastica.phase import (
     ELLIPTIC_STRATA,
     ROTATING,
+    SEPARATRIX,
     STRATIFY_TOL,
     Covector,
     EllipticCoords,
@@ -105,6 +107,16 @@ class TestExpMap:
     def test_non_finite_time_rejected(self, call, t):
         with pytest.raises(ValueError, match="finite"):
             call(Covector(0.0, 1.0, 1.0), t)
+
+    @pytest.mark.parametrize("lam, t, message", [
+        (Covector(0.5, 0.0, 1e300), 1e200, "got inf"),  # N1: sqrt(r) t overflows
+        (Covector(0.3, 3e4, 1.0), 1e305, "got u/k = inf"),  # N2+: sqrt(r) t kappa overflows
+    ])
+    def test_jacobi_argument_overflow_rejected(self, lam, t, message):
+        assert stratify(lam) in (Stratum.N1, Stratum.N2_PLUS)
+        full = f"Jacobi functions need a finite argument, {message}"
+        with pytest.raises(EllipticDomainError, match=f"^{re.escape(full)}$"):
+            exp_map(lam, t)
 
     def test_oracle_equivalence_spot_checks(self, cell_covectors):
         for lam in cell_covectors.values():
@@ -312,6 +324,42 @@ def _band_covectors(rng, count):
     return out
 
 
+def _endpoint_oscillating(
+    k: float, sr: float, t: float, a0: tuple, sn: float, cn: float, dn: float, d: float,
+):
+    """Endpoint and bending energy from the oscillating-stratum quadratures.
+
+    The bit reference of the quadratures that `expmap._endpoint` and
+    `sample_elastica` write out.  Written for algebraic modulus k, with the
+    start values a0 = (sn, cn, dn, 0) and (sn, cn, dn, d) at t, where d =
+    dE - sqrt(r) t and dE is the epsilon increment over [0, t]; at k = 1
+    they are the hyperbolic ones of the separatrix, and at k > 1 (the
+    reciprocal modulus) those of the rotating strata.  d is carried whole
+    because dE and sqrt(r) t cancel in x and in the energy as k -> 0.  At
+    k = 1, where epsilon = tanh is bounded, d is dE itself.
+    """
+    s0, c0, d0, _ = a0
+    k2 = k * k
+    sin_half = k * (d0 * sn - s0 * dn)
+    cos_half = d0 * dn + k2 * s0 * sn
+    theta = 2.0 * math.atan2(sin_half, cos_half)
+    # c0 - cn = (sn - s0)(sn + s0)/(c0 + cn) as cn^2 + sn^2 = 1: it keeps the
+    # digits the difference loses where c0 and cn are both near +-1, as on
+    # the rotating strata (k > 1), where they differ by O(1/k^2)
+    dc = (sn - s0) * (sn + s0) / (c0 + cn) if c0 * cn > 0.5 else c0 - cn
+    w = sr * t
+    if k == 1.0:
+        dE = energy = d
+        dw = d - w
+    else:
+        dE = d + w
+        dw = d
+        energy = d + k2 * w
+    x = t - (2.0 / sr) * (-d0 * d0 * dw - 2.0 * k2 * d0 * s0 * dc + k2 * s0 * s0 * dE)
+    y = (2.0 * k / sr) * ((2.0 * d0 * d0 - 1.0) * dc - s0 * d0 * (2.0 * dE - w))
+    return x, y, theta, 2.0 * sr * energy
+
+
 def _stepped_reference(lam, t1, n):
     """The points of `sample_elastica` on N1, N2+- and N3+- as calls compose them.
 
@@ -335,7 +383,7 @@ def _stepped_reference(lam, t1, n):
             a = _add(a, jh, kap)
         else:
             a = _add(a0, jac(sr * t, k), kap) if i else a0
-        x, y, theta, _ = expmap._endpoint_oscillating(kap, sr, t, a0, *a)
+        x, y, theta, _ = _endpoint_oscillating(kap, sr, t, a0, *a)
         out.append(State(x, y, theta))
     return out, run
 
@@ -369,6 +417,80 @@ def test_sample_anchors_are_exp_map(fixture25, cell_covectors):
     assert {stratify(lam) for lam in lams} == set(Stratum)
     assert anchors > 30_000
     assert points > 500_000
+
+
+def _composed_endpoint(lam, t, s):
+    """`expmap._endpoint` on N1, N2+- and N3+- as calls compose it.
+
+    `_start`, the shifted Jacobi routine, `_add` and `_endpoint_oscillating`.
+    """
+    sr, kap, a0, k, jac = _start(lam, s)
+    a = _add(a0, jac(sr * t, k), kap)
+    # the curvature c_t = 2 sqrt(r) kap cn
+    return (*_endpoint_oscillating(kap, sr, t, a0, *a), 2.0 * sr * kap * a[1], s,
+            (kap, a0, a) if kap != 1.0 else None)
+
+
+def _outcome(f, *args):
+    """The repr of f(*args), or the type and message of the exception it raises."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # the exception is the outcome compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_endpoint_on_the_separatrix_is_the_composed_reference():
+    # the whole tuple (x, y, theta, J, c_t, stratum, jac), by repr, on N3+- and
+    # on either side of the separatrix band.  sqrt(r) t runs past 354, where
+    # sech^2 underflows, and past 709, where sech does; u0 of either sign
+    # takes both the tanh and sech rules of `_add` and its general formula
+    rng = random.Random(31)
+    lams = []
+    for _ in range(40):
+        r = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+        lams.append(n3(rng.uniform(-22.0, 22.0) / math.sqrt(r), r, rng.choice((1, -1))))
+    # the separatrix-band covector of each `_band_covectors` draw of seven;
+    # those that stratify snaps to the saddle are dropped
+    lams += _band_covectors(rng, 60)[3::7]
+    lams = [lam for lam in lams if stratify(lam) in ELLIPTIC_STRATA]
+    strata = {stratify(lam) for lam in lams}
+    assert set(SEPARATRIX) | {Stratum.N1} <= strata and strata & set(ROTATING)
+    signs = {math.copysign(1.0, math.sin(0.5 * lam.beta) * lam.c) for lam in lams
+             if stratify(lam) in SEPARATRIX}
+    assert signs == {1.0, -1.0}
+    for lam in lams:
+        s = stratify(lam)
+        sr = math.sqrt(lam.r)
+        for u in (0.0, 0.3, 17.0, 353.0, 355.0, 708.9, 709.5, 2000.0, 1e6):
+            t = u / sr
+            assert _outcome(expmap._endpoint, lam, t) == _outcome(_composed_endpoint, lam, t, s), (lam, t)
+
+
+def test_kappa_is_not_one_off_the_separatrix():
+    # `_endpoint` and `sample_elastica` take the k = 1 formulas by the
+    # stratum, not by kappa == 1.  That holds because kappa^2 - 1 = (E - r)/(2r)
+    # and stratify puts a covector on N1 or N2+- only past the band's
+    # half-width tol >= STRATIFY_TOL r, so |kappa - 1| >= about STRATIFY_TOL/4.
+    # The covectors lie at the band's two edges, on both sides of each
+    rng = random.Random(311)
+    counts = {Stratum.N1: 0, Stratum.N2_PLUS: 0, Stratum.N2_MINUS: 0}
+    closest = math.inf
+    for _ in range(20_000):
+        r = 10.0 ** rng.uniform(-12.0, 12.0)
+        beta = rng.uniform(-0.99 * math.pi, 0.99 * math.pi)
+        c2 = 2.0 * r * (1.0 + math.cos(beta))
+        tol = STRATIFY_TOL * max(r, c2, 1.0)
+        # E - r = c^2/2 - r (1 + cos beta) within 0.1 % of -tol or of +tol
+        c2 += 2.0 * rng.choice((-1.0, 1.0)) * tol * (1.0 + rng.uniform(-1e-3, 1e-3))
+        lam = Covector(beta, rng.choice((1.0, -1.0)) * math.sqrt(max(c2, 0.0)), r)
+        s = stratify(lam)
+        if s in counts:
+            counts[s] += 1
+            kap = _start(lam, s)[1]
+            assert kap != 1.0, lam
+            closest = min(closest, abs(kap - 1.0))
+    assert min(counts.values()) > 1000
+    assert closest > 0.2 * STRATIFY_TOL
 
 
 class TestClassify:

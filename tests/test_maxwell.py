@@ -13,8 +13,6 @@ from elastica.maxwell import (
     DEFAULT_TOL,
     MaxwellStratum,
     _brentq,
-    a1,
-    compat_n1,
     cut_time_bound,
     f1,
     f2,
@@ -23,8 +21,6 @@ from elastica.maxwell import (
     g1_n1,
     g1_n2,
     h1,
-    h2,
-    h2_du,
     in_maxwell,
     p1_roots,
     p_g1,
@@ -86,6 +82,56 @@ class TestRootFunctions:
             K = ellint_K(k)
             for j in range(1, 40):
                 assert g1_n2(j * K / 40.0, k) > 0.0
+
+
+# The amplitude-variable auxiliaries of the chord-reflection root curve.  Only
+# the lemmas below use them; the library keeps a1's coefficients for u_a1.
+
+
+class PoleError(ZeroDivisionError):
+    """Evaluation at a pole of the reduced root function."""
+
+
+def a1(u: float, k) -> float:
+    """Quadratic in cos 2u whose sign drives the monotonicity of h2.
+
+    c0 + c1 cos 2u + c2 cos^2 2u with the coefficients of
+    `maxwell._a1_coeffs`; equals 8 at u = 0 for every k.
+    """
+    c0, c1, c2 = maxwell._a1_coeffs(float(k))
+    t = math.cos(2.0 * u)
+    return c0 + c1 * t + c2 * t * t
+
+
+def h2(u: float, k) -> float:
+    """h1 normalized by its positive prefactor 1 - k^2 + k^2 cos^4 u."""
+    kf = float(k)
+    den = 1.0 - kf * kf + kf * kf * math.cos(u) ** 4
+    if abs(den) < 1e-300:
+        raise PoleError(f"h2 pole at u = {u}, k = {kf}")
+    return h1(u, kf) / den
+
+
+def h2_du(u: float, k) -> float:
+    """du-derivative of h2; its sign is the sign of a1."""
+    kf = float(k)
+    k2 = kf * kf
+    den = 1.0 - k2 + k2 * math.cos(u) ** 4
+    pref = (
+        math.sin(u) ** 2
+        * math.sqrt(2.0 - k2 + k2 * math.cos(2.0 * u))
+        / (4.0 * math.sqrt(2.0) * den * den)
+    )
+    return pref * a1(u, kf)
+
+
+def compat_n1(u: float, k) -> float:
+    """Compatibility margin 2 k^2 sin^2 u - 1 of the chord-reflection system.
+
+    Nonnegative values make the tau-equation solvable.
+    """
+    kf = float(k)
+    return 2.0 * kf * kf * math.sin(u) ** 2 - 1.0
 
 
 class TestAmplitudeAuxiliaries:
