@@ -9,7 +9,10 @@ BENCHMARK.json fixes.  The side that runs first alternates from pair to pair.
 The result line (the last line of stdout) of every run is kept as printed.
 For each end-to-end metric of BENCHMARK.json the file then gives each side's
 median and quartiles (statistics.quantiles, inclusive method) and the number
-of pairs the change won, ties counting for neither side.  Workloads already
+of pairs the change won, ties counting for neither side.  Each side also
+gets the median and quartiles of its runs' `attempted` op counts, because
+perfbench keeps a record per op, so `peak_rss_mb` grows with the count: a
+faster side can read more memory for running more ops.  Workloads already
 in --out are kept, so one file collects one invocation per workload.
 
 Each run also records its bytecode state: whether PYTHONDONTWRITEBYTECODE
@@ -89,7 +92,9 @@ def main(argv=None) -> int:
             print(f"{args.workload} seed {seed} {side}: {json.dumps(runs[side][-1]['metrics'])}",
                   file=sys.stderr, flush=True)
 
-    record = {side: {"seeds": args.seeds, "runs": runs[side], "metrics": {}} for side in SIDES}
+    record = {side: {"seeds": args.seeds, "runs": runs[side], "metrics": {},
+                     "attempted": summary([r["attempted"] for r in runs[side]])}
+              for side in SIDES}
     wins = {}
     for m in bench["end_to_end"]:
         name = m["name"]

@@ -104,9 +104,10 @@ def _shift_scale(k: float):
     a = (a_0, ..., a_n), k', sigma = 1 - E/K, summed directly so that it
     keeps its digits as k -> 0, and the weights z_1 = k^2/(4 a_1),
     z_(i+1) = z_i^2/(4 a_(i+1)) of the shifted pass, equal to the c_i
-    without their cancellation as k -> 0.  It holds no b_i or c_i, which
-    only `_agm_scale` adds: `expmap._endpoint` evaluates at a new modulus
-    for every BVP candidate, and there each value the scale holds is a cost.
+    without their cancellation as k -> 0.  It holds no b_i, c_i or pass
+    pairs, which only `_agm_scale` adds: `expmap._endpoint` evaluates at a
+    new modulus for every BVP candidate, and there each value the scale
+    holds is a cost.
     """
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     a, z = [1.0], []
@@ -130,20 +131,29 @@ def _shift_scale(k: float):
 
 @lru_cache(maxsize=512)
 def _agm_scale(k: float):
-    """AGM scale for modulus k in (0, 1): `_shift_scale` with E(k) and the b_i and c_i.
+    """AGM scale for modulus k in (0, 1): `_shift_scale` with E(k), the b_i and c_i, and the pass pairs.
 
-    Returns (K, E, 2^n a_n, a, b, c, sigma, z), with K, 2^n a_n, a, sigma
-    and z those of `_shift_scale`, E(k) = K (1 - sigma), b = (b_0, ...,
-    b_(n-1)) and c = (c_1, ..., c_n), each b_i and c_i formed from a_(i-1)
-    and b_(i-1) as the recursion forms it.
+    Returns (K, E, 2^n a_n, a, b, c, sigma, z, c_pass, z_pass), with K,
+    2^n a_n, a, sigma and z those of `_shift_scale`, E(k) = K (1 - sigma),
+    b = (b_0, ..., b_(n-1)) and c = (c_1, ..., c_n), each b_i and c_i formed
+    from a_(i-1) and b_(i-1) as the recursion forms it.  c_pass holds the
+    pairs (c_i, c_i/a_i) and z_pass the pairs (z_i, z_i/a_i), for
+    i = n, ..., 1 in the order `_jacobi_agm` descends, so that a pass at
+    this modulus takes no division per level.
     """
     K, unit, a, bn, s, z = _shift_scale(k)
-    b, c = [], []
-    for an in a[:-1]:
+    b, c, c_pass, z_pass = [], [], [], []
+    # an = a_(i-1), ai = a_i and zi = z_i for i = 1..n
+    for an, ai, zi in zip(a, a[1:], z):
         b.append(bn)
-        c.append(0.5 * (an - bn))
+        ci = 0.5 * (an - bn)
+        c.append(ci)
+        c_pass.append((ci, ci / ai))
+        z_pass.append((zi, zi / ai))
         bn = math.sqrt(an * bn)
-    return K, K * (1.0 - s), unit, a, tuple(b), tuple(c), s, z
+    c_pass.reverse()
+    z_pass.reverse()
+    return K, K * (1.0 - s), unit, a, tuple(b), tuple(c), s, z, tuple(c_pass), tuple(z_pass)
 
 
 def ellint_K(k) -> float:
@@ -266,7 +276,7 @@ def _incomplete_agm(phi: float, k: float):
     sign = 1.0
     if phi < 0.0:
         sign, phi = -1.0, -phi
-    K, E, unit, a_, b_, c_, _, _ = _agm_scale(k)
+    K, E, unit, a_, b_, c_, _, _, _, _ = _agm_scale(k)
     phi_i = phi
     sp = math.sin(phi_i)
     zeta = 0.0
@@ -286,8 +296,12 @@ def ellint_F_inc(phi: float, k) -> float:
     Extended by quasi-periodicity F(phi + pi) = F(phi) + 2K.  At k = 1 it is
     the inverse Gudermannian asinh(tan phi), which keeps its digits up to
     phi = +-pi/2; the equal atanh(sin phi) loses them as sin phi nears +-1.
+    A NaN phi raises EllipticDomainError, and so does phi = +-inf for k in
+    (0, 1); F(+-inf, 0) = +-inf, and F(+-inf, 1) diverges.
     """
     kf = _as_k(k)
+    if not math.isfinite(phi) and (math.isnan(phi) or 0.0 < kf < 1.0):
+        raise EllipticDomainError(f"elliptic integrals need a finite amplitude, got {phi}")
     if kf == 1.0:
         if abs(phi) >= math.pi / 2.0:
             raise EllipticDivergenceError("F(phi, 1) diverges for |phi| >= pi/2")
@@ -300,8 +314,15 @@ def ellint_F_inc(phi: float, k) -> float:
 
 
 def ellint_E_inc(phi: float, k) -> float:
-    """Incomplete second-kind integral E(phi, k), any real phi."""
+    """Incomplete second-kind integral E(phi, k), any real phi.
+
+    Extended by quasi-periodicity E(phi + pi) = E(phi) + 2E.  A NaN phi
+    raises EllipticDomainError, and so does phi = +-inf for k in (0, 1];
+    E(+-inf, 0) = +-inf.
+    """
     kf = _as_k(k)
+    if not math.isfinite(phi) and (math.isnan(phi) or kf > 0.0):
+        raise EllipticDomainError(f"elliptic integrals need a finite amplitude, got {phi}")
     if kf == 0.0:
         return phi
     if kf == 1.0:
@@ -322,19 +343,21 @@ def _jacobi_agm(u: float, k: float, shifted: bool = False):
     z_i rather than its half differences c_i, which cancel as k -> 0.  So it
     keeps its digits as k -> 0, where eps(u) - u formed from eps(u) would
     not.
+
+    The pass reads the scale's pairs (c_i, c_i/a_i), or (z_i, z_i/a_i) when
+    shifted, from i = n down to 1; c/a * sp rounds as (c/a) * sp, so the
+    stored ratio gives every value the bits of a division per level.
     """
-    K, E, unit, a_, b_, c_, sigma, z_ = _agm_scale(k)
-    if shifted:
-        c_ = z_
+    K, E, unit, _, b_, _, sigma, _, c_pass, z_pass = _agm_scale(k)
     m = math.floor(u / (2.0 * K) + 0.5)
     u_red = u - 2.0 * K * m
 
     phi = unit * u_red
     zeta = 0.0
-    for c, a in zip(reversed(c_), reversed(a_)):
+    for c, ca in z_pass if shifted else c_pass:
         sp = math.sin(phi)
         zeta += c * sp
-        s = c / a * sp
+        s = ca * sp
         if s > 1.0:
             s = 1.0
         elif s < -1.0:

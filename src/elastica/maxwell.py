@@ -23,6 +23,7 @@ from .elliptic import (
     BRENT_RTOL,
     BRENT_XTOL,
     K_RECT,
+    EllipticDomainError,
     _add,
     _brentq,
     _SameSignError,
@@ -103,13 +104,22 @@ def f1(p: float, k) -> float:
     return jv.sn * jv.dn - (2.0 * jv.eps - p) * jv.cn
 
 
+def _rotating_k(k, name: str) -> float:
+    """float(k) for a rotating-strata function, which divides by k in (0, 1]."""
+    kf = float(k)
+    if not 0.0 < kf <= 1.0:  # false for NaN
+        raise EllipticDomainError(f"{name} needs k in (0, 1], got {kf}")
+    return kf
+
+
 def f2(p: float, k) -> float:
     """[k^2 sn p cn p + dn p ((2-k^2) p - 2 eps(p))] / k: rotating-case companion of f1.
 
     Vanishes only at p = 0, so non-inflectional arcs never meet their
-    middle-perpendicular reflections away from the trivial time.
+    middle-perpendicular reflections away from the trivial time.  k must lie
+    in (0, 1], else EllipticDomainError.
     """
-    kf = float(k)
+    kf = _rotating_k(k, "f2")
     jv = jacobi(p, kf)
     return (kf * kf * jv.sn * jv.cn + jv.dn * ((2.0 - kf * kf) * p - 2.0 * jv.eps)) / kf
 
@@ -129,8 +139,11 @@ def g1_n1(p: float, k) -> float:
 
 
 def g1_n2(p: float, k) -> float:
-    """Chord-reflection equation on the rotating strata; positive on (0, K)."""
-    kf = float(k)
+    """Chord-reflection equation on the rotating strata; positive on (0, K).
+
+    k must lie in (0, 1], else EllipticDomainError.
+    """
+    kf = _rotating_k(k, "g1_n2")
     jv = jacobi(p, kf)
     sn2 = jv.sn * jv.sn
     return (
@@ -263,7 +276,9 @@ def p1_roots(k, n: int) -> float:
     same bracket holds the roots of tan p = p, the k -> 0 limit.  At large
     n the root can lie within an ulp of a bracket end, where f1 takes the
     sign of the other end: then each end is moved out by one ulp, and a
-    bracket that still has no sign change raises ValueError.
+    bracket that still has no sign change raises ValueError.  The last
+    2 * _ROOT_SCAN_MAX solves are kept, so `cut_time_bound` and `in_maxwell`
+    on one covector solve each root once.
     """
     kf = float(k)
     if not 0.0 <= kf < 1.0:
@@ -272,6 +287,12 @@ def p1_roots(k, n: int) -> float:
         return 0.0
     if n < 0:
         return -p1_roots(kf, -n)
+    return _p1_root(kf, n)
+
+
+@lru_cache(maxsize=2 * _ROOT_SCAN_MAX)
+def _p1_root(kf: float, n: int) -> float:
+    """The Brent solve of `p1_roots` for k in [0, 1) and n >= 1."""
     K = ellint_K(kf)
     k0 = find_k0()
     if abs(kf - k0) < K0_SNAP:

@@ -480,7 +480,11 @@ def _newton_from(start: Covector, q1: State, t1: float):
 def bvp_shoot(
     q1: State, t1: float, starts: int = 200, jobs: int = 1
 ) -> list[BvpSolution]:
-    """Invert the endpoint map: all distinct covectors steering to q1 in time t1.
+    """Invert the endpoint map: every distinct covector it can find steering to q1 in time t1.
+
+    The list holds the solutions that its starts converge to, and need not
+    hold them all: shooting a reflected image of the target and mapping the
+    solutions back can find ones this search misses.
 
     Damped Newton iteration in the paper's coordinates h = (-r cos beta, c,
     -r sin beta), from at most min(starts, BVP_SEEDS) seeds that `_seeds`

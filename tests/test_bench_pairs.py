@@ -35,7 +35,7 @@ def test_two_seeds_summarized(tmp_path):
     bench_pairs = _bench_pairs()
     names = [m["name"] for m in json.loads(
         (SCRIPT.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
-    result = {"metrics": {name: {"value": 1.0} for name in names}}
+    result = {"attempted": 1000, "metrics": {name: {"value": 1.0} for name in names}}
     with mock.patch.object(bench_pairs, "run_once", return_value=result):
         assert bench_pairs.main(_argv(tmp_path, 101, 102)) == 0
     doc = json.loads((tmp_path / "pairs.json").read_text(encoding="utf-8"))
@@ -46,7 +46,20 @@ def test_two_seeds_summarized(tmp_path):
 def _result():
     names = [m["name"] for m in json.loads(
         (SCRIPT.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
-    return {"metrics": {name: {"value": 1.0} for name in names}}
+    return {"attempted": 1000, "metrics": {name: {"value": 1.0} for name in names}}
+
+
+def test_attempted_op_counts_summarized(tmp_path):
+    # peak_rss_mb follows the op count, so each side records its spread
+    bench_pairs = _bench_pairs()
+    counts = iter([100, 150, 300, 200, 500, 400])  # base, change, change, base, base, change
+    with mock.patch.object(bench_pairs, "run_once",
+                           side_effect=lambda *args: {**_result(), "attempted": next(counts)}):
+        assert bench_pairs.main(_argv(tmp_path, 101, 102, 103)) == 0
+    record = json.loads((tmp_path / "pairs.json").read_text(encoding="utf-8"))["sample"]
+    assert [run["attempted"] for run in record["base"]["runs"]] == [100, 200, 500]
+    assert record["base"]["attempted"] == {"median": 200, "q1": 150.0, "q3": 350.0}
+    assert record["change"]["attempted"] == {"median": 300, "q1": 225.0, "q3": 350.0}
 
 
 def test_bytecode_state_recorded_without_warning(tmp_path, monkeypatch, capsys):

@@ -14,6 +14,7 @@ from elastica.elliptic import (
     Modulus,
     _add,
     _agm_scale,
+    _jacobi_agm,
     _shift_scale,
     ellint_E,
     ellint_E_inc,
@@ -34,6 +35,8 @@ def _agm_recursion(k):
     """The AGM scale of `_agm_scale` from one loop over the recursion, as a reference."""
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     a, b, c, z = [1.0], [kp], [], []
+    # the descending pass's pairs (c_i, c_i/a_i) and (z_i, z_i/a_i), i = 1..n
+    c_pass, z_pass = [], []
     an, bn, zi = 1.0, kp, k
     w, s = 1.0, 0.5 * k * k
     for _ in range(AGM_MAX_ITER):
@@ -43,13 +46,16 @@ def _agm_recursion(k):
         a.append(an)
         c.append(cn)
         z.append(zi)
+        c_pass.append((cn, cn / an))
+        z_pass.append((zi, zi / an))
         s += w * cn * cn
         w *= 2.0
         if abs(cn) < AGM_TOL:
             break
         b.append(bn)
     K = math.pi / (2.0 * an)
-    return K, K * (1.0 - s), w * an, tuple(a), tuple(b), tuple(c), s, tuple(z)
+    return (K, K * (1.0 - s), w * an, tuple(a), tuple(b), tuple(c), s, tuple(z),
+            tuple(reversed(c_pass)), tuple(reversed(z_pass)))
 
 
 def test_scales_are_the_recursion_bit_for_bit():
@@ -64,8 +70,54 @@ def test_scales_are_the_recursion_bit_for_bit():
     for k in ks:
         ref = _agm_recursion(k)
         assert repr(_agm_scale.__wrapped__(k)) == repr(ref), k
-        K, E, unit, a, b, c, sigma, z = ref
+        K, E, unit, a, b, c, sigma, z, _, _ = ref
         assert repr(_shift_scale.__wrapped__(k)) == repr((K, unit, a, b[0], sigma, z)), k
+
+
+def _descending_reference(u, k, shifted=False):
+    """`_jacobi_agm` with one division c_i/a_i per level, over the scale's a_i and c_i or z_i.
+
+    The bit reference of the pass over the scale's stored pairs.
+    """
+    K, E, unit, a_, b_, c_, sigma, z_, _, _ = _agm_scale(k)
+    if shifted:
+        c_ = z_
+    m = math.floor(u / (2.0 * K) + 0.5)
+    u_red = u - 2.0 * K * m
+    phi = unit * u_red
+    zeta = 0.0
+    for c, a in zip(reversed(c_), reversed(a_)):
+        sp = math.sin(phi)
+        zeta += c * sp
+        s = c / a * sp
+        if s > 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
+        phi = 0.5 * (phi + math.asin(s))
+    sn_r = math.sin(phi)
+    cn_r = math.cos(phi)
+    kp = b_[0]
+    dn = math.sqrt(cn_r * cn_r + kp * kp * sn_r * sn_r)
+    sgn = -1.0 if m % 2 else 1.0
+    if shifted:
+        return sgn * sn_r, sgn * cn_r, dn, zeta - sigma * u
+    eps = zeta + E / K * u_red + 2.0 * m * E
+    return JacobiValues(sgn * sn_r, sgn * cn_r, dn, phi + m * math.pi, eps)
+
+
+def test_descending_pass_is_the_division_loop_bit_for_bit():
+    # k from 1e-300 to k' near 1e-8, |u| from 1e-8 to 1e6, both modes
+    rng = random.Random(32)
+    ks = [rng.random() for _ in range(200)]
+    ks += [10.0 ** -rng.uniform(1.0, 300.0) for _ in range(100)]
+    ks += [1.0 - 10.0 ** -rng.uniform(1.0, 16.0) for _ in range(100)]
+    for k in ks:
+        for _ in range(5):
+            u = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 6.0)
+            for shifted in (False, True):
+                got = _jacobi_agm(u, k, shifted)
+                assert repr(got) == repr(_descending_reference(u, k, shifted)), (u, k, shifted)
 
 
 class TestModulus:
@@ -170,6 +222,23 @@ class TestIncompleteIntegrals:
                     math.log((1.0 + abs(math.sin(phi))) / math.cos(phi)), phi
                 )
                 assert ellint_F_inc(phi, 1.0) == pytest.approx(ref, rel=4e-15)
+
+    @pytest.mark.parametrize("integral", [ellint_F_inc, ellint_E_inc])
+    @pytest.mark.parametrize("k", [0.0, 1e-300, 0.6, math.nextafter(1.0, 0.0), 1.0])
+    def test_non_finite_amplitude(self, integral, k):
+        # a NaN amplitude never passes; an infinite one is F = E = phi at
+        # k = 0 and diverges for F at k = 1
+        with pytest.raises(EllipticDomainError, match=r"need a finite amplitude, got nan$"):
+            integral(math.nan, k)
+        for phi in (math.inf, -math.inf):
+            if k == 0.0:
+                assert integral(phi, k) == phi
+            elif k == 1.0 and integral is ellint_F_inc:
+                with pytest.raises(EllipticDivergenceError):
+                    integral(phi, k)
+            else:
+                with pytest.raises(EllipticDomainError, match=rf"need a finite amplitude, got {phi}$"):
+                    integral(phi, k)
 
 
 def _jacobi_ode_oracle(u, k, n=130000):

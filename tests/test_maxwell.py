@@ -5,7 +5,7 @@ import re
 import pytest
 
 from elastica import maxwell
-from elastica.elliptic import ellint_E, ellint_F_inc, ellint_K, jacobi
+from elastica.elliptic import EllipticDomainError, ellint_E, ellint_F_inc, ellint_K, jacobi
 from elastica.expmap import elastic_energy_closed, exp_map
 from elastica.maxwell import (
     BRENT_RTOL,
@@ -82,6 +82,15 @@ class TestRootFunctions:
             K = ellint_K(k)
             for j in range(1, 40):
                 assert g1_n2(j * K / 40.0, k) > 0.0
+
+    @pytest.mark.parametrize("func", [f2, g1_n2])
+    def test_rotating_functions_need_a_positive_modulus(self, func):
+        # both divide by k
+        name = func.__name__
+        for k in (0.0, -0.0, 1.5, math.nan):
+            with pytest.raises(EllipticDomainError, match=rf"^{name} needs k in \(0, 1\], got "):
+                func(0.7, k)
+        assert math.isfinite(func(0.7, 1.0))
 
 
 # The amplitude-variable auxiliaries of the chord-reflection root curve.  Only
@@ -338,9 +347,29 @@ class TestRootCurves:
             assert (2 * n - 1) * K - 4.0 * math.ulp(p) < p < (2 * n + 1) * K + 4.0 * math.ulp(p)
 
     def test_p1_roots_without_a_sign_change_names_k_and_n(self, monkeypatch):
+        # a cached (0.3, 2) would be returned without calling f1
+        maxwell._p1_root.cache_clear()
         monkeypatch.setattr(maxwell, "f1", lambda p, k: 1.0)
         with pytest.raises(ValueError, match=r"k = 0\.3, n = 2$"):
             p1_roots(0.3, 2)
+
+    def test_each_covector_solves_its_roots_once(self):
+        # cut_time_bound solves p_n^1 for n up to _ROOT_SCAN_MAX; in_maxwell
+        # at the bound time 2 * 2K asks for p_1^1 again, in either order
+        cache = maxwell._p1_root
+        assert cache.cache_info().maxsize == 2 * maxwell._ROOT_SCAN_MAX
+        for lam in (n1(0.6, 0.37, 1.0), n1(0.45, 1.1, 2.0)):
+            cache.cache_clear()
+            rep = cut_time_bound(lam)
+            solved = cache.cache_info().misses
+            assert solved >= 1
+            in_maxwell(lam, rep.bound)
+            assert cache.cache_info()[:2] == (1, solved)
+        cache.cache_clear()
+        in_maxwell(lam, rep.bound)
+        assert cache.cache_info()[:2] == (0, 1)
+        assert cut_time_bound(lam) == rep
+        assert cache.cache_info()[:2] == (1, solved)
 
     def test_ordering_pg1_below_p1(self):
         kstar = float(find_kstar()[0])
