@@ -13,7 +13,7 @@ _NAMES = {
         "jacobi_derivs_k", "jacobi_recip_modulus",
     ),
     "expmap": (
-        "ElasticaClass", "State", "classify", "elastic_energy_closed", "exp_map", "sample_elastica",
+        "ElasticaClass", "classify", "elastic_energy_closed", "exp_map", "sample_elastica",
     ),
     "maxwell": (
         "MaxwellReport", "MaxwellStratum", "cut_time_bound", "f1", "f2", "find_kstar", "g1_n1",
@@ -24,7 +24,7 @@ _NAMES = {
         "integrate_extremal",
     ),
     "phase": (
-        "Covector", "EllipticCoords", "Stratum", "UnsupportedStratumError", "energy",
+        "Covector", "EllipticCoords", "State", "Stratum", "UnsupportedStratumError", "energy",
         "flow_vertical", "from_elliptic", "period", "stratify", "to_elliptic", "wrap_angle",
     ),
     "symmetry": (

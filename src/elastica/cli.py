@@ -3,15 +3,13 @@
 Every command emits machine-readable output (JSON with stable keys, RFC-4180
 CSV, or SVG for geometry).  Exit codes: 0 ok, 2 flag parsing, 3 domain
 violation, 4 I/O failure, 5 unattainable target.  Each command imports the
-library modules it runs, so a cold start loads only those.
+library modules and the writers it runs, so a cold start loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
@@ -83,12 +81,16 @@ def _require_finite(keys, row):
 
 def _json_doc(obj) -> str:
     """A JSON object, or a list of objects, with no non-finite number."""
+    import json
+
     for record in obj if isinstance(obj, list) else [obj]:
         _require_finite(record, record.values())
     return json.dumps(obj, indent=2) + "\n"
 
 
 def _csv_doc(header, rows) -> str:
+    import csv
+
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(header)
@@ -169,17 +171,16 @@ def cmd_oracle_exp(args):
 
 def cmd_constants(args):
     from .elliptic import _k0_defect, find_k0
-    from .maxwell import _alpha, find_kstar, u_a1
+    from .maxwell import KSTAR, USTAR, _alpha, u_a1
 
     k0 = find_k0()
-    kstar, ustar = find_kstar()
     doc = {
         "k0": k0,
-        "kstar": kstar,
-        "ustar": ustar,
+        "kstar": KSTAR,
+        "ustar": USTAR,
         "k0_residual": _k0_defect(k0),
-        "kstar_residual": _alpha(kstar),
-        "ustar_identity_residual": ustar - (math.pi - u_a1(kstar)),
+        "kstar_residual": _alpha(KSTAR),
+        "ustar_identity_residual": USTAR - (math.pi - u_a1(KSTAR)),
     }
     _emit_record(doc, args)
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
 
 from .elliptic import K_RECT, EllipticDomainError, _add, _shift_scale, find_k0
 from .phase import (
@@ -41,9 +40,9 @@ from .phase import (
     STRAIGHT,
     TWO_PI,
     Covector,
+    State,
     _start,
     stratify,
-    wrap_angle,
 )
 
 CLASS_K_TOL = 1e-9
@@ -56,21 +55,6 @@ CLASS_K_TOL = 1e-9
 REANCHOR_POINTS = 32
 REANCHOR_SPAN = 4.0
 CIRCLE_SERIES_MAX = 1.0
-
-
-class _StateFields(NamedTuple):
-    x: float
-    y: float
-    theta: float
-
-
-class State(_StateFields):
-    """Group element (x, y, theta) reached by the elastica; theta in (-pi, pi]."""
-
-    __slots__ = ()
-
-    def __new__(cls, x: float, y: float, theta: float):
-        return tuple.__new__(cls, (x, y, wrap_angle(theta)))
 
 
 class ElasticaClass(Enum):
@@ -315,7 +299,7 @@ def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
     step = t1 / (n - 1)
     s = stratify(lam)
     # off the Jacobi curve each point is `_endpoint`'s, and theta is wrapped
-    # as `wrap_angle` wraps it
+    # as `phase.wrap_angle` wraps it
     new = tuple.__new__
     if s in STRAIGHT:
         return [new(State, (i * step, 0.0, 0.0)) for i in range(n)]

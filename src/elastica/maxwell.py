@@ -6,7 +6,8 @@ the (tau, p) coordinates of an arc those meeting events reduce to scalar
 equations: the p-lattice {2Kn} together with the roots of f1 on the
 oscillating stratum, the lattice {Kn} on the rotating strata, and the root
 curve of g1 (chord reflection through turned tangents) governed by the
-constants k0 (figure-eight modulus, 2E = K), k* and u*.
+constants k0 (figure-eight modulus, 2E = K), k* and u*.  The library reads
+k* and u* as the pinned KSTAR and USTAR; `find_kstar` derives them.
 
 All scalar roots are found by bracketing + Brent, with brackets supplied by
 the localization facts encoded here, never by blind scanning.
@@ -15,6 +16,7 @@ the localization facts encoded here, never by blind scanning.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -47,6 +49,8 @@ from .phase import (
 from .symmetry import _arc, _fixes, _half_length
 
 DEFAULT_TOL = 1e-9
+# (k*, u*) as `find_kstar` derives them, bit for bit
+KSTAR, USTAR = 0.8409469132298331, 1.9537088999180008
 KSTAR_GRID_STEP = 1e-3
 K0_SNAP = 1e-12  # within this distance of k0, lattice roots are exact
 _ROOT_SCAN_MAX = 8  # lattice indices examined when locating first Maxwell times
@@ -211,7 +215,7 @@ def find_kstar():
     k* is the supremum of zeros of alpha(k) = h1(pi - u_a1(k), k) below the
     figure-eight modulus; located by descending from k0 in fixed steps until
     the sign change, then Brent-refined, then verified negative on a grid of
-    (k*, k0].
+    (k*, k0].  The derivation of KSTAR and USTAR, which the library reads.
     """
     k0 = find_k0()
     hi = k0
@@ -241,9 +245,8 @@ def u_h1(k) -> float:
     and drops into (pi/4, pi/2) above it.
     """
     kf = float(k)
-    kstar, _ = find_kstar()
-    if not kstar <= kf < 1.0:
-        raise ValueError(f"u_h1 needs k in [k* = {kstar}, 1), got {kf}")
+    if not KSTAR <= kf < 1.0:
+        raise ValueError(f"u_h1 needs k in [k* = {KSTAR}, 1), got {kf}")
     k0 = find_k0()
     if abs(kf - k0) < K0_SNAP:
         return math.pi / 2.0
@@ -262,9 +265,8 @@ def u_h1(k) -> float:
 def p_g1(k) -> float:
     """First positive root of g1_n1(., k) for k in [k*, 1): u_h1 mapped through F."""
     kf = float(k)
-    kstar, _ = find_kstar()
-    if not kstar <= kf < 1.0:
-        raise ValueError(f"p_g1 needs k in [k* = {kstar}, 1), got {kf}")
+    if not KSTAR <= kf < 1.0:
+        raise ValueError(f"p_g1 needs k in [k* = {KSTAR}, 1), got {kf}")
     return ellint_F_inc(u_h1(kf), kf)
 
 
@@ -278,11 +280,14 @@ def p1_roots(k, n: int) -> float:
     sign of the other end: then each end is moved out by one ulp, and a
     bracket that still has no sign change raises ValueError.  The last
     2 * _ROOT_SCAN_MAX solves are kept, so `cut_time_bound` and `in_maxwell`
-    on one covector solve each root once.
+    on one covector solve each root once.  n must be an int, or a float of
+    integral value, with 2K|n| + K finite; any other n raises ValueError.
     """
     kf = float(k)
     if not 0.0 <= kf < 1.0:
         raise ValueError(f"p1_roots needs k in [0, 1), got {kf}")
+    if not (isinstance(n, int) or float(n).is_integer()):
+        raise ValueError(f"p1_roots needs an integer n, got {n}")
     if n == 0:
         return 0.0
     if n < 0:
@@ -294,6 +299,9 @@ def p1_roots(k, n: int) -> float:
 def _p1_root(kf: float, n: int) -> float:
     """The Brent solve of `p1_roots` for k in [0, 1) and n >= 1."""
     K = ellint_K(kf)
+    # an int past the float range would overflow in 2.0 * K * n
+    if n > sys.float_info.max or not 2.0 * K * n + K < math.inf:
+        raise ValueError(f"p1_roots needs 2K|n| + K finite, got k = {kf}, |n| = {n}")
     k0 = find_k0()
     if abs(kf - k0) < K0_SNAP:
         return 2.0 * K * n
@@ -460,7 +468,7 @@ def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
             meet(pn, f1_root=True)
             if max(first[1], first[2]) < math.inf:  # MAX2 and MAX3+ both met
                 break
-        if k >= find_kstar()[0]:
+        if k >= KSTAR:
             meet(p_g1(k), chord=True)
 
     scale = 2.0 * k if rotating else 2.0

@@ -64,6 +64,21 @@ class Covector(_CovectorFields):
         return tuple.__new__(cls, (wrap_angle(beta), c, r))
 
 
+class _StateFields(NamedTuple):
+    x: float
+    y: float
+    theta: float
+
+
+class State(_StateFields):
+    """Group element (x, y, theta) reached by the elastica; theta in (-pi, pi]."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, theta: float):
+        return tuple.__new__(cls, (x, y, wrap_angle(theta)))
+
+
 class Stratum(Enum):
     N1 = "N1"
     N2_PLUS = "N2plus"

@@ -21,12 +21,12 @@ from enum import IntEnum
 from typing import NamedTuple
 
 from .elliptic import _add, _shifted
-from .expmap import State
 from .phase import (
     CIRCULAR,
     ROTATING,
     STRAIGHT,
     Covector,
+    State,
     Stratum,
     _check_time,
     _check_tol,

@@ -247,6 +247,22 @@ class TestConstants:
         assert abs(h1(math.pi - u_a1(ks), ks)) < 1e-12
         assert ustar == pytest.approx(math.pi - u_a1(ks), abs=1e-10)
 
+    def test_pinned_constants_are_the_derivation(self):
+        # the library reads KSTAR and USTAR; a fresh solve must give their bits
+        find_kstar.cache_clear()
+        assert repr((maxwell.KSTAR, maxwell.USTAR)) == repr(find_kstar())
+        assert find_kstar.cache_info().misses == 1
+
+    def test_root_curve_domain_starts_at_the_solved_kstar(self):
+        kstar = find_kstar()[0]
+        for k in (math.nextafter(maxwell.KSTAR, 0.0), maxwell.KSTAR):
+            for fn in (u_h1, p_g1):
+                if kstar <= k:
+                    assert fn(k) > 0.0
+                else:
+                    with pytest.raises(ValueError, match=re.escape(f"[k* = {kstar}, 1), got {k}")):
+                        fn(k)
+
 
 class TestRootCurves:
     def test_u_a1_endpoints(self):
@@ -352,6 +368,21 @@ class TestRootCurves:
         monkeypatch.setattr(maxwell, "f1", lambda p, k: 1.0)
         with pytest.raises(ValueError, match=r"k = 0\.3, n = 2$"):
             p1_roots(0.3, 2)
+
+    @pytest.mark.parametrize("n", [1.5, -1.5, math.nan, math.inf, -math.inf])
+    def test_p1_roots_needs_an_integer_n(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"p1_roots needs an integer n, got {n}")):
+            p1_roots(0.5, n)
+
+    def test_p1_roots_needs_a_finite_bracket(self):
+        # 10**400 has no float: 2.0 * K * n would raise OverflowError
+        for n in (10**400, -(10**400), 1e308, -1e308):
+            message = re.escape(f"p1_roots needs 2K|n| + K finite, got k = 0.5, |n| = {abs(n)}")
+            with pytest.raises(ValueError, match=message + "$"):
+                p1_roots(0.5, n)
+        # a float of integral value is accepted, and is that integer
+        assert p1_roots(0.5, 2.0) == p1_roots(0.5, 2)
+        assert p1_roots(0.5, -3.0) == -p1_roots(0.5, 3)
 
     def test_each_covector_solves_its_roots_once(self):
         # cut_time_bound solves p_n^1 for n up to _ROOT_SCAN_MAX; in_maxwell

@@ -29,7 +29,7 @@ PUBLIC = [
 MODULES = ("elliptic", "expmap", "maxwell", "oracle", "phase", "symmetry")
 
 EXP = {"elliptic", "phase", "expmap", "cli"}
-MAXWELL = EXP | {"symmetry", "maxwell"}
+MAXWELL = {"elliptic", "phase", "symmetry", "maxwell", "cli"}
 COVECTOR = ("--beta", "0.3", "--c", "1.1", "--r", "1")
 
 # each command loads the layers it runs, and no other
@@ -42,7 +42,7 @@ LOADED = [
     (("sweep", "cutbound", "--kmin", "0.1", "--kmax", "0.9", "--n", "3"), MAXWELL),
     (("maxwell", *COVECTOR, "--t", "2"), MAXWELL),
     (("bvp", "--x", "0", "--y", "0.6366", "--theta", "3.1415926", "--t1", "1", "--starts", "4"),
-     MAXWELL | {"oracle"}),
+     EXP | MAXWELL | {"oracle"}),
 ]
 
 
@@ -62,6 +62,50 @@ def test_command_loads_only_its_modules(argv, modules):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == sorted(f"elastica.{m}" for m in modules)
+
+
+def test_cold_cut_time_bound_loads_no_expmap_and_solves_no_kstar():
+    # an N1 covector above k*, so the bound also searches the chord-reflection root
+    lam = elastica.Covector(0.2, 1.8, 1.0)
+    assert elastica.to_elliptic(lam).k >= elastica.maxwell.KSTAR
+    code = (
+        "import sys\n"
+        "import elastica\n"
+        f"elastica.cut_time_bound(elastica.{lam!r})\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('elastica.'))\n"
+        "import json\n"
+        "print(json.dumps([loaded, elastica.find_kstar.cache_info().misses]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        [f"elastica.{m}" for m in ("elliptic", "maxwell", "phase", "symmetry")], 0
+    ]
+
+
+# the writer modules each command imports: sweep writes CSV unless asked for
+# JSON, and an SVG needs neither
+WRITERS = [
+    *[pytest.param(("sweep", curve, "--kmin", "0.85", "--kmax", "0.9", "--n", "3"), ["csv"],
+                   id=f"sweep {curve}") for curve in ("p11", "pg1", "ua1", "uh1", "cutbound")],
+    *[pytest.param(("elastica", *COVECTOR, "--n", "5", "--format", fmt), writers,
+                   id=f"elastica {fmt}") for fmt, writers in (("svg", []), ("csv", ["csv"]))],
+    pytest.param(("constants",), ["json"], id="constants"),
+]
+
+
+@pytest.mark.parametrize("argv, writers", WRITERS)
+def test_command_imports_only_its_writer(argv, writers):
+    code = (
+        "import contextlib, io, sys\n"
+        "from elastica import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({list(argv)!r}) == 0\n"
+        "print(' '.join(sorted({'csv', 'json'} & set(sys.modules))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == writers
 
 
 def test_all_lists_the_public_names():
