@@ -104,10 +104,10 @@ def _shift_scale(k: float):
     a = (a_0, ..., a_n), k', sigma = 1 - E/K, summed directly so that it
     keeps its digits as k -> 0, and the weights z_1 = k^2/(4 a_1),
     z_(i+1) = z_i^2/(4 a_(i+1)) of the shifted pass, equal to the c_i
-    without their cancellation as k -> 0.  It holds no b_i, c_i or pass
-    pairs, which only `_agm_scale` adds: `expmap._endpoint` evaluates at a
-    new modulus for every BVP candidate, and there each value the scale
-    holds is a cost.
+    without their cancellation as k -> 0.  `_shifted` reads it, and
+    `_agm_scale` builds on it; no other module does.  It holds no b_i, c_i
+    or pass pairs: the BVP search evaluates `_shifted` at a new modulus for
+    every candidate, and there each value the scale holds is a cost.
     """
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     a, z = [1.0], []
@@ -133,27 +133,26 @@ def _shift_scale(k: float):
 def _agm_scale(k: float):
     """AGM scale for modulus k in (0, 1): `_shift_scale` with E(k), the b_i and c_i, and the pass pairs.
 
-    Returns (K, E, 2^n a_n, a, b, c, sigma, z, c_pass, z_pass), with K,
-    2^n a_n, a, sigma and z those of `_shift_scale`, E(k) = K (1 - sigma),
+    Returns (K, E, 2^n a_n, a, b, c, c_pass), with K, 2^n a_n and a those
+    of `_shift_scale`, E(k) = K (1 - sigma) from its sigma,
     b = (b_0, ..., b_(n-1)) and c = (c_1, ..., c_n), each b_i and c_i formed
     from a_(i-1) and b_(i-1) as the recursion forms it.  c_pass holds the
-    pairs (c_i, c_i/a_i) and z_pass the pairs (z_i, z_i/a_i), for
-    i = n, ..., 1 in the order `_jacobi_agm` descends, so that a pass at
-    this modulus takes no division per level.
+    pairs (c_i, c_i/a_i), for i = n, ..., 1 in the order `_jacobi_agm`
+    descends, so that its pass at this modulus takes no division per level.
+    It holds no sigma, z_i or z pairs: `_shifted` reads those from
+    `_shift_scale`.
     """
-    K, unit, a, bn, s, z = _shift_scale(k)
-    b, c, c_pass, z_pass = [], [], [], []
-    # an = a_(i-1), ai = a_i and zi = z_i for i = 1..n
-    for an, ai, zi in zip(a, a[1:], z):
+    K, unit, a, bn, s, _ = _shift_scale(k)
+    b, c, c_pass = [], [], []
+    # an = a_(i-1) and ai = a_i for i = 1..n
+    for an, ai in zip(a, a[1:]):
         b.append(bn)
         ci = 0.5 * (an - bn)
         c.append(ci)
         c_pass.append((ci, ci / ai))
-        z_pass.append((zi, zi / ai))
         bn = math.sqrt(an * bn)
     c_pass.reverse()
-    z_pass.reverse()
-    return K, K * (1.0 - s), unit, a, tuple(b), tuple(c), s, z, tuple(c_pass), tuple(z_pass)
+    return K, K * (1.0 - s), unit, a, tuple(b), tuple(c), tuple(c_pass)
 
 
 def ellint_K(k) -> float:
@@ -176,15 +175,15 @@ def ellint_E(k) -> float:
     return _agm_scale(kf)[1]
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+def _brentq(f, a: float, b: float) -> float:
     """Root of f in the sign-changing bracket [a, b] by Brent's method.
 
     An operation-for-operation port of the C routine brentq.c behind
     `optimize.brentq` (Brent 1973, ch. 4), so every root is bit-identical to
     it: inverse quadratic extrapolation or secant interpolation when the step
     is short enough, bisection otherwise, stopping when half the bracket is
-    below delta = (xtol + rtol |x|) / 2.  A NaN function value raises
-    ValueError, a bracket without a sign change its subclass
+    below delta = (BRENT_XTOL + BRENT_RTOL |x|) / 2.  A NaN function value
+    raises ValueError, a bracket without a sign change its subclass
     `_SameSignError`; no convergence within 100 iterations raises
     RuntimeError.
     """
@@ -213,7 +212,7 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -258,7 +257,7 @@ def _k0_defect(k: float) -> float:
 @lru_cache(maxsize=1)
 def find_k0() -> float:
     """The unique modulus in (1/sqrt(2), 1) with 2E(k) = K(k) (figure-eight)."""
-    return _brentq(_k0_defect, K_RECT, 1.0 - 1e-12, xtol=BRENT_XTOL, rtol=BRENT_RTOL)
+    return _brentq(_k0_defect, K_RECT, 1.0 - 1e-12)
 
 
 def _reduce_phase(phi: float):
@@ -276,7 +275,7 @@ def _incomplete_agm(phi: float, k: float):
     sign = 1.0
     if phi < 0.0:
         sign, phi = -1.0, -phi
-    K, E, unit, a_, b_, c_, _, _, _, _ = _agm_scale(k)
+    K, E, unit, a_, b_, c_, _ = _agm_scale(k)
     phi_i = phi
     sp = math.sin(phi_i)
     zeta = 0.0
@@ -333,28 +332,22 @@ def ellint_E_inc(phi: float, k) -> float:
     return E + 2.0 * m * ellint_E(kf)
 
 
-def _jacobi_agm(u: float, k: float, shifted: bool = False):
+def _jacobi_agm(u: float, k: float) -> JacobiValues:
     """jacobi at real u for k in (0, 1), by the descending pass over the AGM scale.
 
     The zeta sum of the pass is the Jacobi zeta function Z (A&S 17.6), and
-    eps = Z + (E/K) u.  With shifted=True it returns the plain tuple (sn,
-    cn, dn, eps(u) - u), with no am, and eps(u) - u = Z(u) - sigma u, with
-    sigma = 1 - E/K from the scale, and Z summed over the scale's weights
-    z_i rather than its half differences c_i, which cancel as k -> 0.  So it
-    keeps its digits as k -> 0, where eps(u) - u formed from eps(u) would
-    not.
-
-    The pass reads the scale's pairs (c_i, c_i/a_i), or (z_i, z_i/a_i) when
-    shifted, from i = n down to 1; c/a * sp rounds as (c/a) * sp, so the
-    stored ratio gives every value the bits of a division per level.
+    eps = Z + (E/K) u.  The pass reads the scale's pairs (c_i, c_i/a_i) from
+    i = n down to 1; c/a * sp rounds as (c/a) * sp, so the stored ratio
+    gives every value the bits of a division per level.  `_shifted` runs
+    the same pass over the weights z_i for eps(u) - u.
     """
-    K, E, unit, _, b_, _, sigma, _, c_pass, z_pass = _agm_scale(k)
+    K, E, unit, _, b_, _, c_pass = _agm_scale(k)
     m = math.floor(u / (2.0 * K) + 0.5)
     u_red = u - 2.0 * K * m
 
     phi = unit * u_red
     zeta = 0.0
-    for c, ca in z_pass if shifted else c_pass:
+    for c, ca in c_pass:
         sp = math.sin(phi)
         zeta += c * sp
         s = ca * sp
@@ -369,8 +362,6 @@ def _jacobi_agm(u: float, k: float, shifted: bool = False):
     kp = b_[0]
     dn = math.sqrt(cn_r * cn_r + kp * kp * sn_r * sn_r)
     sgn = -1.0 if m % 2 else 1.0
-    if shifted:
-        return sgn * sn_r, sgn * cn_r, dn, zeta - sigma * u
     eps = zeta + E / K * u_red + 2.0 * m * E
     return JacobiValues(sgn * sn_r, sgn * cn_r, dn, phi + m * math.pi, eps)
 
@@ -402,7 +393,7 @@ def jacobi_recip_modulus(u: float, k) -> JacobiValues:
 
     With w = u/k: sn(u, 1/k) = k sn(w, k), cn(u, 1/k) = dn(w, k),
     dn(u, 1/k) = cn(w, k) and eps(u, 1/k) = u + (eps(w, k) - w)/k.  The last
-    takes eps(w, k) - w = Z(w) - (1 - E/K) w from `_jacobi_agm`, so no two
+    takes eps(w, k) - w = Z(w) - (1 - E/K) w from `_shifted`, so no two
     terms of size u/k^2 cancel as k -> 0.  The rotating-pendulum amplitude
     is bounded, so am is the principal branch.
     """
@@ -416,18 +407,40 @@ def jacobi_recip_modulus(u: float, k) -> JacobiValues:
 
 
 def _shifted(u: float, k: float):
-    """(sn, cn, dn, d) at real u and modulus k in (0, 1].
+    """(sn, cn, dn, d) at real u and modulus k in (0, 1]: the shifted descending pass.
 
-    Below k = 1, d = eps(u) - u from the shifted descending pass, which keeps
-    its digits as k -> 0.  At k = 1, d = eps(u) = tanh u, which is bounded,
-    where eps(u) - u would lose the digits of tanh u to u.
+    Below k = 1, d = eps(u) - u = Z(u) - sigma u, with sigma = 1 - E/K and
+    Z summed over the weights z_i of `_shift_scale` rather than the half
+    differences c_i, which cancel as k -> 0; so it keeps its digits as
+    k -> 0, where eps(u) - u formed from eps(u) would not.  It is the pass
+    of `_jacobi_agm` with one division z_i/a_i per level, over a scale that
+    holds no more than the pass reads.  At k = 1, d = eps(u) = tanh u, which
+    is bounded, where eps(u) - u would lose the digits of tanh u to u.
     """
     if k == 1.0:
         sn, cn, dn, _, eps = jacobi(u, 1.0)
         return sn, cn, dn, eps
     if not math.isfinite(u):
         raise EllipticDomainError(f"Jacobi functions need a finite argument, got {u}")
-    return _jacobi_agm(u, k, True)
+    K, unit, a_, kp, sigma, z_ = _shift_scale(k)
+    two_k = 2.0 * K
+    m = math.floor(u / two_k + 0.5)
+    phi = unit * (u - two_k * m)
+    zeta = 0.0
+    for zi, ai in zip(reversed(z_), reversed(a_)):
+        sp = math.sin(phi)
+        zeta += zi * sp
+        q = zi / ai * sp
+        if q > 1.0:
+            q = 1.0
+        elif q < -1.0:
+            q = -1.0
+        phi = 0.5 * (phi + math.asin(q))
+    sn, cn = math.sin(phi), math.cos(phi)
+    dn = math.sqrt(cn * cn + kp * kp * sn * sn)
+    if m % 2:
+        return -sn, -cn, dn, zeta - sigma * u
+    return sn, cn, dn, zeta - sigma * u
 
 
 def _recip_shifted(u: float, k: float):
@@ -439,7 +452,7 @@ def _recip_shifted(u: float, k: float):
     w = u / k
     if not math.isfinite(w):
         raise EllipticDomainError(f"Jacobi functions need a finite argument, got u/k = {w}")
-    sn, cn, dn, d = _jacobi_agm(w, k, True)
+    sn, cn, dn, d = _shifted(w, k)
     return k * sn, dn, cn, d / k
 
 

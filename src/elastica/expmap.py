@@ -15,14 +15,14 @@ values at u0 + sqrt(r) t follow from one Jacobi evaluation at sqrt(r) t and
 the addition formulas, which also give the epsilon increment, so eps(u0)
 is never formed.
 
-`_endpoint` evaluates one endpoint in one pass on N1, N2+- and N3+-: its
-body holds the start values, the Jacobi values at sqrt(r) t (the shifted
-descending pass over the AGM scale, or tanh and sech at k = 1), the
-addition formulas and the quadratures, in the operations of `phase._start`,
-`elliptic._shifted` or `_recip_shifted` and `elliptic._add`, so its bits
-are theirs.  The stepped loop of `sample_elastica` does the addition step
-and the quadratures in its own body with the same bits, which a test pins
-point by point; only its anchors call `_add` and the shifted routine.
+`_endpoint` evaluates one endpoint in one body on N1, N2+- and N3+-: it
+takes the Jacobi values at sqrt(r) t from `elliptic._shifted` or
+`_recip_shifted` (tanh and sech at k = 1) and holds the start values, the
+addition formulas and the quadratures, in the operations of `phase._start`
+and `elliptic._add`, so its bits are theirs.  The stepped loop of
+`sample_elastica` does the addition step and the quadratures in its own
+body with the same bits, which a test pins point by point; only its anchors
+call `_add` and the shifted routine.
 
 The tangent angle always satisfies theta_t = beta_t - beta_0.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .elliptic import K_RECT, EllipticDomainError, _add, _shift_scale, find_k0
+from .elliptic import K_RECT, _add, _recip_shifted, _shifted, find_k0
 from .phase import (
     CIRCULAR,
     ROTATING,
@@ -41,6 +41,7 @@ from .phase import (
     TWO_PI,
     Covector,
     State,
+    _check_integer,
     _start,
     stratify,
 )
@@ -162,25 +163,23 @@ def _circle_columns(c: float, t: float):
     return (z1.real, z1.imag, th.imag), (zc.real, zc.imag, t), (z3.real, z3.imag, th.real)
 
 
-def _endpoint(lam: Covector, t: float, s=None):
+def _endpoint(lam: Covector, t: float):
     """(x, y, theta, J, c_t, stratum, jac) of the elastica of lam at t.
 
     c_t is the curvature at t, the pendulum velocity.  On N1 and N2+- jac =
     (kappa, a0, (sn, cn, dn, d)) holds the algebraic modulus and the values
     at u0 and at u0 + sqrt(r) t, for `_modulus_column`; elsewhere it is None.
-    s is stratify(lam), which a caller that has it passes.
 
-    On N1, N2+- and N3+- this is one pass with no call but the cached scale,
-    so that a BVP candidate, which brings a new modulus every time, pays no
-    call layer.  Its bits are those of `_start`, the shifted Jacobi routine
-    (tanh and sech at k = 1) and `_add`, and of the quadratures at the
-    algebraic modulus kappa: below kappa = 1, d = eps - sqrt(r) t is carried
-    whole, as eps and sqrt(r) t cancel in x and J when kappa -> 0; at kappa =
-    1, where eps = tanh is bounded, d is eps.  The stepped loop of
+    On N1, N2+- and N3+- the values at sqrt(r) t come from `_shifted`, or
+    `_recip_shifted` on N2+-, and the body calls nothing else.  The start
+    values are those of `_start` and the addition step that of `_add`, with
+    their bits, and the quadratures are taken at the algebraic modulus
+    kappa: below kappa = 1, d = eps - sqrt(r) t is carried whole, as eps and
+    sqrt(r) t cancel in x and J when kappa -> 0; at kappa = 1, where
+    eps = tanh is bounded, d is eps.  The stepped loop of
     `sample_elastica` writes out the step and the quadratures the same way.
     """
-    if s is None:
-        s = stratify(lam)
+    s = stratify(lam)
     if s in STRAIGHT:
         return t, 0.0, 0.0, 0.0, 0.0, s, None
     beta, c, r = lam
@@ -198,44 +197,12 @@ def _endpoint(lam: Covector, t: float, s=None):
         # takes the sign of c, and lies on the line cn = f dn, f = +-1
         kap, s0, c0 = 1.0, sb, math.copysign(d0, c)
         f = -1.0 if c0 < 0.0 else 1.0
-        if u != u:
-            raise EllipticDomainError(f"Jacobi functions need a finite argument, got {u}")
-        # (sn, cn, dn, eps) at u: tanh, sech, sech, tanh; past 709 sech underflows
-        sv = ev = math.tanh(u)
-        cv = dv = 0.0 if abs(u) >= 709.0 else 1.0 / math.cosh(u)
+        sv, cv, dv, ev = _shifted(u, 1.0)
     else:
         ch = 0.5 * c / sr
         kap = math.sqrt(sb * sb + ch * ch)
         s0, c0 = sb / kap, ch / kap
-        rotating = s in ROTATING
-        k = 1.0 / kap if rotating else kap
-        w = u / k if rotating else u
-        if not math.isfinite(w):
-            raise EllipticDomainError("Jacobi functions need a finite argument, got "
-                                      + (f"u/k = {w}" if rotating else f"{w}"))
-        # (sn, cn, dn, eps - w) at w and modulus k, the shifted descending pass
-        K, unit, a_, kp, sigma, z_ = _shift_scale(k)
-        two_k = 2.0 * K
-        m = math.floor(w / two_k + 0.5)
-        phi = unit * (w - two_k * m)
-        zeta = 0.0
-        for zi, ai in zip(reversed(z_), reversed(a_)):
-            sp = math.sin(phi)
-            zeta += zi * sp
-            q = zi / ai * sp
-            if q > 1.0:
-                q = 1.0
-            elif q < -1.0:
-                q = -1.0
-            phi = 0.5 * (phi + math.asin(q))
-        sv, cv = math.sin(phi), math.cos(phi)
-        dv = math.sqrt(cv * cv + kp * kp * sv * sv)
-        if m % 2:
-            sv, cv = -sv, -cv
-        ev = zeta - sigma * w
-        if rotating:
-            # at modulus kap = 1/k: sn = k sn(w), cn = dn(w), dn = cn(w)
-            sv, cv, dv, ev = k * sv, dv, cv, ev / k
+        sv, cv, dv, ev = _recip_shifted(u, 1.0 / kap) if s in ROTATING else _shifted(u, kap)
     # products the formulas share, each rounded as there: (-d0) d0 = -(d0 d0)
     # and (2 d0) d0 = 2 (d0 d0) exactly
     k2 = kap * kap
@@ -292,8 +259,9 @@ def sample_elastica(lam: Covector, t1: float, n: int) -> list[State]:
     Only the anchors call `_add` and the shifted Jacobi routine.  Its points
     are built as `State` builds them.
     """
+    n = _check_integer(n, "sample_elastica", "n")
     if n < 2:
-        raise ValueError("need at least two samples")
+        raise ValueError(f"sample_elastica needs n >= 2 samples, got {n}")
     if not 0.0 < t1 < math.inf:
         raise ValueError(f"need finite t1 > 0, got {t1}")
     step = t1 / (n - 1)

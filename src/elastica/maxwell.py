@@ -22,8 +22,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .elliptic import (
-    BRENT_RTOL,
-    BRENT_XTOL,
     K_RECT,
     EllipticDomainError,
     _add,
@@ -43,6 +41,7 @@ from .phase import (
     STRAIGHT,
     Covector,
     Stratum,
+    _check_integer,
     _check_tol,
     stratify,
 )
@@ -229,7 +228,7 @@ def find_kstar():
         if val_lo >= 0.0 > val_hi or val_lo > 0.0 >= val_hi:
             break
         hi, val_hi = lo, val_lo
-    kstar = _brentq(_alpha, lo, hi, xtol=BRENT_XTOL, rtol=BRENT_RTOL)
+    kstar = _brentq(_alpha, lo, hi)
     for i in range(1, 200):
         kk = kstar + (k0 - kstar) * i / 200.0
         if _alpha(kk) >= 0.0:
@@ -259,7 +258,7 @@ def u_h1(k) -> float:
         return lo
     if fhi == 0.0:
         return hi
-    return _brentq(lambda u: h1(u, kf), lo, hi, xtol=BRENT_XTOL, rtol=BRENT_RTOL)
+    return _brentq(lambda u: h1(u, kf), lo, hi)
 
 
 def p_g1(k) -> float:
@@ -286,8 +285,7 @@ def p1_roots(k, n: int) -> float:
     kf = float(k)
     if not 0.0 <= kf < 1.0:
         raise ValueError(f"p1_roots needs k in [0, 1), got {kf}")
-    if not (isinstance(n, int) or float(n).is_integer()):
-        raise ValueError(f"p1_roots needs an integer n, got {n}")
+    _check_integer(n, "p1_roots", "n")  # n stays as given, for the messages below
     if n == 0:
         return 0.0
     if n < 0:
@@ -314,11 +312,11 @@ def _p1_root(kf: float, n: int) -> float:
         return f1(p, kf)
 
     try:
-        return _brentq(f, lo, hi, xtol=BRENT_XTOL, rtol=BRENT_RTOL)
+        return _brentq(f, lo, hi)
     except _SameSignError:
         lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
     try:
-        return _brentq(f, lo, hi, xtol=BRENT_XTOL, rtol=BRENT_RTOL)
+        return _brentq(f, lo, hi)
     except _SameSignError:
         raise ValueError(f"p1_roots found no sign change of f1 at k = {kf}, n = {n}") from None
 
@@ -410,10 +408,10 @@ def _chord_sn2(k: float, sn2p: float, tol: float, rotating: bool = False):
     return rhs if -tol <= rhs <= 1.0 + tol else None
 
 
-def unit_cut_time_bound(k, rotating: bool, p1: float | None = None) -> float:
+def unit_cut_time_bound(k, rotating: bool) -> float:
     """Cut-time bound at r = 1: 2 min(2K, p_1^1) oscillating, 2kK rotating.
 
-    cut_time_bound divides it by sqrt(r).  p1 is p_1^1 if already solved.
+    cut_time_bound divides it by sqrt(r).
     """
     kf = float(k)
     K = ellint_K(kf)
@@ -421,7 +419,7 @@ def unit_cut_time_bound(k, rotating: bool, p1: float | None = None) -> float:
         return 2.0 * kf * K
     if kf <= find_k0():
         return 2.0 * (2.0 * K)
-    return 2.0 * (p1_roots(kf, 1) if p1 is None else p1)
+    return 2.0 * p1_roots(kf, 1)
 
 
 def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
@@ -456,23 +454,19 @@ def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
             if hit and p < first[i]:
                 first[i] = p
 
-    p1 = None
     if rotating:
         meet(K, even=True)
     else:
         meet(2.0 * K, even=True, at_k0=abs(k - find_k0()) <= tol)
         for n in range(1, _ROOT_SCAN_MAX + 1):
-            pn = p1_roots(k, n)
-            if n == 1:
-                p1 = pn
-            meet(pn, f1_root=True)
+            meet(p1_roots(k, n), f1_root=True)
             if max(first[1], first[2]) < math.inf:  # MAX2 and MAX3+ both met
                 break
         if k >= KSTAR:
             meet(p_g1(k), chord=True)
 
     scale = 2.0 * k if rotating else 2.0
-    unit = unit_cut_time_bound(k, rotating, p1)
+    unit = unit_cut_time_bound(k, rotating)
     # at r = 1 the bound time t has half-length p = t / 2, one of the candidates
     jb = None if rotating else jts[unit / 2.0]
     return MaxwellReport(

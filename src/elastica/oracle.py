@@ -32,7 +32,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .expmap import State, _circle_columns, _endpoint, _modulus_column, exp_map
-from .phase import CIRCULAR, TWO_PI, Covector, Stratum, stratify, wrap_angle
+from .phase import CIRCULAR, TWO_PI, Covector, Stratum, _check_integer, stratify, wrap_angle
 
 BVP_RESIDUAL_TOL = 1e-9
 BVP_MERGE_DIST = 1e-6
@@ -495,10 +495,12 @@ def bvp_shoot(
     residual falls by less than 1 % over 8 iterations.  Converged solutions
     (max-norm residual < 1e-9) are certified by a polish that moves their
     state at t1/2 by less than 1e-6 max(1, t1); the polish's last endpoint
-    evaluation gives the energy, and its state at t1/2 the merge's.  They
-    are de-duplicated at distance 1e-6, sorted by bending energy, and
-    annotated with their cut-time bound and optimal_candidate: t1 <= bound
-    and J <= J_min + 1e-6 max(1, J_min), J_min the least energy returned.
+    evaluation gives the energy, and its state at t1/2 the merge's.  Two
+    solutions with energies within 1e-6 max(1, J) and states at t1/2 within
+    1e-6 max(1, t1) trace one trajectory and are merged.  The rest are
+    sorted by bending energy and annotated with their cut-time bound and
+    optimal_candidate: t1 <= bound and J <= J_min + 1e-6 max(1, J_min),
+    J_min the least energy returned.
     Straight-line solutions (J = 0) are canonicalized to the frozen
     covector, and a circle (stratum N6), whose endpoint depends on c alone,
     is reported as (0, c, 0).
@@ -508,10 +510,13 @@ def bvp_shoot(
 
     Returns an empty list (with a logged diagnostic) when no start converges.
     A target that `attainable` rejects raises UnattainableTargetError, a
-    ValueError; a non-finite target or time, starts < 1, jobs < 1, or a t1
-    so small (below about 2e-153) that the seeds' dilation (beta, c/t1,
-    r/t1^2) overflows raises a plain ValueError.
+    ValueError; a non-finite target or time, a starts or jobs that is not
+    an integer >= 1 (an int, or a float of integral value), or a t1 so
+    small (below about 2e-153) that the seeds' dilation (beta, c/t1, r/t1^2)
+    overflows raises a plain ValueError.
     """
+    starts = _check_integer(starts, "bvp_shoot", "starts")
+    jobs = _check_integer(jobs, "bvp_shoot", "jobs")
     if starts < 1:
         raise ValueError(f"bvp_shoot needs starts >= 1, got {starts}")
     if jobs < 1:
@@ -535,27 +540,16 @@ def bvp_shoot(
             qm = exp_map(lam, 0.5 * t1)
         converged.append((lam, res, J, qm))
 
-    # merge duplicates: same point in (beta, c, r), or same trajectory
-    # (equal energy and equal midpoint state); keep the smallest residual
+    # merge duplicates: same trajectory (equal energy and equal state at
+    # t1/2); keep the smallest residual
     converged.sort(key=lambda it: it[1])
     found: list[tuple[Covector, float, float, State]] = []
     for lam, res, J, qm in converged:
-        dup = False
-        for prev, _, Jp, qp in found:
-            if (
-                abs(wrap_angle(lam.beta - prev.beta)) < BVP_MERGE_DIST
-                and abs(lam.c - prev.c) < BVP_MERGE_DIST
-                and abs(lam.r - prev.r) < BVP_MERGE_DIST
-            ):
-                dup = True
-                break
-            if (
-                abs(J - Jp) < BVP_MERGE_DIST * max(1.0, Jp)
-                and _gap(qm, qp) < BVP_MERGE_DIST * max(1.0, t1)
-            ):
-                dup = True
-                break
-        if not dup:
+        if not any(
+            abs(J - Jp) < BVP_MERGE_DIST * max(1.0, Jp)
+            and _gap(qm, qp) < BVP_MERGE_DIST * max(1.0, t1)
+            for _, _, Jp, qp in found
+        ):
             found.append((lam, res, J, qm))
 
     if not found:

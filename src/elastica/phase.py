@@ -126,7 +126,8 @@ class EllipticCoords(_EllipticCoordsFields):
     phi is the time coordinate, stored reduced to [0, period); in the
     rotating strata the companion coordinate psi = phi/k is exposed as a
     property.  On the separatrix phi ranges over all reals.  k is stored as a
-    float; a Modulus passed in is converted.
+    float; a Modulus passed in is converted.  phi and r must be finite and
+    r > 0; anything else raises ValueError.
     """
 
     __slots__ = ()
@@ -136,8 +137,10 @@ class EllipticCoords(_EllipticCoordsFields):
             raise UnsupportedStratumError(
                 f"elliptic coordinates exist only on N1/N2/N3, got {stratum}"
             )
-        if r <= 0.0:
-            raise ValueError("elliptic coordinates need r > 0")
+        if not 0.0 < r < math.inf:
+            raise ValueError(f"elliptic coordinates need a finite r > 0, got {r}")
+        if not math.isfinite(phi):
+            raise ValueError(f"elliptic coordinates need a finite phi, got {phi}")
         k = float(k)
         if stratum is Stratum.N1 and not 0.0 < k < 1.0:
             raise ValueError("oscillating stratum needs k in (0, 1)")
@@ -240,6 +243,13 @@ def _check_time(t: float, name: str) -> None:
     """Raise ValueError unless the time t given to the function name is finite."""
     if not math.isfinite(t):
         raise ValueError(f"{name} needs a finite t, got {t}")
+
+
+def _check_integer(n, func: str, name: str) -> int:
+    """n as an int if it is an int or a float of integral value; else ValueError naming func's argument."""
+    if isinstance(n, int) or float(n).is_integer():
+        return int(n)
+    raise ValueError(f"{func} needs an integer {name}, got {n}")
 
 
 def _check_tol(tol: float) -> None:

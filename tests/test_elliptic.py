@@ -16,6 +16,7 @@ from elastica.elliptic import (
     _agm_scale,
     _jacobi_agm,
     _shift_scale,
+    _shifted,
     ellint_E,
     ellint_E_inc,
     ellint_F_inc,
@@ -32,11 +33,14 @@ K_RECT = 1.0 / math.sqrt(2.0)
 
 
 def _agm_recursion(k):
-    """The AGM scale of `_agm_scale` from one loop over the recursion, as a reference."""
+    """The AGM scales from one loop over the recursion, as a reference.
+
+    Returns the tuples of `_agm_scale` and of `_shift_scale`.
+    """
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     a, b, c, z = [1.0], [kp], [], []
-    # the descending pass's pairs (c_i, c_i/a_i) and (z_i, z_i/a_i), i = 1..n
-    c_pass, z_pass = [], []
+    # the descending pass's pairs (c_i, c_i/a_i), i = 1..n
+    c_pass = []
     an, bn, zi = 1.0, kp, k
     w, s = 1.0, 0.5 * k * k
     for _ in range(AGM_MAX_ITER):
@@ -47,15 +51,14 @@ def _agm_recursion(k):
         c.append(cn)
         z.append(zi)
         c_pass.append((cn, cn / an))
-        z_pass.append((zi, zi / an))
         s += w * cn * cn
         w *= 2.0
         if abs(cn) < AGM_TOL:
             break
         b.append(bn)
     K = math.pi / (2.0 * an)
-    return (K, K * (1.0 - s), w * an, tuple(a), tuple(b), tuple(c), s, tuple(z),
-            tuple(reversed(c_pass)), tuple(reversed(z_pass)))
+    return ((K, K * (1.0 - s), w * an, tuple(a), tuple(b), tuple(c), tuple(reversed(c_pass))),
+            (K, w * an, tuple(a), kp, s, tuple(z)))
 
 
 def test_scales_are_the_recursion_bit_for_bit():
@@ -68,20 +71,20 @@ def test_scales_are_the_recursion_bit_for_bit():
     ks += [1.0 - 10.0 ** -rng.uniform(0.0, 16.0) for _ in range(300)]
     ks += [math.nextafter(1.0, 0.0), 5e-324, 0.5]
     for k in ks:
-        ref = _agm_recursion(k)
-        assert repr(_agm_scale.__wrapped__(k)) == repr(ref), k
-        K, E, unit, a, b, c, sigma, z, _, _ = ref
-        assert repr(_shift_scale.__wrapped__(k)) == repr((K, unit, a, b[0], sigma, z)), k
+        agm, shift = _agm_recursion(k)
+        assert repr(_agm_scale.__wrapped__(k)) == repr(agm), k
+        assert repr(_shift_scale.__wrapped__(k)) == repr(shift), k
 
 
 def _descending_reference(u, k, shifted=False):
-    """`_jacobi_agm` with one division c_i/a_i per level, over the scale's a_i and c_i or z_i.
+    """The descending pass with one division c_i/a_i per level, over the scale's a_i and c_i or z_i.
 
-    The bit reference of the pass over the scale's stored pairs.
+    The bit reference of `_jacobi_agm`, which reads stored pairs, and of
+    `_shifted`, its pass over the weights z_i.
     """
-    K, E, unit, a_, b_, c_, sigma, z_, _, _ = _agm_scale(k)
+    K, E, unit, a_, b_, c_, _ = _agm_scale(k)
     if shifted:
-        c_ = z_
+        _, _, _, _, sigma, c_ = _shift_scale(k)
     m = math.floor(u / (2.0 * K) + 0.5)
     u_red = u - 2.0 * K * m
     phi = unit * u_red
@@ -107,7 +110,7 @@ def _descending_reference(u, k, shifted=False):
 
 
 def test_descending_pass_is_the_division_loop_bit_for_bit():
-    # k from 1e-300 to k' near 1e-8, |u| from 1e-8 to 1e6, both modes
+    # k from 1e-300 to k' near 1e-8, |u| from 1e-8 to 1e6, both passes
     rng = random.Random(32)
     ks = [rng.random() for _ in range(200)]
     ks += [10.0 ** -rng.uniform(1.0, 300.0) for _ in range(100)]
@@ -116,7 +119,7 @@ def test_descending_pass_is_the_division_loop_bit_for_bit():
         for _ in range(5):
             u = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 6.0)
             for shifted in (False, True):
-                got = _jacobi_agm(u, k, shifted)
+                got = _shifted(u, k) if shifted else _jacobi_agm(u, k)
                 assert repr(got) == repr(_descending_reference(u, k, shifted)), (u, k, shifted)
 
 

@@ -207,6 +207,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_elastica(Covector(0, 1, 1), 0.0, 4)
 
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"sample_elastica needs an integer n, got {n}")):
+            sample_elastica(Covector(0, 1, 1), 1.0, n)
+
+    def test_integral_float_n_is_that_integer(self):
+        lam = Covector(0, 1, 1)
+        assert sample_elastica(lam, 1.0, 5.0) == sample_elastica(lam, 1.0, 5)
+
     def test_ends(self, cell_covectors):
         for lam in cell_covectors.values():
             for t1, n in ((0.7, 2), (3.0, 400), (250.0, 1000)):

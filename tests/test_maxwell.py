@@ -5,11 +5,17 @@ import re
 import pytest
 
 from elastica import maxwell
-from elastica.elliptic import EllipticDomainError, ellint_E, ellint_F_inc, ellint_K, jacobi
-from elastica.expmap import elastic_energy_closed, exp_map
-from elastica.maxwell import (
+from elastica.elliptic import (
     BRENT_RTOL,
     BRENT_XTOL,
+    EllipticDomainError,
+    ellint_E,
+    ellint_F_inc,
+    ellint_K,
+    jacobi,
+)
+from elastica.expmap import elastic_energy_closed, exp_map
+from elastica.maxwell import (
     DEFAULT_TOL,
     MaxwellStratum,
     _brentq,
@@ -198,7 +204,7 @@ class TestBrent:
     def test_bit_identical_to_scipy(self):
         brentq = pytest.importorskip("scipy.optimize").brentq
         for f, lo, hi in self.brackets():
-            ours = _brentq(f, lo, hi, BRENT_XTOL, BRENT_RTOL)
+            ours = _brentq(f, lo, hi)
             ref = brentq(f, lo, hi, xtol=BRENT_XTOL, rtol=BRENT_RTOL)
             assert ours.hex() == ref.hex(), (lo, hi)
 
@@ -212,16 +218,16 @@ class TestBrent:
     )
     def test_nan_value_raises(self, f):
         with pytest.raises(ValueError, match="NaN"):
-            _brentq(f, 0.0, 1.0, BRENT_XTOL, BRENT_RTOL)
+            _brentq(f, 0.0, 1.0)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(ValueError, match="different signs"):
-            _brentq(lambda x: x * x + 1.0, -1.0, 2.0, BRENT_XTOL, BRENT_RTOL)
+            _brentq(lambda x: x * x + 1.0, -1.0, 2.0)
 
     def test_no_convergence_raises(self):
         # a step function forces bisection, which needs ~150 halvings here
         with pytest.raises(RuntimeError, match="100 iterations"):
-            _brentq(lambda x: -1.0 if x < math.pi else 1.0, -1e30, 1e30, BRENT_XTOL, BRENT_RTOL)
+            _brentq(lambda x: -1.0 if x < math.pi else 1.0, -1e30, 1e30)
 
 
 class TestConstants:

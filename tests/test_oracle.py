@@ -301,6 +301,24 @@ class TestShooting:
         with pytest.raises(ValueError, match=flag):
             bvp_shoot(State(0.5, 0.0, 0.0), 1.0, starts=starts, jobs=jobs)
 
+    @pytest.mark.parametrize(
+        "starts, jobs, flag",
+        [
+            pytest.param(2.5, 1, "starts", id="starts-2.5"),
+            pytest.param(math.nan, 1, "starts", id="starts-nan"),
+            pytest.param(math.inf, 1, "starts", id="starts-inf"),
+            pytest.param(2, math.nan, "jobs", id="jobs-nan"),
+            pytest.param(2, 1.5, "jobs", id="jobs-1.5"),
+        ],
+    )
+    def test_counts_must_be_integers(self, starts, jobs, flag):
+        with pytest.raises(ValueError, match=f"bvp_shoot needs an integer {flag}, got"):
+            bvp_shoot(State(0.5, 0.0, 0.0), 1.0, starts=starts, jobs=jobs)
+
+    def test_integral_float_starts_is_that_integer(self):
+        q1 = State(0.5, 0.0, 0.0)
+        assert bvp_shoot(q1, 1.0, starts=2.0, jobs=1.0) == bvp_shoot(q1, 1.0, starts=2)
+
     def test_past_maxwell_point_second_solution_is_cheaper(self):
         # past the cut-time bound the shot trajectory is never the best one
         k = 0.6

@@ -152,3 +152,16 @@ def test_every_imported_name_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(Path(elastica.__file__).parent.glob("*.py"))
+                                  if p.name != "elliptic.py"], ids=lambda path: path.name)
+def test_only_elliptic_reads_the_agm_scales(path):
+    # the shifted descending pass is written once, in `elliptic._shifted`: no
+    # other module reads the scales it and `_jacobi_agm` run over
+    tree = ast.parse(path.read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(names & {"_agm_scale", "_shift_scale"}) == []

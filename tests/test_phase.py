@@ -231,6 +231,20 @@ class TestEllipticCoords:
         with pytest.raises(UnsupportedStratumError):
             EllipticCoords(Stratum.N4, Modulus(0.5), 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "stratum, k, phi, r, name",
+        [
+            (Stratum.N1, 0.5, math.nan, 1.0, "phi"),
+            (Stratum.N2_PLUS, 0.5, math.inf, 1.0, "phi"),
+            (Stratum.N3_MINUS, 1.0, -math.inf, 1.0, "phi"),
+            (Stratum.N1, 0.5, 0.0, math.inf, "r"),
+            (Stratum.N3_PLUS, 1.0, 0.0, math.nan, "r"),
+        ],
+    )
+    def test_non_finite_coordinate_rejected(self, stratum, k, phi, r, name):
+        with pytest.raises(ValueError, match=f"need a finite {name}"):
+            period(EllipticCoords(stratum, k, phi, r))
+
 
 class TestPeriod:
     def test_harmonic_limit(self):
