@@ -170,15 +170,14 @@ def cmd_oracle_exp(args):
 
 
 def cmd_constants(args):
-    from .elliptic import _k0_defect, find_k0
+    from .elliptic import K0, _k0_defect
     from .maxwell import KSTAR, USTAR, _alpha, u_a1
 
-    k0 = find_k0()
     doc = {
-        "k0": k0,
+        "k0": K0,
         "kstar": KSTAR,
         "ustar": USTAR,
-        "k0_residual": _k0_defect(k0),
+        "k0_residual": _k0_defect(K0),
         "kstar_residual": _alpha(KSTAR),
         "ustar_identity_residual": USTAR - (math.pi - u_a1(KSTAR)),
     }
@@ -253,7 +252,7 @@ def cmd_elastica(args):
 
 def _gallery(outdir: str, n: int):
     """One canonical curve per qualitative class, r = 1 throughout."""
-    from .elliptic import K_RECT, find_k0
+    from .elliptic import K0, K_RECT
     from .expmap import classify, sample_elastica
     from .phase import Covector, EllipticCoords, Stratum, from_elliptic, period
 
@@ -266,7 +265,7 @@ def _gallery(outdir: str, n: int):
         ("inflectional_small_k", *two_periods(Stratum.N1, 0.5)),
         ("rectangular", *two_periods(Stratum.N1, K_RECT)),
         ("inflectional_mid_k", *two_periods(Stratum.N1, 0.85)),
-        ("figure_eight", *two_periods(Stratum.N1, find_k0())),
+        ("figure_eight", *two_periods(Stratum.N1, K0)),
         ("inflectional_large_k", *two_periods(Stratum.N1, 0.97)),
         (
             "critical",

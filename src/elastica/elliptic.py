@@ -13,7 +13,8 @@ The epsilon function is returned unreduced: eps(u + 2K) = eps(u) + 2E, so
 differences eps(b) - eps(a) over long arguments are meaningful.
 
 The figure-eight modulus k0, the root of 2E(k) = K(k), is found here by
-Brent's method, the root finder every Maxwell root curve uses too.
+Brent's method, the root finder every Maxwell root curve uses too; the
+library reads it as the pinned K0, which `find_k0` derives.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ BRENT_XTOL = 1e-15
 BRENT_RTOL = 8.9e-16
 _BRENT_MAXITER = 100
 K_RECT = 1.0 / math.sqrt(2.0)
+K0 = 0.9089085575485415  # the figure-eight modulus as `find_k0` derives it, bit for bit
 
 
 class EllipticDomainError(ValueError):
@@ -182,22 +184,20 @@ def _brentq(f, a: float, b: float) -> float:
     `optimize.brentq` (Brent 1973, ch. 4), so every root is bit-identical to
     it: inverse quadratic extrapolation or secant interpolation when the step
     is short enough, bisection otherwise, stopping when half the bracket is
-    below delta = (BRENT_XTOL + BRENT_RTOL |x|) / 2.  A NaN function value
-    raises ValueError, a bracket without a sign change its subclass
-    `_SameSignError`; no convergence within 100 iterations raises
-    RuntimeError.
+    below delta = (BRENT_XTOL + BRENT_RTOL |x|) / 2.  f is called as given,
+    once per evaluation, and each value is tested for NaN where it is taken:
+    at a, at b and at every iterate.  A NaN function value raises ValueError,
+    a bracket without a sign change its subclass `_SameSignError`; no
+    convergence within 100 iterations raises RuntimeError.
     """
-
-    def fval(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
     xpre, xcur = a, b
     xblk = fblk = spre = scur = 0.0
-    fpre = fval(xpre)
-    fcur = fval(xcur)
+    fpre = f(xpre)
+    if math.isnan(fpre):
+        raise _nan_value(xpre)
+    fcur = f(xcur)
+    if math.isnan(fcur):
+        raise _nan_value(xcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -245,8 +245,15 @@ def _brentq(f, a: float, b: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = fval(xcur)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise _nan_value(xcur)
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
+
+
+def _nan_value(x: float) -> ValueError:
+    """`_brentq`'s error for a NaN function value at x."""
+    return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
 
 
 def _k0_defect(k: float) -> float:
@@ -256,7 +263,10 @@ def _k0_defect(k: float) -> float:
 
 @lru_cache(maxsize=1)
 def find_k0() -> float:
-    """The unique modulus in (1/sqrt(2), 1) with 2E(k) = K(k) (figure-eight)."""
+    """The unique modulus in (1/sqrt(2), 1) with 2E(k) = K(k) (figure-eight).
+
+    The derivation of K0, which the library reads.
+    """
     return _brentq(_k0_defect, K_RECT, 1.0 - 1e-12)
 
 
@@ -267,11 +277,14 @@ def _reduce_phase(phi: float):
 
 
 def _incomplete_agm(phi: float, k: float):
-    """(F, E) at amplitude phi in [-pi/2, pi/2] for k in (0, 1).
+    """(F(phi, k), E(phi, k)) at finite phi for k in (0, 1), from one Landen pass.
 
-    Ascending Landen transformation of the amplitude; the zeta sum over the
-    scale gives the second-kind integral through E = Z + (E/K) F.
+    phi = phi_red + m pi with phi_red in [-pi/2, pi/2]; the ascending Landen
+    transformation of phi_red gives F, and its zeta sum over the scale the
+    second-kind integral through E = Z + (E/K) F.  Each is then extended by
+    quasi-periodicity, F by 2mK and E by 2mE.
     """
+    phi, m = _reduce_phase(phi)
     sign = 1.0
     if phi < 0.0:
         sign, phi = -1.0, -phi
@@ -286,7 +299,7 @@ def _incomplete_agm(phi: float, k: float):
         sp = math.sin(phi_i)
         zeta += c * sp
     F = phi_i / unit
-    return sign * F, sign * (zeta + E / K * F)
+    return sign * F + 2.0 * m * K, sign * (zeta + E / K * F) + 2.0 * m * E
 
 
 def ellint_F_inc(phi: float, k) -> float:
@@ -307,9 +320,7 @@ def ellint_F_inc(phi: float, k) -> float:
         return math.asinh(math.tan(phi))
     if kf == 0.0:
         return phi
-    phi_red, m = _reduce_phase(phi)
-    F, _ = _incomplete_agm(phi_red, kf)
-    return F + 2.0 * m * ellint_K(kf)
+    return _incomplete_agm(phi, kf)[0]
 
 
 def ellint_E_inc(phi: float, k) -> float:
@@ -327,19 +338,20 @@ def ellint_E_inc(phi: float, k) -> float:
     if kf == 1.0:
         phi_red, m = _reduce_phase(phi)
         return math.sin(phi_red) + 2.0 * m
-    phi_red, m = _reduce_phase(phi)
-    _, E = _incomplete_agm(phi_red, kf)
-    return E + 2.0 * m * ellint_E(kf)
+    return _incomplete_agm(phi, kf)[1]
 
 
-def _jacobi_agm(u: float, k: float) -> JacobiValues:
-    """jacobi at real u for k in (0, 1), by the descending pass over the AGM scale.
+def _jacobi_agm(u: float, k: float):
+    """(sn, cn, dn, am, eps) at finite u for k in (0, 1): the descending pass over the AGM scale.
 
-    The zeta sum of the pass is the Jacobi zeta function Z (A&S 17.6), and
-    eps = Z + (E/K) u.  The pass reads the scale's pairs (c_i, c_i/a_i) from
-    i = n down to 1; c/a * sp rounds as (c/a) * sp, so the stored ratio
-    gives every value the bits of a division per level.  `_shifted` runs
-    the same pass over the weights z_i for eps(u) - u.
+    The values of `jacobi`, as a plain tuple: the Maxwell root functions
+    read it once per Brent evaluation, where building a `JacobiValues`
+    record would cost more than the tuple.  The zeta sum of the pass is the
+    Jacobi zeta function Z (A&S 17.6), and eps = Z + (E/K) u.  The pass
+    reads the scale's pairs (c_i, c_i/a_i) from i = n down to 1; c/a * sp
+    rounds as (c/a) * sp, so the stored ratio gives every value the bits of
+    a division per level.  `_shifted` runs the same pass over the weights
+    z_i for eps(u) - u.
     """
     K, E, unit, _, b_, _, c_pass = _agm_scale(k)
     m = math.floor(u / (2.0 * K) + 0.5)
@@ -363,15 +375,16 @@ def _jacobi_agm(u: float, k: float) -> JacobiValues:
     dn = math.sqrt(cn_r * cn_r + kp * kp * sn_r * sn_r)
     sgn = -1.0 if m % 2 else 1.0
     eps = zeta + E / K * u_red + 2.0 * m * E
-    return JacobiValues(sgn * sn_r, sgn * cn_r, dn, phi + m * math.pi, eps)
+    return sgn * sn_r, sgn * cn_r, dn, phi + m * math.pi, eps
 
 
 def jacobi(u: float, k) -> JacobiValues:
-    """sn, cn, dn, am and eps at real u, modulus k in [0, 1].
+    """sn, cn, dn, am and eps at real u, modulus k in [0, 1], as a `JacobiValues`.
 
     The amplitude and epsilon are the continuous (unreduced) branches:
     am(u + 2K) = am(u) + pi and eps(u + 2K) = eps(u) + 2E.  u = +-inf is
     accepted only at k = 1, where the hyperbolic forms take their limits.
+    For k in (0, 1) the values are those of `_jacobi_agm`, bit for bit.
     """
     kf = _as_k(k)
     if not math.isfinite(u) and (kf != 1.0 or math.isnan(u)):
@@ -385,7 +398,7 @@ def jacobi(u: float, k) -> JacobiValues:
             return JacobiValues(t, 0.0, 0.0, math.copysign(math.pi / 2.0, u), t)
         s = 1.0 / math.cosh(u)
         return JacobiValues(t, s, s, math.atan(math.sinh(u)), t)
-    return _jacobi_agm(u, kf)
+    return tuple.__new__(JacobiValues, _jacobi_agm(u, kf))
 
 
 def jacobi_recip_modulus(u: float, k) -> JacobiValues:

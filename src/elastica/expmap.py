@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .elliptic import K_RECT, _add, _recip_shifted, _shifted, find_k0
+from .elliptic import K0, K_RECT, _add, _recip_shifted, _shifted
 from .phase import (
     CIRCULAR,
     ROTATING,
@@ -349,14 +349,13 @@ def classify(lam: Covector) -> ElasticaClass:
     if s in ROTATING:
         return ElasticaClass.NON_INFLECTIONAL
     k = _start(lam, s)[1]
-    k0 = find_k0()
     if abs(k - K_RECT) <= CLASS_K_TOL:
         return ElasticaClass.RECTANGULAR
-    if abs(k - k0) <= CLASS_K_TOL:
+    if abs(k - K0) <= CLASS_K_TOL:
         return ElasticaClass.FIGURE_EIGHT
     if k < K_RECT:
         return ElasticaClass.INFLECTIONAL_SMALL_K
-    if k < k0:
+    if k < K0:
         return ElasticaClass.INFLECTIONAL_MID_K
     return ElasticaClass.INFLECTIONAL_LARGE_K
 

@@ -7,10 +7,12 @@ equations: the p-lattice {2Kn} together with the roots of f1 on the
 oscillating stratum, the lattice {Kn} on the rotating strata, and the root
 curve of g1 (chord reflection through turned tangents) governed by the
 constants k0 (figure-eight modulus, 2E = K), k* and u*.  The library reads
-k* and u* as the pinned KSTAR and USTAR; `find_kstar` derives them.
+k0 as the pinned `elliptic.K0`, which `find_k0` derives, and k* and u* as
+the pinned KSTAR and USTAR, which `find_kstar` derives.
 
 All scalar roots are found by bracketing + Brent, with brackets supplied by
-the localization facts encoded here, never by blind scanning.
+the localization facts encoded here, never by blind scanning.  Each Brent
+evaluation costs one Jacobi or Landen pass, and no record.
 """
 
 from __future__ import annotations
@@ -22,10 +24,13 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .elliptic import (
+    K0,
     K_RECT,
     EllipticDomainError,
     _add,
     _brentq,
+    _incomplete_agm,
+    _jacobi_agm,
     _SameSignError,
     _shifted,
     ellint_E_inc,
@@ -100,11 +105,13 @@ def f1(p: float, k) -> float:
     """sn p dn p - (2 eps(p) - p) cn p: perpendicular-reflection equation, oscillating case.
 
     Odd in p; its positive roots p_n^1 mark arcs meeting their
-    middle-perpendicular reflections.
+    middle-perpendicular reflections.  The values come from `_jacobi_agm`
+    for 0 < k < 1 and finite p, else from `jacobi`, which also raises for
+    k outside [0, 1] and for p it does not accept; both give the same bits.
     """
     kf = float(k)
-    jv = jacobi(p, kf)
-    return jv.sn * jv.dn - (2.0 * jv.eps - p) * jv.cn
+    sn, cn, dn, _, eps = _jacobi_agm(p, kf) if 0.0 < kf < 1.0 and math.isfinite(p) else jacobi(p, kf)
+    return sn * dn - (2.0 * eps - p) * cn
 
 
 def _rotating_k(k, name: str) -> float:
@@ -120,39 +127,42 @@ def f2(p: float, k) -> float:
 
     Vanishes only at p = 0, so non-inflectional arcs never meet their
     middle-perpendicular reflections away from the trivial time.  k must lie
-    in (0, 1], else EllipticDomainError.
+    in (0, 1], else EllipticDomainError.  The values come from `_jacobi_agm`
+    for k < 1 and finite p, else from `jacobi`, as in `f1`.
     """
     kf = _rotating_k(k, "f2")
-    jv = jacobi(p, kf)
-    return (kf * kf * jv.sn * jv.cn + jv.dn * ((2.0 - kf * kf) * p - 2.0 * jv.eps)) / kf
+    sn, cn, dn, _, eps = _jacobi_agm(p, kf) if 0.0 < kf < 1.0 and math.isfinite(p) else jacobi(p, kf)
+    return (kf * kf * sn * cn + dn * ((2.0 - kf * kf) * p - 2.0 * eps)) / kf
 
 
 def g1_n1(p: float, k) -> float:
     """Chord-reflection (turned-tangent) equation on the oscillating stratum.
 
     (1 - k^2 + k^2 cn^4 p)(2 eps(p) - p) + cn p sn p dn p (2 k^2 sn^2 p - 1);
-    behaves like (2/3) p^3 at the origin.
+    behaves like (2/3) p^3 at the origin.  The values come from `_jacobi_agm`
+    for 0 < k < 1 and finite p, else from `jacobi`, as in `f1`.
     """
     kf = float(k)
-    jv = jacobi(p, kf)
-    cn2 = jv.cn * jv.cn
-    return (1.0 - kf * kf + kf * kf * cn2 * cn2) * (2.0 * jv.eps - p) + (
-        jv.cn * jv.sn * jv.dn * (2.0 * kf * kf * jv.sn * jv.sn - 1.0)
+    sn, cn, dn, _, eps = _jacobi_agm(p, kf) if 0.0 < kf < 1.0 and math.isfinite(p) else jacobi(p, kf)
+    cn2 = cn * cn
+    return (1.0 - kf * kf + kf * kf * cn2 * cn2) * (2.0 * eps - p) + (
+        cn * sn * dn * (2.0 * kf * kf * sn * sn - 1.0)
     )
 
 
 def g1_n2(p: float, k) -> float:
     """Chord-reflection equation on the rotating strata; positive on (0, K).
 
-    k must lie in (0, 1], else EllipticDomainError.
+    k must lie in (0, 1], else EllipticDomainError.  The values come from
+    `_jacobi_agm` for k < 1 and finite p, else from `jacobi`, as in `f1`.
     """
     kf = _rotating_k(k, "g1_n2")
-    jv = jacobi(p, kf)
-    sn2 = jv.sn * jv.sn
+    sn, cn, dn, _, eps = _jacobi_agm(p, kf) if 0.0 < kf < 1.0 and math.isfinite(p) else jacobi(p, kf)
+    sn2 = sn * sn
     return (
-        kf * kf * jv.cn * jv.sn * jv.dn * (2.0 * sn2 - 1.0)
+        kf * kf * cn * sn * dn * (2.0 * sn2 - 1.0)
         + (1.0 - 2.0 * sn2 + kf * kf * sn2 * sn2)
-        * (2.0 * jv.eps - (2.0 - kf * kf) * p)
+        * (2.0 * eps - (2.0 - kf * kf) * p)
     ) / kf
 
 
@@ -172,13 +182,24 @@ def _a1_coeffs(k: float):
 
 
 def h1(u: float, k) -> float:
-    """g1_n1 written in the amplitude variable u = am p."""
+    """g1_n1 written in the amplitude variable u = am p.
+
+    (1 - k^2 + k^2 cos^4 u)(2 E(u, k) - F(u, k))
+    + cos u sin u sqrt(1 - k^2 sin^2 u)(2 k^2 sin^2 u - 1).  For 0 < k < 1
+    and finite u, F and E come from one `_incomplete_agm`, each extended by
+    the same 2mK or 2mE as `ellint_F_inc` and `ellint_E_inc` extend them,
+    with their bits; otherwise from those two, which also raise.
+    """
     kf = float(k)
     k2 = kf * kf
     cu, su = math.cos(u), math.sin(u)
-    return (1.0 - k2 + k2 * cu**4) * (
-        2.0 * ellint_E_inc(u, kf) - ellint_F_inc(u, kf)
-    ) + cu * su * math.sqrt(1.0 - k2 * su * su) * (2.0 * k2 * su * su - 1.0)
+    if 0.0 < kf < 1.0 and math.isfinite(u):
+        F, E = _incomplete_agm(u, kf)
+    else:
+        E, F = ellint_E_inc(u, kf), ellint_F_inc(u, kf)
+    return (1.0 - k2 + k2 * cu**4) * (2.0 * E - F) + cu * su * math.sqrt(1.0 - k2 * su * su) * (
+        2.0 * k2 * su * su - 1.0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +267,9 @@ def u_h1(k) -> float:
     kf = float(k)
     if not KSTAR <= kf < 1.0:
         raise ValueError(f"u_h1 needs k in [k* = {KSTAR}, 1), got {kf}")
-    k0 = find_k0()
-    if abs(kf - k0) < K0_SNAP:
+    if abs(kf - K0) < K0_SNAP:
         return math.pi / 2.0
-    if kf < k0:
+    if kf < K0:
         lo, hi = math.pi / 2.0, math.pi - u_a1(kf)
     else:
         lo, hi = u_a1(kf), math.pi / 2.0
@@ -277,10 +297,13 @@ def p1_roots(k, n: int) -> float:
     same bracket holds the roots of tan p = p, the k -> 0 limit.  At large
     n the root can lie within an ulp of a bracket end, where f1 takes the
     sign of the other end: then each end is moved out by one ulp, and a
-    bracket that still has no sign change raises ValueError.  The last
-    2 * _ROOT_SCAN_MAX solves are kept, so `cut_time_bound` and `in_maxwell`
-    on one covector solve each root once.  n must be an int, or a float of
-    integral value, with 2K|n| + K finite; any other n raises ValueError.
+    bracket that still has no sign change raises ValueError.  The solve is
+    `_p1_root`, which keeps its last 2 * _ROOT_SCAN_MAX roots; `cut_time_bound`
+    calls it directly, its k and n being checked already, so it and
+    `in_maxwell` on one covector solve each root once.  Brent evaluates the
+    public `f1` through this module, so each evaluation costs one Jacobi
+    pass.  n must be an int, or a float of integral value, with 2K|n| + K
+    finite; any other n raises ValueError.
     """
     kf = float(k)
     if not 0.0 <= kf < 1.0:
@@ -295,15 +318,14 @@ def p1_roots(k, n: int) -> float:
 
 @lru_cache(maxsize=2 * _ROOT_SCAN_MAX)
 def _p1_root(kf: float, n: int) -> float:
-    """The Brent solve of `p1_roots` for k in [0, 1) and n >= 1."""
+    """The Brent solve of `p1_roots` for k in [0, 1) and an integral n >= 1."""
     K = ellint_K(kf)
     # an int past the float range would overflow in 2.0 * K * n
     if n > sys.float_info.max or not 2.0 * K * n + K < math.inf:
         raise ValueError(f"p1_roots needs 2K|n| + K finite, got k = {kf}, |n| = {n}")
-    k0 = find_k0()
-    if abs(kf - k0) < K0_SNAP:
+    if abs(kf - K0) < K0_SNAP:
         return 2.0 * K * n
-    if kf < k0:
+    if kf < K0:
         lo, hi = 2.0 * K * n, 2.0 * K * n + K
     else:
         lo, hi = 2.0 * K * n - K, 2.0 * K * n
@@ -387,7 +409,7 @@ def in_maxwell(lam: Covector, t: float, tol: float = DEFAULT_TOL) -> set:
         n_f1 = round(p / (2.0 * K))
         even = _on_lattice(p, 2.0 * K, tol)
         f1_root = n_f1 >= 1 and abs(p - p1_roots(k, n_f1)) <= tol
-        at_k0, g1 = abs(k - find_k0()) <= tol, g1_n1
+        at_k0, g1 = abs(k - K0) <= tol, g1_n1
     rhs = _chord_sn2(k, jp[0] * jp[0], tol, rotating)
     if rhs is not None and abs(g1(p, k)) > tol:
         rhs = None
@@ -417,7 +439,7 @@ def unit_cut_time_bound(k, rotating: bool) -> float:
     K = ellint_K(kf)
     if rotating:
         return 2.0 * kf * K
-    if kf <= find_k0():
+    if kf <= K0:
         return 2.0 * (2.0 * K)
     return 2.0 * p1_roots(kf, 1)
 
@@ -457,9 +479,9 @@ def cut_time_bound(lam: Covector, tol: float = DEFAULT_TOL) -> MaxwellReport:
     if rotating:
         meet(K, even=True)
     else:
-        meet(2.0 * K, even=True, at_k0=abs(k - find_k0()) <= tol)
+        meet(2.0 * K, even=True, at_k0=abs(k - K0) <= tol)
         for n in range(1, _ROOT_SCAN_MAX + 1):
-            meet(p1_roots(k, n), f1_root=True)
+            meet(_p1_root(k, n), f1_root=True)
             if max(first[1], first[2]) < math.inf:  # MAX2 and MAX3+ both met
                 break
         if k >= KSTAR:

@@ -106,7 +106,7 @@ def _descending_reference(u, k, shifted=False):
     if shifted:
         return sgn * sn_r, sgn * cn_r, dn, zeta - sigma * u
     eps = zeta + E / K * u_red + 2.0 * m * E
-    return JacobiValues(sgn * sn_r, sgn * cn_r, dn, phi + m * math.pi, eps)
+    return sgn * sn_r, sgn * cn_r, dn, phi + m * math.pi, eps
 
 
 def test_descending_pass_is_the_division_loop_bit_for_bit():
@@ -276,6 +276,14 @@ class TestJacobi:
         for name in JacobiValues._fields:
             with pytest.raises(AttributeError):
                 setattr(jv, name, 0.0)
+
+    def test_record_of_the_plain_pass(self):
+        # jacobi wraps the tuple of _jacobi_agm in its record, bit for bit
+        for u, k in ((0.7, 0.62), (-1e6, 0.3), (12.5, 1.0 - 1e-12), (3.0, 1e-200)):
+            jv = jacobi(u, k)
+            assert type(jv) is JacobiValues
+            assert type(_jacobi_agm(u, k)) is tuple
+            assert repr(tuple(jv)) == repr(_jacobi_agm(u, k))
 
     def test_zero_modulus_is_circular(self):
         jv = jacobi(1.0, 0.0)

@@ -8,8 +8,10 @@ from elastica import maxwell
 from elastica.elliptic import (
     BRENT_RTOL,
     BRENT_XTOL,
+    K0,
     EllipticDomainError,
     ellint_E,
+    ellint_E_inc,
     ellint_F_inc,
     ellint_K,
     jacobi,
@@ -97,6 +99,109 @@ class TestRootFunctions:
             with pytest.raises(EllipticDomainError, match=rf"^{name} needs k in \(0, 1\], got "):
                 func(0.7, k)
         assert math.isfinite(func(0.7, 1.0))
+
+
+# The root functions as they read `jacobi` and the public integrals: the
+# references the functions must match bit for bit, errors included.
+
+def _f1_ref(p, k):
+    kf = float(k)
+    jv = jacobi(p, kf)
+    return jv.sn * jv.dn - (2.0 * jv.eps - p) * jv.cn
+
+
+def _f2_ref(p, k):
+    kf = maxwell._rotating_k(k, "f2")
+    jv = jacobi(p, kf)
+    return (kf * kf * jv.sn * jv.cn + jv.dn * ((2.0 - kf * kf) * p - 2.0 * jv.eps)) / kf
+
+
+def _g1_n1_ref(p, k):
+    kf = float(k)
+    jv = jacobi(p, kf)
+    cn2 = jv.cn * jv.cn
+    return (1.0 - kf * kf + kf * kf * cn2 * cn2) * (2.0 * jv.eps - p) + (
+        jv.cn * jv.sn * jv.dn * (2.0 * kf * kf * jv.sn * jv.sn - 1.0)
+    )
+
+
+def _g1_n2_ref(p, k):
+    kf = maxwell._rotating_k(k, "g1_n2")
+    jv = jacobi(p, kf)
+    sn2 = jv.sn * jv.sn
+    return (
+        kf * kf * jv.cn * jv.sn * jv.dn * (2.0 * sn2 - 1.0)
+        + (1.0 - 2.0 * sn2 + kf * kf * sn2 * sn2)
+        * (2.0 * jv.eps - (2.0 - kf * kf) * p)
+    ) / kf
+
+
+def _h1_ref(u, k):
+    kf = float(k)
+    k2 = kf * kf
+    cu, su = math.cos(u), math.sin(u)
+    return (1.0 - k2 + k2 * cu**4) * (
+        2.0 * ellint_E_inc(u, kf) - ellint_F_inc(u, kf)
+    ) + cu * su * math.sqrt(1.0 - k2 * su * su) * (2.0 * k2 * su * su - 1.0)
+
+
+def _outcome(fn, x, k):
+    """fn(x, k) as its float's hex, or the type and message of what it raised."""
+    try:
+        return fn(x, k).hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _seeded_moduli(rng):
+    ks = [rng.random() for _ in range(60)]
+    ks += [10.0 ** -rng.uniform(1.0, 300.0) for _ in range(15)]
+    ks += [1.0 - 10.0 ** -rng.uniform(1.0, 16.0) for _ in range(15)]
+    return ks + [0.0, 1.0, K0, K_RECT]
+
+
+ROOT_FUNCTIONS = [(f1, _f1_ref), (f2, _f2_ref), (g1_n1, _g1_n1_ref), (g1_n2, _g1_n2_ref)]
+
+
+class TestRootFunctionsBitForBit:
+    """Each Brent evaluation reads the Jacobi pass directly, with the bits of `jacobi`."""
+
+    @pytest.mark.parametrize("fn, ref", ROOT_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_jacobi_formula_bit_for_bit(self, fn, ref):
+        # p of both signs from 1e-8 to 1e6, k over (0, 1) and its ends
+        rng = random.Random(35)
+        for k in _seeded_moduli(rng):
+            for _ in range(6):
+                p = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 6.0)
+                assert _outcome(fn, p, k) == _outcome(ref, p, k), (p, k)
+            for p in (0.0, -0.0, 0.7, -2.5, 1e6, -1e6):
+                assert _outcome(fn, p, k) == _outcome(ref, p, k), (p, k)
+
+    @pytest.mark.parametrize("fn, ref", ROOT_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_errors_and_non_finite_arguments_unchanged(self, fn, ref):
+        # what jacobi and the modulus checks raise, or return at k = 1
+        for p in (math.inf, -math.inf, math.nan):
+            for k in (0.0, 0.5, 1.0):
+                assert _outcome(fn, p, k) == _outcome(ref, p, k), (p, k)
+        for k in (-0.1, 1.5, math.nan, -0.0):
+            assert _outcome(fn, 0.7, k) == _outcome(ref, 0.7, k), k
+
+    def test_h1_is_the_public_integrals_bit_for_bit(self):
+        # u past pi/2 reduces the phase with m != 0, so both extensions count
+        rng = random.Random(36)
+        for k in _seeded_moduli(rng):
+            us = [rng.uniform(-4.0 * math.pi, 4.0 * math.pi) for _ in range(6)]
+            us += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 6.0) for _ in range(3)]
+            us += [0.0, -0.0, 1.0, math.pi / 2.0, 2.0, math.pi, -5.0, 1e6]
+            for u in us:
+                assert _outcome(h1, u, k) == _outcome(_h1_ref, u, k), (u, k)
+
+    def test_h1_errors_and_non_finite_arguments_unchanged(self):
+        for u in (math.inf, -math.inf, math.nan):
+            for k in (0.0, 0.5, 1.0):
+                assert _outcome(h1, u, k) == _outcome(_h1_ref, u, k), (u, k)
+        for k in (-0.1, 1.5, math.nan):
+            assert _outcome(h1, 0.7, k) == _outcome(_h1_ref, 0.7, k), k
 
 
 # The amplitude-variable auxiliaries of the chord-reflection root curve.  Only
@@ -211,10 +316,11 @@ class TestBrent:
     @pytest.mark.parametrize(
         "f",
         [
+            lambda x: math.nan if x < 0.1 else x - 0.75,  # at the bracket's start
             lambda x: math.nan if x > 0.9 else x - 0.75,  # at the bracket's end
             lambda x: math.nan if 0.3 < x < 0.9 else x - 0.75,  # at the first step
         ],
-        ids=["endpoint", "iterate"],
+        ids=["start", "endpoint", "iterate"],
     )
     def test_nan_value_raises(self, f):
         with pytest.raises(ValueError, match="NaN"):
@@ -258,6 +364,12 @@ class TestConstants:
         find_kstar.cache_clear()
         assert repr((maxwell.KSTAR, maxwell.USTAR)) == repr(find_kstar())
         assert find_kstar.cache_info().misses == 1
+
+    def test_pinned_k0_is_the_derivation(self):
+        # the library reads K0; a fresh solve must give its bits
+        find_k0.cache_clear()
+        assert repr(K0) == repr(find_k0())
+        assert find_k0.cache_info().misses == 1
 
     def test_root_curve_domain_starts_at_the_solved_kstar(self):
         kstar = find_kstar()[0]
@@ -367,6 +479,19 @@ class TestRootCurves:
             K = ellint_K(k)
             p = p1_roots(k, n)
             assert (2 * n - 1) * K - 4.0 * math.ulp(p) < p < (2 * n + 1) * K + 4.0 * math.ulp(p)
+
+    def test_p1_roots_are_scipy_brentq_on_f1(self):
+        # over the documented bracket: (2Kn, 2Kn + K) below k0, (2Kn - K, 2Kn) above
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        rng = random.Random(37)
+        ks = [0.0, K0 - 1e-3, K0 - 1e-7, K0 + 1e-7, K0 + 1e-3, K_RECT]
+        ks += [rng.uniform(0.01, 0.995) for _ in range(24)]
+        for k in ks:
+            K = ellint_K(k)
+            for n in range(1, 9):
+                lo, hi = (2.0 * K * n, 2.0 * K * n + K) if k < K0 else (2.0 * K * n - K, 2.0 * K * n)
+                ref = brentq(f1, lo, hi, args=(k,), xtol=BRENT_XTOL, rtol=BRENT_RTOL)
+                assert p1_roots(k, n).hex() == ref.hex(), (k, n)
 
     def test_p1_roots_without_a_sign_change_names_k_and_n(self, monkeypatch):
         # a cached (0.3, 2) would be returned without calling f1

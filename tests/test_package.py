@@ -83,6 +83,21 @@ def test_cold_cut_time_bound_loads_no_expmap_and_solves_no_kstar():
     ]
 
 
+def test_cold_maxwell_and_classify_solve_no_k0():
+    # the library reads the pinned K0: only find_k0 itself solves 2E = K
+    code = (
+        "import elastica\n"
+        "lam = elastica.Covector(0.2, 1.8, 1.0)\n"
+        "elastica.cut_time_bound(lam)\n"
+        "elastica.in_maxwell(lam, 3.0)\n"
+        "elastica.classify(lam)\n"
+        "print(elastica.find_k0.cache_info().misses)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
 # the writer modules each command imports: sweep writes CSV unless asked for
 # JSON, and an SVG needs neither
 WRITERS = [
