@@ -12,11 +12,8 @@ median and quartiles (statistics.quantiles, inclusive method) and the number
 of pairs the change won, ties counting for neither side.  Each side also
 gets the median and quartiles of its runs' `attempted` op counts, because
 perfbench keeps a record per op, so `peak_rss_mb` grows with the count: a
-faster side can read more memory for running more ops.  `pair_ratios` gives,
-for each pair, the change/base ratio of every end-to-end metric and of
-`attempted` (null where the base value is 0), so a reader can see
-`peak_rss_mb` follow the op count pair by pair.  Workloads already in --out
-are kept, so one file collects one invocation per workload.
+faster side can read more memory for running more ops.  Workloads already
+in --out are kept, so one file collects one invocation per workload.
 
 Each run also records its bytecode state: whether PYTHONDONTWRITEBYTECODE
 was set, and whether the checkout's src/elastica/__pycache__ existed before
@@ -66,10 +63,6 @@ def bytecode_warnings(seeds: list[int], runs: dict) -> list[str]:
     return out
 
 
-def ratio(change: float, base: float):
-    return change / base if base else None
-
-
 def summary(values: list[float]) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
@@ -111,12 +104,6 @@ def main(argv=None) -> int:
         sign = 1.0 if m["better"] == "higher" else -1.0
         wins[name] = sum(sign * (c - b) > 0.0 for b, c in zip(values["base"], values["change"]))
     record["change_wins_of_pairs"] = {"pairs": len(args.seeds), **wins}
-    record["pair_ratios"] = [
-        {"seed": seed, "attempted": ratio(change["attempted"], base["attempted"]),
-         **{m["name"]: ratio(change["metrics"][m["name"]]["value"], base["metrics"][m["name"]]["value"])
-            for m in bench["end_to_end"]}}
-        for seed, base, change in zip(args.seeds, runs["base"], runs["change"])
-    ]
     record["warnings"] = bytecode_warnings(args.seeds, runs)
     for warning in record["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)

@@ -127,11 +127,10 @@ def f2(p: float, k) -> float:
 
     Vanishes only at p = 0, so non-inflectional arcs never meet their
     middle-perpendicular reflections away from the trivial time.  k must lie
-    in (0, 1], else EllipticDomainError.  The values come from `_jacobi_agm`
-    for k < 1 and finite p, else from `jacobi`, as in `f1`.
+    in (0, 1], else EllipticDomainError.
     """
     kf = _rotating_k(k, "f2")
-    sn, cn, dn, _, eps = _jacobi_agm(p, kf) if 0.0 < kf < 1.0 and math.isfinite(p) else jacobi(p, kf)
+    sn, cn, dn, _, eps = jacobi(p, kf)
     return (kf * kf * sn * cn + dn * ((2.0 - kf * kf) * p - 2.0 * eps)) / kf
 
 
@@ -139,11 +138,10 @@ def g1_n1(p: float, k) -> float:
     """Chord-reflection (turned-tangent) equation on the oscillating stratum.
 
     (1 - k^2 + k^2 cn^4 p)(2 eps(p) - p) + cn p sn p dn p (2 k^2 sn^2 p - 1);
-    behaves like (2/3) p^3 at the origin.  The values come from `_jacobi_agm`
-    for 0 < k < 1 and finite p, else from `jacobi`, as in `f1`.
+    behaves like (2/3) p^3 at the origin.
     """
     kf = float(k)
-    sn, cn, dn, _, eps = _jacobi_agm(p, kf) if 0.0 < kf < 1.0 and math.isfinite(p) else jacobi(p, kf)
+    sn, cn, dn, _, eps = jacobi(p, kf)
     cn2 = cn * cn
     return (1.0 - kf * kf + kf * kf * cn2 * cn2) * (2.0 * eps - p) + (
         cn * sn * dn * (2.0 * kf * kf * sn * sn - 1.0)
@@ -153,11 +151,10 @@ def g1_n1(p: float, k) -> float:
 def g1_n2(p: float, k) -> float:
     """Chord-reflection equation on the rotating strata; positive on (0, K).
 
-    k must lie in (0, 1], else EllipticDomainError.  The values come from
-    `_jacobi_agm` for k < 1 and finite p, else from `jacobi`, as in `f1`.
+    k must lie in (0, 1], else EllipticDomainError.
     """
     kf = _rotating_k(k, "g1_n2")
-    sn, cn, dn, _, eps = _jacobi_agm(p, kf) if 0.0 < kf < 1.0 and math.isfinite(p) else jacobi(p, kf)
+    sn, cn, dn, _, eps = jacobi(p, kf)
     sn2 = sn * sn
     return (
         kf * kf * cn * sn * dn * (2.0 * sn2 - 1.0)

@@ -62,26 +62,6 @@ def test_attempted_op_counts_summarized(tmp_path):
     assert record["change"]["attempted"] == {"median": 300, "q1": 225.0, "q3": 350.0}
 
 
-def test_pair_ratios_recorded(tmp_path):
-    # change/base per pair, so peak_rss_mb can be read against the op count
-    bench_pairs = _bench_pairs()
-    names = list(_result()["metrics"])
-    # base, change, change, base: the side that runs first alternates
-    runs = iter([(100, 2.0), (150, 3.0), (300, 0.5), (200, 0.0)])
-
-    def run_once(*args):
-        attempted, value = next(runs)
-        return {"attempted": attempted, "metrics": {name: {"value": value} for name in names}}
-
-    with mock.patch.object(bench_pairs, "run_once", side_effect=run_once):
-        assert bench_pairs.main(_argv(tmp_path, 101, 102)) == 0
-    record = json.loads((tmp_path / "pairs.json").read_text(encoding="utf-8"))["sample"]
-    assert record["pair_ratios"] == [
-        {"seed": 101, "attempted": 1.5, **{name: 1.5 for name in names}},
-        {"seed": 102, "attempted": 1.5, **{name: None for name in names}},
-    ]
-
-
 def test_bytecode_state_recorded_without_warning(tmp_path, monkeypatch, capsys):
     bench_pairs = _bench_pairs()
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")

@@ -101,39 +101,13 @@ class TestRootFunctions:
         assert math.isfinite(func(0.7, 1.0))
 
 
-# The root functions as they read `jacobi` and the public integrals: the
-# references the functions must match bit for bit, errors included.
+# f1 and h1, which Brent evaluates, as they read `jacobi` and the public
+# integrals: the references they must match bit for bit, errors included.
 
 def _f1_ref(p, k):
     kf = float(k)
     jv = jacobi(p, kf)
     return jv.sn * jv.dn - (2.0 * jv.eps - p) * jv.cn
-
-
-def _f2_ref(p, k):
-    kf = maxwell._rotating_k(k, "f2")
-    jv = jacobi(p, kf)
-    return (kf * kf * jv.sn * jv.cn + jv.dn * ((2.0 - kf * kf) * p - 2.0 * jv.eps)) / kf
-
-
-def _g1_n1_ref(p, k):
-    kf = float(k)
-    jv = jacobi(p, kf)
-    cn2 = jv.cn * jv.cn
-    return (1.0 - kf * kf + kf * kf * cn2 * cn2) * (2.0 * jv.eps - p) + (
-        jv.cn * jv.sn * jv.dn * (2.0 * kf * kf * jv.sn * jv.sn - 1.0)
-    )
-
-
-def _g1_n2_ref(p, k):
-    kf = maxwell._rotating_k(k, "g1_n2")
-    jv = jacobi(p, kf)
-    sn2 = jv.sn * jv.sn
-    return (
-        kf * kf * jv.cn * jv.sn * jv.dn * (2.0 * sn2 - 1.0)
-        + (1.0 - 2.0 * sn2 + kf * kf * sn2 * sn2)
-        * (2.0 * jv.eps - (2.0 - kf * kf) * p)
-    ) / kf
 
 
 def _h1_ref(u, k):
@@ -160,31 +134,26 @@ def _seeded_moduli(rng):
     return ks + [0.0, 1.0, K0, K_RECT]
 
 
-ROOT_FUNCTIONS = [(f1, _f1_ref), (f2, _f2_ref), (g1_n1, _g1_n1_ref), (g1_n2, _g1_n2_ref)]
-
-
 class TestRootFunctionsBitForBit:
-    """Each Brent evaluation reads the Jacobi pass directly, with the bits of `jacobi`."""
+    """f1 and h1 read one Jacobi or Landen pass directly, with the bits of the public functions."""
 
-    @pytest.mark.parametrize("fn, ref", ROOT_FUNCTIONS, ids=lambda f: f.__name__)
-    def test_jacobi_formula_bit_for_bit(self, fn, ref):
+    def test_f1_is_the_jacobi_formula_bit_for_bit(self):
         # p of both signs from 1e-8 to 1e6, k over (0, 1) and its ends
         rng = random.Random(35)
         for k in _seeded_moduli(rng):
             for _ in range(6):
                 p = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, 6.0)
-                assert _outcome(fn, p, k) == _outcome(ref, p, k), (p, k)
+                assert _outcome(f1, p, k) == _outcome(_f1_ref, p, k), (p, k)
             for p in (0.0, -0.0, 0.7, -2.5, 1e6, -1e6):
-                assert _outcome(fn, p, k) == _outcome(ref, p, k), (p, k)
+                assert _outcome(f1, p, k) == _outcome(_f1_ref, p, k), (p, k)
 
-    @pytest.mark.parametrize("fn, ref", ROOT_FUNCTIONS, ids=lambda f: f.__name__)
-    def test_errors_and_non_finite_arguments_unchanged(self, fn, ref):
-        # what jacobi and the modulus checks raise, or return at k = 1
+    def test_f1_errors_and_non_finite_arguments_unchanged(self):
+        # what jacobi raises, or returns at k = 0 and k = 1
         for p in (math.inf, -math.inf, math.nan):
             for k in (0.0, 0.5, 1.0):
-                assert _outcome(fn, p, k) == _outcome(ref, p, k), (p, k)
+                assert _outcome(f1, p, k) == _outcome(_f1_ref, p, k), (p, k)
         for k in (-0.1, 1.5, math.nan, -0.0):
-            assert _outcome(fn, 0.7, k) == _outcome(ref, 0.7, k), k
+            assert _outcome(f1, 0.7, k) == _outcome(_f1_ref, 0.7, k), k
 
     def test_h1_is_the_public_integrals_bit_for_bit(self):
         # u past pi/2 reduces the phase with m != 0, so both extensions count
